@@ -60,14 +60,12 @@ def _dfs_forest(n: int, adjacency, pick) -> tuple[int, ...]:
     return tuple(pi)
 
 
-def randomized_dfs(g: Graph, policy: TiebreakPolicy, strict: bool = False) -> tuple[int, ...]:
+def randomized_dfs(g: Graph, policy: TiebreakPolicy) -> tuple[int, ...]:
     """One DFS forest with randomized child tie-breaking.
 
-    The weight matrix is treated as a directed adjacency structure; strict mode
-    rejects undirected graphs instead.
+    The weight matrix is treated as a directed adjacency structure, so an
+    undirected graph is searched along both directions of every edge.
     """
-    if strict and not g.directed:
-        raise ValueError("strict mode requires a directed graph")
     rng = np.random.default_rng(policy.seed)
     if policy.mode is TiebreakMode.PER_RUN_GLOBAL:
         order = rng.permutation(np.arange(1, g.n)) if g.n > 1 else np.empty(0, dtype=int)
@@ -92,7 +90,7 @@ def randomized_bellman_ford(g: Graph, policy: TiebreakPolicy) -> tuple[int, ...]
     if g.source is None:
         raise ValueError("bellman-ford needs a graph with a source")
     rng = np.random.default_rng(policy.seed)
-    denom, arcs = g.scaled_arcs()
+    arcs = g.arcs
     dist: list[float | int] = [INFINITE_COST] * g.n
     dist[g.source] = 0
     pi = list(range(g.n))
@@ -112,26 +110,7 @@ def randomized_bellman_ford(g: Graph, policy: TiebreakPolicy) -> tuple[int, ...]
 
 def bellman_ford_costs(g: Graph) -> list[Fraction | float]:
     """Exact shortest-path costs from the source; unreachable -> infinity."""
-    if g.source is None:
-        raise ValueError("bellman-ford needs a graph with a source")
-    cached = g._cache.get("bf_costs")
-    if cached is not None:
-        return cached
-    denom, arcs = g.scaled_arcs()
-    dist: list[float | int] = [INFINITE_COST] * g.n
-    dist[g.source] = 0
-    for _ in range(g.n - 1):
-        changed = False
-        for u, v, w in arcs:
-            cand = dist[u] + w
-            if cand < dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            break
-    costs = [d if d == INFINITE_COST else Fraction(d, denom) for d in dist]
-    g._cache["bf_costs"] = costs
-    return costs
+    return [c if c == INFINITE_COST else Fraction(c, g.denominator) for c in g.sp_costs]
 
 
 def _check_enumerable(n: int, limit: int) -> None:
@@ -213,18 +192,13 @@ def enumerate_shortest_path_trees(g: Graph, limit: int = ENUMERATION_LIMIT) -> s
     _check_enumerable(g.n, limit)
     if g.source is None:
         raise ValueError("shortest-path enumeration needs a graph with a source")
-    denom, arcs = g.scaled_arcs()
-    costs = bellman_ford_costs(g)
-    scaled = [None if c == INFINITE_COST else int(c * denom) for c in costs]
+    costs = g.sp_costs
     choice_sets: list[list[int]] = []
     for v in range(g.n):
-        if v == g.source or scaled[v] is None:
+        if v == g.source or costs[v] == INFINITE_COST:
             choice_sets.append([v])
             continue
-        parents = [
-            u for u, t, w in arcs
-            if t == v and scaled[u] is not None and scaled[u] + w == scaled[v]
-        ]
+        parents = (u for u, t, w in g.arcs if t == v and costs[u] + w == costs[v])
         choice_sets.append(sorted(parents))
     return {tuple(combo) for combo in itertools.product(*choice_sets)}
 

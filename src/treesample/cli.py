@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,36 +53,6 @@ DEFAULT_METHODS = {
 DIVERSITY_METHODS = ("greedy", "beam", "upwards", "alt-upwards")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every output file."""
-
-    command: str
-    config: dict
-    seed: int | None
-    tool_version: str
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunManifest":
-        return cls(
-            command=data["command"],
-            config=data["config"],
-            seed=data["seed"],
-            tool_version=data["tool_version"],
-            timestamp=data["timestamp"],
-        )
-
-
 def _resolve_output(raw: str) -> Path:
     path = Path(raw)
     base = os.environ.get(OUTPUT_DIR_ENV)
@@ -105,20 +74,21 @@ def _jsonable(value):
 
 
 def _write_manifest(out_path: Path, args: argparse.Namespace, command: str) -> None:
+    """Write the provenance record that accompanies every output file."""
     config = {
         k: _jsonable(v)
         for k, v in sorted(vars(args).items())
         if k not in ("func", "command") and not callable(v)
     }
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        seed=getattr(args, "seed", None),
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+    manifest = {
+        "command": command,
+        "config": config,
+        "seed": getattr(args, "seed", None),
+        "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest.to_dict(), indent=1) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=1) + "\n")
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -146,6 +116,19 @@ def _mode(raw: str) -> TiebreakMode:
     return TiebreakMode(raw)
 
 
+def _task_flag(default: Task) -> argparse.ArgumentParser:
+    """Parent parser holding --task.
+
+    One parser per default: parents share their Action objects with every
+    child, so set_defaults on one subcommand would change the others too.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--task", type=_task, choices=list(Task), metavar="{dfs,bf}", default=default
+    )
+    return parent
+
+
 def _sampler_config(args: argparse.Namespace, method: str) -> SamplerConfig:
     return SamplerConfig(
         method=method,
@@ -153,25 +136,7 @@ def _sampler_config(args: argparse.Namespace, method: str) -> SamplerConfig:
         beam_branch=args.beam_branch,
         greedy_parent_samples=args.greedy_samples,
         greedy_max_resamples=args.greedy_resamples,
-        seed=args.seed,
     )
-
-
-def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beam-width", type=int, default=3)
-    parser.add_argument("--beam-branch", type=int, default=3)
-    parser.add_argument("--greedy-samples", type=int, default=3)
-    parser.add_argument("--greedy-resamples", type=int, default=10)
-
-
-def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--task", type=_task, choices=list(Task), metavar="{dfs,bf}", default=Task.BF)
-    parser.add_argument("-n", type=int, default=5, help="graph size")
-    parser.add_argument("--graphs", type=int, default=50, help="graphs per run")
-    parser.add_argument("--p", type=float, default=None, help="edge probability (default: per-task density)")
-    parser.add_argument("--dist-runs", type=int, default=20, help="reruns per distribution")
-    parser.add_argument("--alpha", type=float, default=0.0, help="row perturbation strength")
-    _add_sampler_flags(parser)
 
 
 # ---------------------------------------------------------------- commands
@@ -268,7 +233,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     lines = []
     index = 0
     for entry in payload["entries"]:
-        g = graphs[entry["graph_index"]]
+        gi = entry["graph_index"]
+        if type(gi) is not int or not 0 <= gi < len(graphs):
+            raise ValueError(f"graph_index {gi!r} out of range for {len(graphs)} graphs")
+        g = graphs[gi]
         for solution in entry["solutions"]:
             pi = tuple(solution)
             if task is Task.DFS:
@@ -364,39 +332,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate random graphs")
+    # Flags shared by several subcommands, declared once and passed as parents.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, required=True)
+    seeded.add_argument("-o", "--output", required=True)
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1)
+    task = _task_flag(Task.BF)
+    density = argparse.ArgumentParser(add_help=False)
+    density.add_argument(
+        "--p", type=float, default=None, help="edge probability (default: per-task density)"
+    )
+    sampler = argparse.ArgumentParser(add_help=False)
+    sampler.add_argument("--beam-width", type=int, default=3)
+    sampler.add_argument("--beam-branch", type=int, default=3)
+    sampler.add_argument("--greedy-samples", type=int, default=3)
+    sampler.add_argument("--greedy-resamples", type=int, default=10)
+    evaluation = argparse.ArgumentParser(
+        add_help=False, parents=[task, density, sampler, seeded, jobs]
+    )
+    evaluation.add_argument("-n", type=int, default=5, help="graph size")
+    evaluation.add_argument("--graphs", type=int, default=50, help="graphs per run")
+    evaluation.add_argument("--dist-runs", type=int, default=20, help="reruns per distribution")
+    evaluation.add_argument("--alpha", type=float, default=0.0, help="row perturbation strength")
+    evaluation.add_argument("--methods", type=_method_list, default=None)
+
+    p = sub.add_parser("gen", help="generate random graphs", parents=[task, density, seeded])
     p.add_argument("-n", type=int, required=True, help="graph size")
     p.add_argument("--count", type=int, default=1, help="number of graphs")
-    p.add_argument("--p", type=float, default=None, help="edge probability (default: per-task density)")
-    p.add_argument("--task", type=_task, choices=list(Task), metavar="{dfs,bf}", default=Task.BF)
     p.add_argument("--weights", type=_int_list, default=(1, 2, 3), help="weight set, e.g. 1,2,3")
     p.add_argument("--no-normalize", action="store_true", help="keep raw integer weights")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("dist", help="build empirical parent distributions")
+    p = sub.add_parser(
+        "dist", help="build empirical parent distributions", parents=[task, seeded, jobs]
+    )
     p.add_argument("-i", "--input", required=True, help="graph JSON file")
-    p.add_argument("--task", type=_task, choices=list(Task), metavar="{dfs,bf}", default=Task.BF)
     p.add_argument("--runs", type=int, default=20)
     p.add_argument(
         "--mode", type=_mode, choices=list(TiebreakMode), metavar="{per-run-global,per-node}", default=TiebreakMode.PER_RUN_GLOBAL
     )
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("sample", help="extract candidate solutions")
+    p = sub.add_parser(
+        "sample", help="extract candidate solutions", parents=[task, sampler, seeded, jobs]
+    )
     p.add_argument("-i", "--input", required=True, help="graph JSON file")
     p.add_argument("-d", "--dists", required=True, help="distribution JSON file")
-    p.add_argument("--task", type=_task, choices=list(Task), metavar="{dfs,bf}", default=Task.BF)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("-k", type=int, default=5, help="samples per graph")
-    _add_sampler_flags(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("check", help="validate solutions against graphs")
@@ -408,54 +392,35 @@ def build_parser() -> argparse.ArgumentParser:
     study = sub.add_parser("study", help="run an evaluation study")
     which = study.add_subparsers(dest="which", required=True)
 
-    p = which.add_parser("reruns", help="distribution stability vs rerun budget")
+    p = which.add_parser(
+        "reruns",
+        help="distribution stability vs rerun budget",
+        parents=[_task_flag(Task.DFS), density, seeded, jobs],
+    )
     p.add_argument("--sizes", type=_int_list, default=(5, 10, 16, 32))
     p.add_argument("--graphs", type=int, default=20, help="graphs per size")
     p.add_argument("--counts", type=_int_list, default=(20, 50, 100), help="rerun budgets")
-    p.add_argument("--task", type=_task, choices=list(Task), metavar="{dfs,bf}", default=Task.DFS)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_study_reruns)
 
-    p = which.add_parser("coverage", help="cumulative unique valid solutions")
-    _add_eval_flags(p)
+    p = which.add_parser("coverage", help="cumulative unique valid solutions", parents=[evaluation])
     p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--methods", type=_method_list, default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_study_coverage)
 
-    p = which.add_parser("edge-reuse", help="pairwise edge reuse as samples accumulate")
-    _add_eval_flags(p)
+    p = which.add_parser(
+        "edge-reuse", help="pairwise edge reuse as samples accumulate", parents=[evaluation]
+    )
     p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--methods", type=_method_list, default=None)
     p.add_argument("--denominator", choices=("union", "first"), default="union")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_study_edge_reuse)
 
-    p = which.add_parser("table1", help="uniques/valids per sample batch")
-    _add_eval_flags(p)
+    p = which.add_parser("table1", help="uniques/valids per sample batch", parents=[evaluation])
     p.add_argument("--runs", type=int, default=5, help="evaluation runs")
     p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--methods", type=_method_list, default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_study_table1)
 
-    p = which.add_parser("table2", help="single-draw validity rates")
-    _add_eval_flags(p)
+    p = which.add_parser("table2", help="single-draw validity rates", parents=[evaluation])
     p.add_argument("--runs", type=int, default=5, help="evaluation runs")
     p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--methods", type=_method_list, default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_study_table2)
 
     return parser

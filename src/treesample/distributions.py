@@ -33,6 +33,8 @@ class ParentDistribution:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != (self.n, self.n):
             raise ValueError(f"probs must be {self.n}x{self.n}, got {self.probs.shape}")
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(self.probs < 0):
             raise ValueError("probabilities must be non-negative")
         sums = self.probs.sum(axis=1)

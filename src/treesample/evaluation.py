@@ -8,6 +8,7 @@ so results are independent of scheduling and job count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -71,8 +72,6 @@ def uniques_and_valids(
     rng: np.random.Generator,
 ) -> tuple[int, int]:
     """Distinct arrays and valid draws (with multiplicity) among k samples."""
-    if k < 1:
-        raise ValueError(f"need at least one sample, got {k}")
     samples = draw_samples(cfg.method, dist, g, cfg, k, rng)
     uniques = len(set(samples))
     valids = sum(1 for s in samples if is_valid(g, s, task))
@@ -211,30 +210,57 @@ def _reference_runs(g: Graph, task: Task, count: int, seed: int) -> list[tuple[i
     return out
 
 
-def _coverage_item(args) -> dict[str, list[float]]:
-    cfg, methods, index = args
+def _coverage_curve(g: Graph, task: Task, samples: list[tuple[int, ...]]) -> list[float]:
+    """Distinct valid solutions among the first s samples, s = 1..k."""
+    seen: set[tuple[int, ...]] = set()
+    curve = []
+    for s in samples:
+        if is_valid(g, s, task):
+            seen.add(s)
+        curve.append(float(len(seen)))
+    return curve
+
+
+def _edge_reuse_curve(
+    denominator: str, g: Graph, task: Task, samples: list[tuple[int, ...]]
+) -> list[float]:
+    """Mean pairwise edge reuse among the first s samples, s = 2..k."""
+    return [mean_edge_reuse(samples[:s], denominator) for s in range(2, len(samples) + 1)]
+
+
+def _curve_item(args) -> dict[str, list[float]]:
+    """Per-graph work: each method's k-sample batch and k reference runs, as curves."""
+    cfg, methods, label, curve, index = args
     g, dist = _graph_distribution(cfg, 0, index)
     k = cfg.samples_per_graph
     curves: dict[str, list[float]] = {}
     for method in methods:
         method_cfg = replace(cfg.sampler, method=method)
-        rng = derive_rng(cfg.seed, "coverage", method, index)
+        rng = derive_rng(cfg.seed, label, method, index)
         samples = draw_samples(method, dist, g, method_cfg, k, rng)
-        seen: set[tuple[int, ...]] = set()
-        curve = []
-        for s in samples:
-            if is_valid(g, s, cfg.task):
-                seen.add(s)
-            curve.append(float(len(seen)))
-        curves[method] = curve
+        curves[method] = curve(g, cfg.task, samples)
     reference = _reference_runs(g, cfg.task, k, derive_seed(cfg.seed, "refstream", index))
-    seen = set()
-    curve = []
-    for s in reference:
-        seen.add(s)  # reference outputs are valid by construction
-        curve.append(float(len(seen)))
-    curves["reference"] = curve
+    curves["reference"] = curve(g, cfg.task, reference)
     return curves
+
+
+def _curve_table(
+    cfg: EvalConfig, methods: list[str], label: str, curve, first_index: int, column: str, jobs: int
+) -> StudyTable:
+    """Per-method curves averaged over graphs; the reference reruns appear as "reference"."""
+    if cfg.graph_count < 1:
+        raise ValueError("graph_count must be positive")
+    items = [(cfg, tuple(methods), label, curve, index) for index in range(cfg.graph_count)]
+    results = parallel_map(_curve_item, items, jobs)
+    table = StudyTable(("method", "n", "dist", "sample_index", column))
+    for method in [*methods, "reference"]:
+        means = np.array([r[method] for r in results]).mean(axis=0)
+        for offset, value in enumerate(means):
+            table.append(
+                method, cfg.graph_spec.n, cfg.distribution_label(), first_index + offset,
+                float(value),
+            )
+    return table
 
 
 def coverage_study(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> StudyTable:
@@ -243,33 +269,7 @@ def coverage_study(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> StudyT
     The reference algorithm's own reruns appear as method "reference"; sampler
     curves count a draw only when it is distinct and valid.
     """
-    items = [(cfg, tuple(methods), index) for index in range(cfg.graph_count)]
-    results = parallel_map(_coverage_item, items, jobs)
-    table = StudyTable(("method", "n", "dist", "sample_index", "mean_unique_valid"))
-    for method in [*methods, "reference"]:
-        stacked = np.array([r[method] for r in results])
-        means = stacked.mean(axis=0)
-        for s in range(cfg.samples_per_graph):
-            table.append(
-                method, cfg.graph_spec.n, cfg.distribution_label(), s + 1, float(means[s])
-            )
-    return table
-
-
-def _edge_reuse_item(args) -> dict[str, list[float]]:
-    cfg, methods, denominator, index = args
-    g, dist = _graph_distribution(cfg, 0, index)
-    k = cfg.samples_per_graph
-    curves: dict[str, list[float]] = {}
-    batches: dict[str, list[tuple[int, ...]]] = {}
-    for method in methods:
-        method_cfg = replace(cfg.sampler, method=method)
-        rng = derive_rng(cfg.seed, "reuse", method, index)
-        batches[method] = draw_samples(method, dist, g, method_cfg, k, rng)
-    batches["reference"] = _reference_runs(g, cfg.task, k, derive_seed(cfg.seed, "refstream", index))
-    for method, samples in batches.items():
-        curves[method] = [mean_edge_reuse(samples[:s], denominator) for s in range(2, k + 1)]
-    return curves
+    return _curve_table(cfg, methods, "coverage", _coverage_curve, 1, "mean_unique_valid", jobs)
 
 
 def edge_reuse_evolution(
@@ -278,17 +278,8 @@ def edge_reuse_evolution(
     """Mean pairwise edge reuse over the first s samples, s = 2..k."""
     if cfg.samples_per_graph < 2:
         raise ValueError("edge reuse evolution needs at least two samples per graph")
-    items = [(cfg, tuple(methods), denominator, index) for index in range(cfg.graph_count)]
-    results = parallel_map(_edge_reuse_item, items, jobs)
-    table = StudyTable(("method", "n", "dist", "sample_index", "mean_edge_reuse"))
-    for method in [*methods, "reference"]:
-        stacked = np.array([r[method] for r in results])
-        means = stacked.mean(axis=0)
-        for offset, s in enumerate(range(2, cfg.samples_per_graph + 1)):
-            table.append(
-                method, cfg.graph_spec.n, cfg.distribution_label(), s, float(means[offset])
-            )
-    return table
+    curve = partial(_edge_reuse_curve, denominator)
+    return _curve_table(cfg, methods, "reuse", curve, 2, "mean_edge_reuse", jobs)
 
 
 __all__ = [

@@ -1,18 +1,23 @@
 """Graphs over integer vertices with exact rational weights.
 
-Weights live in an n x n matrix of Fractions; zero means "no edge" and present
-weights are strictly positive. Undirected graphs keep the matrix symmetric.
-Costs stay exact end to end, so shortest-path cost comparisons never need a
-floating tolerance.
+Weights are stored as an n x n matrix of plain ints over one common
+denominator: the weight of arc (u, v) is weights[u][v] / denominator, zero
+means "no edge" and present weights are strictly positive. The denominator is
+the least common multiple of the reduced edge denominators, so two graphs
+compare equal exactly when they have the same edges and rational weights.
+Undirected graphs keep the matrix symmetric. Path costs are integer sums, so
+shortest-path cost comparisons are exact and never need a floating tolerance;
+Fractions appear only at the JSON and API boundary.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -28,22 +33,23 @@ class Task(Enum):
     BF = "bf"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Graph:
-    """Immutable-by-convention weighted graph.
+    """Immutable weighted graph; derived structure is computed once, on first use.
 
     Attributes:
         n: vertex count; vertices are 0..n-1.
         directed: whether the weight matrix is interpreted as directed.
-        weights: n x n tuple-of-tuples of Fractions, 0 = absent edge.
+        weights: n x n tuple-of-tuples of non-negative ints, 0 = absent edge.
         source: distinguished source vertex for shortest-path tasks, or None.
+        denominator: every weight is weights[u][v] / denominator.
     """
 
     n: int
     directed: bool
-    weights: tuple[tuple[Fraction, ...], ...]
+    weights: tuple[tuple[int, ...], ...]
     source: int | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    denominator: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -52,11 +58,13 @@ class Graph:
             raise ValueError("weight matrix shape does not match n")
         if self.source is not None and not 0 <= self.source < self.n:
             raise ValueError(f"source {self.source} out of range for n={self.n}")
-        if not self.directed:
-            for u in range(self.n):
-                for v in range(u + 1, self.n):
-                    if self.weights[u][v] != self.weights[v][u]:
-                        raise ValueError("undirected graph requires a symmetric matrix")
+        if not self.directed and tuple(map(tuple, self.weights)) != tuple(zip(*self.weights)):
+            raise ValueError("undirected graph requires a symmetric matrix")
+        flat = [w for row in self.weights for w in row]
+        if not all(type(w) is int and w >= 0 for w in flat):
+            raise ValueError("weights must be non-negative ints")
+        if self.denominator < 1 or math.gcd(self.denominator, *flat) != 1:
+            raise ValueError("denominator must be the smallest positive common denominator")
 
     @classmethod
     def from_edges(
@@ -66,98 +74,90 @@ class Graph:
         directed: bool,
         source: int | None = None,
     ) -> "Graph":
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        arcs: dict[tuple[int, int], Fraction] = {}
         for u, v, w in edges:
             w = Fraction(w)
             if w <= 0:
                 raise ValueError(f"edge ({u},{v}) must have positive weight, got {w}")
-            rows[u][v] = w
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+            arcs[u, v] = w
             if not directed:
-                rows[v][u] = w
-        return cls(n, directed, tuple(tuple(r) for r in rows), source)
+                arcs[v, u] = w
+        denominator = math.lcm(*(w.denominator for w in arcs.values()))
+        rows = [[0] * n for _ in range(n)]
+        for (u, v), w in arcs.items():
+            rows[u][v] = w.numerator * (denominator // w.denominator)
+        return cls(n, directed, tuple(map(tuple, rows)), source, denominator)
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.weights[u][v] != 0
 
-    def out_neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
-
-    @property
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Ascending out-neighbor lists, cached."""
-        adj = self._cache.get("adjacency")
-        if adj is None:
-            adj = tuple(
-                tuple(v for v in range(self.n) if self.weights[u][v] != 0)
-                for u in range(self.n)
-            )
-            self._cache["adjacency"] = adj
-        return adj
+        """Ascending out-neighbor lists."""
+        return tuple(
+            tuple(v for v, w in enumerate(row) if w != 0) for row in self.weights
+        )
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """Directed arcs (u, v, integer weight) in row-major order.
+
+        The order is part of the randomized Bellman-Ford stream, which permutes
+        arc indices; undirected graphs yield both directions.
+        """
+        return tuple(
+            (u, v, w) for u, row in enumerate(self.weights) for v, w in enumerate(row) if w
+        )
 
     def edge_list(self) -> list[tuple[int, int, Fraction]]:
-        """Directed arcs (u, v, w); undirected graphs yield both directions."""
-        return [
-            (u, v, self.weights[u][v])
-            for u in range(self.n)
-            for v in range(self.n)
-            if self.weights[u][v] != 0
-        ]
+        """Directed arcs (u, v, w) with exact Fraction weights, in arcs order."""
+        return [(u, v, Fraction(w, self.denominator)) for u, v, w in self.arcs]
 
-    def scaled_arcs(self) -> tuple[int, list[tuple[int, int, int]]]:
-        """Arcs with integer weights over a common denominator, cached.
-
-        Returns (denominator, arcs) with w_int = w * denominator exactly, so
-        all path-cost arithmetic can run in plain integers.
-        """
-        cached = self._cache.get("scaled_arcs")
-        if cached is None:
-            arcs = self.edge_list()
-            denom = math.lcm(*(w.denominator for _, _, w in arcs)) if arcs else 1
-            scaled = [(u, v, int(w * denom)) for u, v, w in arcs]
-            cached = (denom, scaled)
-            self._cache["scaled_arcs"] = cached
-        return cached
-
-    def scaled_weight_matrix(self) -> tuple[int, list[list[int]]]:
-        """Integer weight matrix over the scaled_arcs denominator, 0 = absent."""
-        cached = self._cache.get("scaled_matrix")
-        if cached is None:
-            denom, arcs = self.scaled_arcs()
-            mat = [[0] * self.n for _ in range(self.n)]
-            for u, v, w in arcs:
-                mat[u][v] = w
-            cached = (denom, mat)
-            self._cache["scaled_matrix"] = cached
-        return cached
-
-    @property
+    @cached_property
     def reach_matrix(self) -> np.ndarray:
-        """Reflexive-transitive closure as an n x n boolean matrix, cached."""
-        reach = self._cache.get("reach")
-        if reach is None:
-            reach = np.zeros((self.n, self.n), dtype=bool)
-            adj = self.adjacency
-            for s in range(self.n):
-                seen = reach[s]
-                stack = [s]
-                seen[s] = True
-                while stack:
-                    u = stack.pop()
-                    for v in adj[u]:
-                        if not seen[v]:
-                            seen[v] = True
-                            stack.append(v)
-            reach.setflags(write=False)
-            self._cache["reach"] = reach
+        """Reflexive-transitive closure as a read-only n x n boolean matrix."""
+        reach = np.zeros((self.n, self.n), dtype=bool)
+        adj = self.adjacency
+        for s in range(self.n):
+            seen = reach[s]
+            stack = [s]
+            seen[s] = True
+            while stack:
+                u = stack.pop()
+                for v in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        stack.append(v)
+        reach.setflags(write=False)
         return reach
 
+    @cached_property
+    def sp_costs(self) -> tuple[int | float, ...]:
+        """Integer shortest-path costs from the source; unreachable -> infinity.
+
+        Relaxes arcs in order until a pass changes nothing (at most n-1 passes).
+        """
+        if self.source is None:
+            raise ValueError("bellman-ford needs a graph with a source")
+        dist: list[float | int] = [INFINITE_COST] * self.n
+        dist[self.source] = 0
+        for _ in range(self.n - 1):
+            changed = False
+            for u, v, w in self.arcs:
+                cand = dist[u] + w
+                if cand < dist[v]:
+                    dist[v] = cand
+                    changed = True
+            if not changed:
+                break
+        return tuple(dist)
+
     def to_dict(self) -> dict:
-        edges = []
-        for u in range(self.n):
-            vs = range(self.n) if self.directed else range(u, self.n)
-            for v in vs:
-                if self.weights[u][v] != 0:
-                    edges.append([u, v, str(self.weights[u][v])])
+        edges = [
+            [u, v, str(w)] for u, v, w in self.edge_list() if self.directed or u <= v
+        ]
         return {"n": self.n, "directed": self.directed, "source": self.source, "edges": edges}
 
     @classmethod
@@ -242,16 +242,17 @@ def generate_graph(spec: GraphSpec) -> Graph:
     return Graph.from_edges(spec.n, edges, directed, source)
 
 
-def reachable(g: Graph, s: int, t: int) -> bool:
-    """Whether t is reachable from s following directed edges; reflexive."""
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"vertex out of range: ({s}, {t}) for n={g.n}")
-    return bool(g.reach_matrix[s, t])
-
-
 def tree_edges(pi: tuple[int, ...]) -> set[tuple[int, int]]:
     """(parent, child) pairs of a predecessor array, self-parents excluded."""
     return {(p, c) for c, p in enumerate(pi) if p != c}
+
+
+def validate_predecessors(g: Graph, pi: tuple[int, ...]) -> None:
+    """Raise ValueError unless pi holds one parent per vertex, each in 0..n-1."""
+    if len(pi) != g.n:
+        raise ValueError(f"predecessor array has length {len(pi)}, expected {g.n}")
+    if min(pi) < 0 or max(pi) >= g.n:
+        raise ValueError(f"predecessor array mentions out-of-range vertices for n={g.n}")
 
 
 def path_cost_from_source(g: Graph, pi: tuple[int, ...], v: int) -> Fraction | float | None:
@@ -265,18 +266,15 @@ def path_cost_from_source(g: Graph, pi: tuple[int, ...], v: int) -> Fraction | f
     """
     if g.source is None:
         raise ValueError("path costs need a graph with a source")
-    if len(pi) != g.n:
-        raise ValueError(f"predecessor array has length {len(pi)}, expected {g.n}")
-    if pi[v] == v:
-        if v == g.source:
-            return Fraction(0)
+    validate_predecessors(g, pi)
+    if pi[v] == v and v != g.source:
         return INFINITE_COST
-    total = Fraction(0)
+    total = 0
     cur = v
     for _ in range(g.n):
         parent = pi[cur]
         if parent == cur:
-            return total if cur == g.source else None
+            return Fraction(total, g.denominator) if cur == g.source else None
         if not g.has_edge(parent, cur):
             return None
         total += g.weights[parent][cur]
@@ -303,6 +301,6 @@ __all__ = [
     "graphs_from_json",
     "graphs_to_json",
     "path_cost_from_source",
-    "reachable",
     "tree_edges",
+    "validate_predecessors",
 ]

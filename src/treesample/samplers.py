@@ -37,7 +37,6 @@ class SamplerConfig:
     beam_branch: int = 3
     greedy_parent_samples: int = 3
     greedy_max_resamples: int = 10
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -124,7 +123,7 @@ def beam_extract(
         raise ValueError("beam extraction needs a graph with a source")
     n = dist.n
     source = g.source
-    _, weight = g.scaled_weight_matrix()
+    weight = g.weights
     pi = [0] * n
     pi[source] = source
     for v in range(n):
@@ -192,7 +191,7 @@ def greedy_extract(
         raise ValueError("greedy extraction needs a graph with a source")
     n = dist.n
     source = g.source
-    _, weight = g.scaled_weight_matrix()
+    weight = g.weights
     pi = [0] * n
     pi[source] = source
     for v in range(n):
@@ -272,6 +271,8 @@ def draw_samples(
     stats: dict | None = None,
 ) -> list[tuple[int, ...]]:
     """k samples from one method, drawn sequentially from a single stream."""
+    if k < 1:
+        raise ValueError(f"need at least one sample, got {k}")
     return [extract(method, dist, g, cfg, rng, stats) for _ in range(k)]
 
 

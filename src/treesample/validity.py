@@ -12,8 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algorithms import bellman_ford_costs
-from .graphs import Graph, INFINITE_COST
+from .graphs import Graph, INFINITE_COST, validate_predecessors
 
 
 class DfsCondition(Enum):
@@ -69,10 +68,7 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
     The conditions are necessary, not sufficient: every true DFS forest passes,
     and some impostors may too.
     """
-    if len(pi) != g.n:
-        raise ValueError(f"predecessor array has length {len(pi)}, expected {g.n}")
-    if any(not 0 <= p < g.n for p in pi):
-        raise ValueError("predecessor array mentions out-of-range vertices")
+    validate_predecessors(g, pi)
     failed: set[DfsCondition] = set()
     n = g.n
     reach = g.reach_matrix
@@ -117,17 +113,6 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
     return DfsVerdict(not failed, frozenset(failed))
 
 
-def _scaled_cost_data(g: Graph) -> tuple[list[list[int]], list[int | None]]:
-    cached = g._cache.get("bf_check")
-    if cached is None:
-        denom, mat = g.scaled_weight_matrix()
-        costs = bellman_ford_costs(g)
-        scaled = [None if c == INFINITE_COST else int(c * denom) for c in costs]
-        cached = (mat, scaled)
-        g._cache["bf_check"] = cached
-    return cached
-
-
 def check_bf_valid(g: Graph, pi: tuple[int, ...]) -> bool:
     """Whether pi encodes a shortest-path tree of g from its source.
 
@@ -140,21 +125,20 @@ def check_bf_valid(g: Graph, pi: tuple[int, ...]) -> bool:
     """
     if g.source is None:
         raise ValueError("bellman-ford validity needs a graph with a source")
-    if len(pi) != g.n:
-        raise ValueError(f"predecessor array has length {len(pi)}, expected {g.n}")
+    validate_predecessors(g, pi)
     source = g.source
     if pi[source] != source:
         return False
-    mat, true_costs = _scaled_cost_data(g)
+    weights, true_costs = g.weights, g.sp_costs
     n = g.n
     for t in range(n):
         p = pi[t]
-        if p != t and mat[p][t] == 0:
-            return False
-        if true_costs[t] is None and p != t:
+        if p != t and weights[p][t] == 0:
             return False
 
-    # chain costs with memoization; _UNDEFINED marks pointer cycles
+    # chain costs with memoization; _UNDEFINED marks pointer cycles and chains
+    # ending at an unreachable root, whose vertices would pass the cost
+    # comparison at infinity although they are not their own parents
     known: list[object] = [None] * n
     known[source] = 0
     for v0 in range(n):
@@ -176,24 +160,17 @@ def check_bf_valid(g: Graph, pi: tuple[int, ...]) -> bool:
                 base = _UNDEFINED
                 break
             cur = nxt
+        if base == INFINITE_COST:
+            base = _UNDEFINED
         for node in reversed(path):
             if base is _UNDEFINED:
                 known[node] = _UNDEFINED
-            elif base == INFINITE_COST:
-                known[node] = INFINITE_COST
             else:
-                base = base + mat[pi[node]][node]
+                base = base + weights[pi[node]][node]
                 known[node] = base
 
-    for v in range(n):
-        truth = true_costs[v]
-        model = known[v]
-        if model is _UNDEFINED:
-            return False
-        if truth is None:
-            if model != INFINITE_COST:
-                return False
-        elif model != truth:
+    for model, truth in zip(known, true_costs):
+        if model is _UNDEFINED or model != truth:
             return False
     return True
 

@@ -74,14 +74,16 @@ def test_edgeless_graph_has_identity_forest():
     assert randomized_dfs(g, TiebreakPolicy(seed=5)) == (0, 1, 2, 3)
 
 
-def test_randomized_dfs_deterministic_and_in_support(two_tree_digraph):
-    support = set(enumerate_dfs_trees(two_tree_digraph))
-    for mode in TiebreakMode:
-        for seed in range(50):
-            policy = TiebreakPolicy(mode=mode, seed=seed)
-            pi = randomized_dfs(two_tree_digraph, policy)
-            assert pi == randomized_dfs(two_tree_digraph, policy)
-            assert pi in support
+def test_randomized_dfs_deterministic_and_in_support(two_tree_digraph, unit_square):
+    # An undirected graph is searched along both directions of every edge.
+    for g in (two_tree_digraph, unit_square):
+        support = set(enumerate_dfs_trees(g))
+        for mode in TiebreakMode:
+            for seed in range(50):
+                policy = TiebreakPolicy(mode=mode, seed=seed)
+                pi = randomized_dfs(g, policy)
+                assert pi == randomized_dfs(g, policy)
+                assert pi in support
 
 
 def test_randomized_dfs_frequencies_match_enumeration(two_tree_digraph):
@@ -90,12 +92,6 @@ def test_randomized_dfs_frequencies_match_enumeration(two_tree_digraph):
     )
     assert set(counts) == {(0, 0, 1), (0, 2, 0)}
     assert abs(counts[(0, 0, 1)] / 1000 - 0.5) < 0.05
-
-
-def test_strict_mode_rejects_undirected(unit_square):
-    assert randomized_dfs(unit_square, TiebreakPolicy(seed=0))  # lenient default
-    with pytest.raises(ValueError, match="directed"):
-        randomized_dfs(unit_square, TiebreakPolicy(seed=0), strict=True)
 
 
 def test_costs_exact_on_fixtures(unit_square, third_weight_line):

@@ -187,6 +187,27 @@ def test_validation_errors_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert run("gen", "-n", "0", "--task", "bf", "--seed", "1",
                "-o", str(tmp_path / "zero.json")) == 3
+    assert run("sample", "-i", str(g3), "-d", str(d3), "--task", "bf", "--method", "argmax",
+               "-k", "0", "--seed", "3", "-o", str(tmp_path / "k0.json")) == 3
+
+    # Malformed files: an edge endpoint, a parent, a graph_index or a
+    # probability outside its range is rejected, never wrapped or crashed on.
+    for endpoint in (-1, 7):
+        bad_graphs = tmp_path / f"edge{endpoint}.json"
+        bad_graphs.write_text(json.dumps([{"n": 3, "directed": False, "source": 0,
+                                           "edges": [[0, endpoint, "1"]]}]))
+        assert run("dist", "-i", str(bad_graphs), "--task", "bf", "--seed", "2",
+                   "-o", str(tmp_path / "never.json")) == 3
+    for index, solution in ((0, [0, 0, -2]), (0, [0, 0, 5]), (-1, [0, 0, 0]), (2, [0, 0, 0])):
+        sols = tmp_path / "bad_sols.json"
+        sols.write_text(json.dumps({"task": "bf", "entries": [
+            {"graph_index": index, "solutions": [solution]}]}))
+        assert run("check", "-i", str(g3), "-s", str(sols)) == 3
+    nan_dists = tmp_path / "nan.json"
+    nan_dists.write_text(d3.read_text().replace("[1.0, 0.0, 0.0]", "[NaN, NaN, NaN]", 1))
+    assert nan_dists.read_text() != d3.read_text()
+    assert run("sample", "-i", str(g3), "-d", str(nan_dists), "--task", "bf",
+               "--method", "argmax", "--seed", "3", "-o", str(tmp_path / "s.json")) == 3
 
 
 def test_io_errors_exit_4(tmp_path, capsys):

@@ -37,6 +37,8 @@ def test_distribution_validation():
         ParentDistribution(2, np.array([[1.5, -0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="sum to 1"):
         ParentDistribution(2, np.array([[0.5, 0.4], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        ParentDistribution(2, np.array([[np.nan, np.nan], [0.0, 1.0]]))
 
 
 def test_empirical_rows_are_run_frequencies(two_tree_digraph):

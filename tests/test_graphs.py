@@ -18,7 +18,6 @@ from treesample import (
     graphs_from_json,
     graphs_to_json,
     path_cost_from_source,
-    reachable,
     tree_edges,
 )
 
@@ -28,6 +27,26 @@ def test_from_edges_rejects_nonpositive_weight():
         Graph.from_edges(2, [(0, 1, 0)], directed=True)
     with pytest.raises(ValueError, match="positive weight"):
         Graph.from_edges(2, [(0, 1, Fraction(-1, 2))], directed=True)
+
+
+def test_from_edges_rejects_out_of_range_endpoints():
+    for bad in ((0, -1), (0, 7), (-4, 1)):
+        with pytest.raises(ValueError, match="outside"):
+            Graph.from_edges(4, [(*bad, 1)], directed=False)
+
+
+def test_weights_are_ints_over_the_smallest_common_denominator():
+    g = Graph.from_edges(3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(2, 3))], directed=True, source=0)
+    assert g.denominator == 6
+    assert g.weights == ((0, 3, 0), (0, 0, 4), (0, 0, 0))
+    assert g.arcs == ((0, 1, 3), (1, 2, 4))
+    assert g.sp_costs == (0, 3, 7)
+    # Equal rationals give equal graphs, however they were written.
+    assert g == Graph.from_edges(3, [(1, 2, Fraction(4, 6)), (0, 1, "2/4")], directed=True, source=0)
+    with pytest.raises(ValueError, match="denominator"):
+        Graph(2, True, ((0, 2), (0, 0)), denominator=4)
+    with pytest.raises(ValueError, match="ints"):
+        Graph(2, True, ((0, Fraction(1, 2)), (0, 0)))
 
 
 def test_graph_shape_and_source_validation():
@@ -42,8 +61,8 @@ def test_graph_shape_and_source_validation():
 def test_undirected_edges_are_symmetric():
     g = Graph.from_edges(3, [(0, 1, Fraction(1, 3))], directed=False)
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert g.weights[1][0] == Fraction(1, 3)
-    assert g.out_neighbors(1) == (0,)
+    assert g.edge_list() == [(0, 1, Fraction(1, 3)), (1, 0, Fraction(1, 3))]
+    assert g.adjacency[1] == (0,)
 
 
 def test_adjacency_is_ascending():
@@ -118,7 +137,7 @@ def test_json_round_trip_preserves_fraction_weights(tmp_path, third_weight_line,
     graphs_to_json([third_weight_line, unit_square], path)
     loaded = graphs_from_json(path)
     assert loaded == [third_weight_line, unit_square]
-    assert loaded[0].weights[0][1] == Fraction(1, 3)
+    assert loaded[0].edge_list()[0] == (0, 1, Fraction(1, 3))
     assert '"1/3"' in path.read_text()
 
 
@@ -131,14 +150,14 @@ def test_reachability_matches_independent_search():
         ng.add_edges_from((u, v) for u, v, _ in g.edge_list())
         for s in range(g.n):
             expected = nx.descendants(ng, s) | {s}
-            assert {t for t in range(g.n) if reachable(g, s, t)} == expected
+            assert {t for t in range(g.n) if g.reach_matrix[s, t]} == expected
 
 
-def test_reachable_is_reflexive_and_range_checked():
+def test_reach_matrix_is_reflexive_and_read_only():
     g = Graph.from_edges(3, [], directed=True)
-    assert all(reachable(g, v, v) for v in range(3))
-    with pytest.raises(ValueError, match="out of range"):
-        reachable(g, 0, 7)
+    assert all(g.reach_matrix[v, v] for v in range(3))
+    with pytest.raises(ValueError, match="read-only"):
+        g.reach_matrix[0, 1] = True
 
 
 def test_tree_edges_drops_self_parents():
@@ -159,6 +178,8 @@ def test_path_cost_unreachable_and_undefined_cases(third_weight_line):
     assert path_cost_from_source(g, (0, 0, 0), 2) is None  # edge 0-2 absent
     with pytest.raises(ValueError, match="length"):
         path_cost_from_source(g, (0, 0), 0)
+    with pytest.raises(ValueError, match="out-of-range"):
+        path_cost_from_source(g, (0, 0, -1), 2)
     sourceless = Graph.from_edges(2, [(0, 1, 1)], directed=True)
     with pytest.raises(ValueError, match="source"):
         path_cost_from_source(sourceless, (0, 0), 1)
@@ -173,4 +194,4 @@ def test_generated_graphs_are_well_formed(seed, n, task):
     for u, v, w in g.edge_list():
         assert w > 0
         if not g.directed:
-            assert g.weights[v][u] == w
+            assert (v, u, w) in g.edge_list()

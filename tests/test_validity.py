@@ -133,6 +133,9 @@ def test_bf_check_rejects_wrong_cost_chain(unit_square):
 def test_bf_check_input_validation(unit_square, two_tree_digraph):
     with pytest.raises(ValueError, match="length"):
         check_bf_valid(unit_square, (0, 0))
+    for wrapped in ((0, 0, 0, -3), (0, 0, 0, 4)):  # -3 would wrap to vertex 1
+        with pytest.raises(ValueError, match="out-of-range"):
+            check_bf_valid(unit_square, wrapped)
     with pytest.raises(ValueError, match="source"):
         check_bf_valid(two_tree_digraph, (0, 0, 1))
 
