@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 from . import __version__
@@ -64,9 +65,7 @@ def _resolve_output(raw: str) -> Path:
 def _jsonable(value):
     if isinstance(value, Path):
         return str(value)
-    if isinstance(value, Task):
-        return value.value
-    if isinstance(value, TiebreakMode):
+    if isinstance(value, Enum):
         return value.value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
@@ -129,9 +128,8 @@ def _task_flag(default: Task) -> argparse.ArgumentParser:
     return parent
 
 
-def _sampler_config(args: argparse.Namespace, method: str) -> SamplerConfig:
+def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
     return SamplerConfig(
-        method=method,
         beam_width=args.beam_width,
         beam_branch=args.beam_branch,
         greedy_parent_samples=args.greedy_samples,
@@ -181,9 +179,9 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _sample_item(args_tuple):
-    g, dist, task, cfg, k, seed = args_tuple
+    g, dist, task, method, cfg, k, seed = args_tuple
     rng = derive_rng(seed)
-    solutions = draw_samples(cfg.method, dist, g, cfg, k, rng)
+    solutions = draw_samples(method, dist, g, cfg, k, rng)
     entry: dict = {"solutions": [list(s) for s in solutions]}
     if task is Task.DFS:
         verdicts = [check_dfs_valid(g, s) for s in solutions]
@@ -204,9 +202,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     for i, (g, d) in enumerate(zip(graphs, dists)):
         if g.n != d.n:
             raise ValueError(f"entry {i}: graph has n={g.n} but distribution has n={d.n}")
-    cfg = _sampler_config(args, args.method)
+    cfg = _sampler_config(args)
     items = [
-        (g, d, args.task, cfg, args.k, derive_seed(args.seed, "sample", args.method, i))
+        (g, d, args.task, args.method, cfg, args.k,
+         derive_seed(args.seed, "sample", args.method, i))
         for i, (g, d) in enumerate(zip(graphs, dists))
     ]
     entries = parallel_map(_sample_item, items, args.jobs)
@@ -261,7 +260,7 @@ def _eval_config(args: argparse.Namespace, runs: int, samples: int) -> EvalConfi
     return EvalConfig(
         task=args.task,
         graph_spec=GraphSpec(n=args.n, edge_probability=args.p, task=args.task),
-        sampler=_sampler_config(args, "argmax"),
+        sampler=_sampler_config(args),
         graph_count=args.graphs,
         samples_per_graph=samples,
         runs=runs,

@@ -16,7 +16,8 @@ from typing import Iterable
 import numpy as np
 
 from .algorithms import TiebreakMode, TiebreakPolicy, randomized_bellman_ford, randomized_dfs
-from .graphs import Graph, Task
+from .graphs import Graph, GraphSpec, Task, generate_graph
+from .parallel import parallel_map
 from .seeding import derive_seed
 from .tables import StudyTable
 
@@ -121,8 +122,6 @@ class RerunStudyConfig:
 
 
 def _rerun_study_item(args) -> list[tuple[int, int, int, float]]:
-    from .graphs import GraphSpec, generate_graph
-
     cfg, size, index = args
     spec = GraphSpec(
         n=size,
@@ -156,8 +155,6 @@ def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
         raise ValueError("graphs_per_size must be positive")
     if len(cfg.rerun_counts) < 2:
         raise ValueError("need at least two rerun counts to compare")
-    from .parallel import parallel_map
-
     items = [(cfg, size, index) for size in cfg.sizes for index in range(cfg.graphs_per_size)]
     results = parallel_map(_rerun_study_item, items, jobs)
 

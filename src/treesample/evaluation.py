@@ -63,21 +63,6 @@ def is_valid(g: Graph, pi: tuple[int, ...], task: Task) -> bool:
     return check_bf_valid(g, pi)
 
 
-def uniques_and_valids(
-    dist: ParentDistribution,
-    g: Graph,
-    task: Task,
-    cfg: SamplerConfig,
-    k: int,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Distinct arrays and valid draws (with multiplicity) among k samples."""
-    samples = draw_samples(cfg.method, dist, g, cfg, k, rng)
-    uniques = len(set(samples))
-    valids = sum(1 for s in samples if is_valid(g, s, task))
-    return uniques, valids
-
-
 def _graph_distribution(cfg: EvalConfig, run: int, index: int) -> tuple[Graph, ParentDistribution]:
     spec = replace(cfg.graph_spec, task=cfg.task, seed=derive_seed(cfg.seed, "graph", run, index))
     g = generate_graph(spec)
@@ -90,28 +75,33 @@ def _graph_distribution(cfg: EvalConfig, run: int, index: int) -> tuple[Graph, P
 
 
 def _suite_item(args) -> dict[str, tuple[bool, int, int]]:
-    """Per-(run, graph) work: one accuracy draw plus a k-sample batch per method."""
+    """Per-(run, graph) work, per method: is one draw valid, and the distinct
+    arrays and valid draws (with multiplicity) among a k-sample batch."""
     cfg, methods, run, index = args
     g, dist = _graph_distribution(cfg, run, index)
     out: dict[str, tuple[bool, int, int]] = {}
     for method in methods:
-        method_cfg = replace(cfg.sampler, method=method)
         single = extract(
-            method, dist, g, method_cfg, derive_rng(cfg.seed, "single", method, run, index)
+            method, dist, g, cfg.sampler, derive_rng(cfg.seed, "single", method, run, index)
         )
-        uniques, valids = uniques_and_valids(
-            dist,
-            g,
-            cfg.task,
-            method_cfg,
-            cfg.samples_per_graph,
+        samples = draw_samples(
+            method, dist, g, cfg.sampler, cfg.samples_per_graph,
             derive_rng(cfg.seed, "batch", method, run, index),
         )
-        out[method] = (is_valid(g, single, cfg.task), uniques, valids)
+        valids = sum(1 for s in samples if is_valid(g, s, cfg.task))
+        out[method] = (is_valid(g, single, cfg.task), len(set(samples)), valids)
     return out
 
 
-def _run_suite(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> dict[str, MetricsRecord]:
+def evaluate(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> dict[str, MetricsRecord]:
+    """Metrics per method on shared graphs and distributions.
+
+    Per run, fresh graphs are generated and each gets one distribution, which
+    every method samples from. Accuracy is the valid fraction of one draw per
+    graph; uniques and valids come from a separate k-sample batch. Mean and
+    std are taken across runs. Graph and distribution seeds do not depend on
+    the method, so a method's record is the same whatever it is evaluated with.
+    """
     if cfg.graph_count < 1 or cfg.runs < 1:
         raise ValueError("graph_count and runs must be positive")
     items = [
@@ -141,17 +131,9 @@ def _run_suite(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> dict[str, 
     return records
 
 
-def accuracy_suite(cfg: EvalConfig, jobs: int = 1) -> MetricsRecord:
-    """Evaluate cfg.sampler.method: per run, fresh graphs are generated, one
-    solution is drawn per graph, and accuracy is the valid fraction; uniques
-    and valids come from a separate k-sample batch. Mean and std are taken
-    across runs."""
-    return _run_suite(cfg, [cfg.sampler.method], jobs)[cfg.sampler.method]
-
-
 def diversity_table(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> StudyTable:
     """Unique/valid counts per k samples for several methods on shared graphs."""
-    records = _run_suite(cfg, methods, jobs)
+    records = evaluate(cfg, methods, jobs)
     table = StudyTable(
         ("method", "n", "dist", "uniques_mean", "uniques_std", "valids_mean", "valids_std")
     )
@@ -166,7 +148,7 @@ def diversity_table(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> Study
 
 def accuracy_table(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> StudyTable:
     """Single-draw validity rates for several methods on shared graphs."""
-    records = _run_suite(cfg, methods, jobs)
+    records = evaluate(cfg, methods, jobs)
     table = StudyTable(("method", "n", "dist", "acc_mean", "acc_std"))
     for method in methods:
         r = records[method]
@@ -235,9 +217,8 @@ def _curve_item(args) -> dict[str, list[float]]:
     k = cfg.samples_per_graph
     curves: dict[str, list[float]] = {}
     for method in methods:
-        method_cfg = replace(cfg.sampler, method=method)
         rng = derive_rng(cfg.seed, label, method, index)
-        samples = draw_samples(method, dist, g, method_cfg, k, rng)
+        samples = draw_samples(method, dist, g, cfg.sampler, k, rng)
         curves[method] = curve(g, cfg.task, samples)
     reference = _reference_runs(g, cfg.task, k, derive_seed(cfg.seed, "refstream", index))
     curves["reference"] = curve(g, cfg.task, reference)
@@ -285,12 +266,11 @@ def edge_reuse_evolution(
 __all__ = [
     "EvalConfig",
     "MetricsRecord",
-    "accuracy_suite",
     "accuracy_table",
     "coverage_study",
     "diversity_table",
     "edge_reuse_evolution",
+    "evaluate",
     "is_valid",
     "mean_edge_reuse",
-    "uniques_and_valids",
 ]

@@ -180,9 +180,8 @@ class GraphSpec:
     """Recipe for one random graph.
 
     Task conventions: DFS graphs are directed and unweighted (weight 1), BF
-    graphs are undirected, weighted from weight_set, source 0. Both can be
-    overridden via the directed/weighted fields. edge_probability None picks
-    the per-task default density.
+    graphs are undirected, weighted from weight_set, source 0. edge_probability
+    None picks the per-task default density.
     """
 
     n: int
@@ -191,19 +190,11 @@ class GraphSpec:
     weight_set: tuple[int, ...] = (1, 2, 3)
     normalize: bool = True
     seed: int = 0
-    directed: bool | None = None
-    weighted: bool | None = None
 
     def resolved_edge_probability(self) -> float:
         if self.edge_probability is not None:
             return self.edge_probability
         return DFS_EDGE_PROBABILITY if self.task is Task.DFS else BF_EDGE_PROBABILITY
-
-    def resolved_directed(self) -> bool:
-        return self.task is Task.DFS if self.directed is None else self.directed
-
-    def resolved_weighted(self) -> bool:
-        return self.task is Task.BF if self.weighted is None else self.weighted
 
 
 def generate_graph(spec: GraphSpec) -> Graph:
@@ -223,8 +214,8 @@ def generate_graph(spec: GraphSpec) -> Graph:
         raise ValueError("weight_set must be non-empty and positive")
 
     rng = np.random.default_rng(spec.seed)
-    directed = spec.resolved_directed()
-    weighted = spec.resolved_weighted()
+    directed = spec.task is Task.DFS
+    weighted = spec.task is Task.BF
     choices = sorted(spec.weight_set)
     scale = Fraction(1, max(choices)) if spec.normalize else Fraction(1)
 
@@ -235,8 +226,8 @@ def generate_graph(spec: GraphSpec) -> Graph:
         pairs = [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)]
     for u, v in pairs:
         if rng.random() < probability:
-            w = Fraction(choices[rng.integers(len(choices))]) if weighted else Fraction(1)
-            edges.append((u, v, w * scale if weighted else w))
+            w = Fraction(choices[rng.integers(len(choices))]) * scale if weighted else Fraction(1)
+            edges.append((u, v, w))
 
     source = 0 if spec.task is Task.BF else None
     return Graph.from_edges(spec.n, edges, directed, source)

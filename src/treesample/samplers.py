@@ -32,15 +32,14 @@ METHODS = ("argmax", "upwards", "alt-upwards", "beam", "greedy", "random")
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    method: str = "argmax"
+    """Tuning knobs for the beam and greedy samplers."""
+
     beam_width: int = 3
     beam_branch: int = 3
     greedy_parent_samples: int = 3
     greedy_max_resamples: int = 10
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         for name in ("beam_width", "beam_branch", "greedy_parent_samples", "greedy_max_resamples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")

@@ -7,7 +7,6 @@ shared between the criteria that read different columns of the same run.
 
 import itertools
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,17 +18,16 @@ from treesample import (
     MetricsRecord,
     ParentDistribution,
     RerunStudyConfig,
-    SamplerConfig,
     Task,
     TiebreakMode,
     TiebreakPolicy,
-    accuracy_suite,
     build_empirical,
     check_bf_valid,
     check_dfs_valid,
     coverage_study,
     enumerate_dfs_trees,
     enumerate_shortest_path_trees,
+    evaluate,
     generate_graph,
     kl_divergence,
     randomized_bellman_ford,
@@ -56,9 +54,7 @@ def suite_records(task: Task, n: int, graph_count: int, methods: tuple[str, ...]
             seed=0,
         )
         t0 = time.monotonic()
-        records = {
-            m: accuracy_suite(replace(cfg, sampler=SamplerConfig(method=m))) for m in methods
-        }
+        records = evaluate(cfg, list(methods))
         _suite_cache[key] = (records, time.monotonic() - t0)
     return _suite_cache[key]
 
@@ -271,7 +267,6 @@ def test_12_accuracy_degrades_monotonically_under_perturbation():
         cfg = EvalConfig(
             task=Task.BF,
             graph_spec=GraphSpec(n=5, task=Task.BF),
-            sampler=SamplerConfig(method="beam"),
             graph_count=100,
             samples_per_graph=2,
             runs=1,
@@ -279,7 +274,7 @@ def test_12_accuracy_degrades_monotonically_under_perturbation():
             perturb_alpha=alpha,
             seed=0,
         )
-        accuracies.append(accuracy_suite(cfg).accuracy_mean)
+        accuracies.append(evaluate(cfg, ["beam"])["beam"].accuracy_mean)
     print(f"perturbation: accuracies={accuracies}")
     assert all(a >= b for a, b in zip(accuracies, accuracies[1:]))
     assert accuracies[0] == 1.0

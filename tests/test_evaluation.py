@@ -8,16 +8,17 @@ from treesample import (
     GraphSpec,
     SamplerConfig,
     Task,
-    accuracy_suite,
     accuracy_table,
     build_empirical,
     coverage_study,
     diversity_table,
+    draw_samples,
     edge_reuse_evolution,
     enumerate_shortest_path_trees,
+    evaluate,
     mean_edge_reuse,
-    uniques_and_valids,
 )
+from treesample.evaluation import is_valid
 
 
 def test_edge_reuse_hand_values():
@@ -46,16 +47,15 @@ def test_edge_reuse_validation():
         mean_edge_reuse([(0, 0, 1), (0, 0, 1)], denominator="jaccard")
 
 
-def test_uniques_and_valids_on_two_tree_distribution(unit_square):
+def test_beam_batch_on_two_tree_distribution(unit_square):
     dist = build_empirical(unit_square, Task.BF, runs=200, seed=0)
     rng = np.random.default_rng(7)
-    uniques, valids = uniques_and_valids(
-        dist, unit_square, Task.BF, SamplerConfig(method="beam", beam_branch=1), 10, rng
-    )
-    assert 1 <= uniques <= len(enumerate_shortest_path_trees(unit_square))
-    assert valids == 10  # beam on an exact distribution only emits real trees
+    samples = draw_samples("beam", dist, unit_square, SamplerConfig(beam_branch=1), 10, rng)
+    assert 1 <= len(set(samples)) <= len(enumerate_shortest_path_trees(unit_square))
+    # beam on an exact distribution only emits real trees
+    assert sum(is_valid(unit_square, s, Task.BF) for s in samples) == 10
     with pytest.raises(ValueError, match="at least one sample"):
-        uniques_and_valids(dist, unit_square, Task.BF, SamplerConfig(), 0, rng)
+        draw_samples("beam", dist, unit_square, SamplerConfig(), 0, rng)
 
 
 def small_config(task: Task, **overrides) -> EvalConfig:
@@ -72,14 +72,29 @@ def small_config(task: Task, **overrides) -> EvalConfig:
     return EvalConfig(**defaults)
 
 
-def test_accuracy_suite_record_shape():
-    cfg = small_config(Task.BF, sampler=SamplerConfig(method="argmax"))
-    record = accuracy_suite(cfg)
+def test_evaluate_record_shape():
+    records = evaluate(small_config(Task.BF), ["argmax"])
+    assert list(records) == ["argmax"]
+    record = records["argmax"]
     assert record.method == "argmax"
     assert 0.0 <= record.accuracy_mean <= 1.0
     assert record.accuracy_std >= 0.0
     assert 1.0 <= record.uniques_mean <= 5.0
     assert 0.0 <= record.valids_mean <= 5.0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "task, methods", [(Task.BF, ["beam", "greedy"]), (Task.DFS, ["upwards", "alt-upwards"])]
+)
+def test_evaluate_methods_together_equal_methods_alone(task, methods, jobs):
+    # Graph and distribution seeds ignore the method, so one call serves every
+    # method with the records it would get on its own.
+    cfg = small_config(task)
+    a, b = methods
+    together = evaluate(cfg, methods, jobs=jobs)
+    assert list(together) == methods
+    assert together == {**evaluate(cfg, [a], jobs=jobs), **evaluate(cfg, [b], jobs=jobs)}
 
 
 def test_diversity_table_shape():

@@ -37,8 +37,6 @@ def rng(seed: int = 0) -> np.random.Generator:
 
 
 def test_sampler_config_validation():
-    with pytest.raises(ValueError, match="unknown method"):
-        SamplerConfig(method="nope")
     with pytest.raises(ValueError, match="beam_width"):
         SamplerConfig(beam_width=0)
     with pytest.raises(ValueError, match="greedy_parent_samples"):
