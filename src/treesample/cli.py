@@ -34,7 +34,7 @@ from .evaluation import (
     diversity_table,
     edge_reuse_evolution,
 )
-from .graphs import GraphSpec, Task, generate_graph, graphs_from_json, graphs_to_json
+from .graphs import Graph, GraphSpec, Task, generate_graph, graphs_from_json, graphs_to_json
 from .parallel import parallel_map
 from .samplers import METHODS, SamplerConfig, draw_samples
 from .seeding import derive_rng, derive_seed
@@ -178,17 +178,23 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _verdict(g: Graph, task: Task, pi: tuple[int, ...]) -> tuple[bool, list[str]]:
+    """The task's checker verdict and its failed-condition tags (none for bf)."""
+    if task is Task.DFS:
+        verdict = check_dfs_valid(g, pi)
+        return verdict.valid, verdict.tags()
+    return check_bf_valid(g, pi), []
+
+
 def _sample_item(args_tuple):
     g, dist, task, method, cfg, k, seed = args_tuple
     rng = derive_rng(seed)
     solutions = draw_samples(method, dist, g, cfg, k, rng)
+    verdicts = [_verdict(g, task, s) for s in solutions]
     entry: dict = {"solutions": [list(s) for s in solutions]}
+    entry["valid"] = [ok for ok, _ in verdicts]
     if task is Task.DFS:
-        verdicts = [check_dfs_valid(g, s) for s in solutions]
-        entry["valid"] = [v.valid for v in verdicts]
-        entry["failed_tags"] = [v.tags() for v in verdicts]
-    else:
-        entry["valid"] = [check_bf_valid(g, s) for s in solutions]
+        entry["failed_tags"] = [tags for _, tags in verdicts]
     return entry
 
 
@@ -228,22 +234,24 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     graphs = graphs_from_json(args.input)
     payload = json.loads(Path(args.solutions).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("solutions file must hold a JSON object")
     task = Task(payload["task"])
+    if not isinstance(payload["entries"], list):
+        raise ValueError("solutions file 'entries' must be a list")
     lines = []
     index = 0
     for entry in payload["entries"]:
+        if not isinstance(entry, dict) or not isinstance(entry["solutions"], list):
+            raise ValueError(f"entry {entry!r} is not an object with a 'solutions' list")
         gi = entry["graph_index"]
         if type(gi) is not int or not 0 <= gi < len(graphs):
             raise ValueError(f"graph_index {gi!r} out of range for {len(graphs)} graphs")
-        g = graphs[gi]
         for solution in entry["solutions"]:
-            pi = tuple(solution)
-            if task is Task.DFS:
-                verdict = check_dfs_valid(g, pi)
-                ok, tags = verdict.valid, ";".join(verdict.tags())
-            else:
-                ok, tags = check_bf_valid(g, pi), ""
-            lines.append(f"{index},{str(ok).lower()},{tags}")
+            if not isinstance(solution, list):
+                raise ValueError(f"solution {index} is not a list: {solution!r}")
+            ok, tags = _verdict(graphs[gi], task, tuple(solution))
+            lines.append(f"{index},{str(ok).lower()},{';'.join(tags)}")
             index += 1
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -258,7 +266,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _eval_config(args: argparse.Namespace, runs: int, samples: int) -> EvalConfig:
     return EvalConfig(
-        task=args.task,
         graph_spec=GraphSpec(n=args.n, edge_probability=args.p, task=args.task),
         sampler=_sampler_config(args),
         graph_count=args.graphs,

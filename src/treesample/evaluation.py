@@ -30,7 +30,6 @@ class EvalConfig:
     rows toward random simplex points before sampling.
     """
 
-    task: Task
     graph_spec: GraphSpec
     sampler: SamplerConfig = SamplerConfig()
     graph_count: int = 50
@@ -64,10 +63,10 @@ def is_valid(g: Graph, pi: tuple[int, ...], task: Task) -> bool:
 
 
 def _graph_distribution(cfg: EvalConfig, run: int, index: int) -> tuple[Graph, ParentDistribution]:
-    spec = replace(cfg.graph_spec, task=cfg.task, seed=derive_seed(cfg.seed, "graph", run, index))
+    spec = replace(cfg.graph_spec, seed=derive_seed(cfg.seed, "graph", run, index))
     g = generate_graph(spec)
     dist = build_empirical(
-        g, cfg.task, runs=cfg.dist_runs, seed=derive_seed(cfg.seed, "dist", run, index)
+        g, spec.task, runs=cfg.dist_runs, seed=derive_seed(cfg.seed, "dist", run, index)
     )
     if cfg.perturb_alpha > 0.0:
         dist = perturb(dist, cfg.perturb_alpha, seed=derive_seed(cfg.seed, "perturb", run, index))
@@ -78,6 +77,7 @@ def _suite_item(args) -> dict[str, tuple[bool, int, int]]:
     """Per-(run, graph) work, per method: is one draw valid, and the distinct
     arrays and valid draws (with multiplicity) among a k-sample batch."""
     cfg, methods, run, index = args
+    task = cfg.graph_spec.task
     g, dist = _graph_distribution(cfg, run, index)
     out: dict[str, tuple[bool, int, int]] = {}
     for method in methods:
@@ -88,8 +88,8 @@ def _suite_item(args) -> dict[str, tuple[bool, int, int]]:
             method, dist, g, cfg.sampler, cfg.samples_per_graph,
             derive_rng(cfg.seed, "batch", method, run, index),
         )
-        valids = sum(1 for s in samples if is_valid(g, s, cfg.task))
-        out[method] = (is_valid(g, single, cfg.task), len(set(samples)), valids)
+        valids = sum(1 for s in samples if is_valid(g, s, task))
+        out[method] = (is_valid(g, single, task), len(set(samples)), valids)
     return out
 
 
@@ -213,15 +213,16 @@ def _edge_reuse_curve(
 def _curve_item(args) -> dict[str, list[float]]:
     """Per-graph work: each method's k-sample batch and k reference runs, as curves."""
     cfg, methods, label, curve, index = args
+    task = cfg.graph_spec.task
     g, dist = _graph_distribution(cfg, 0, index)
     k = cfg.samples_per_graph
     curves: dict[str, list[float]] = {}
     for method in methods:
         rng = derive_rng(cfg.seed, label, method, index)
         samples = draw_samples(method, dist, g, cfg.sampler, k, rng)
-        curves[method] = curve(g, cfg.task, samples)
-    reference = _reference_runs(g, cfg.task, k, derive_seed(cfg.seed, "refstream", index))
-    curves["reference"] = curve(g, cfg.task, reference)
+        curves[method] = curve(g, task, samples)
+    reference = _reference_runs(g, task, k, derive_seed(cfg.seed, "refstream", index))
+    curves["reference"] = curve(g, task, reference)
     return curves
 
 

@@ -239,9 +239,11 @@ def tree_edges(pi: tuple[int, ...]) -> set[tuple[int, int]]:
 
 
 def validate_predecessors(g: Graph, pi: tuple[int, ...]) -> None:
-    """Raise ValueError unless pi holds one parent per vertex, each in 0..n-1."""
+    """Raise ValueError unless pi holds one int parent per vertex, each in 0..n-1."""
     if len(pi) != g.n:
         raise ValueError(f"predecessor array has length {len(pi)}, expected {g.n}")
+    if any(type(p) is not int for p in pi):
+        raise ValueError(f"predecessor array entries must be ints, got {list(pi)!r}")
     if min(pi) < 0 or max(pi) >= g.n:
         raise ValueError(f"predecessor array mentions out-of-range vertices for n={g.n}")
 

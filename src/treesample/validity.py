@@ -1,8 +1,8 @@
 """Validity checks for candidate predecessor arrays.
 
 DFS candidates are screened by a set of necessary conditions (tagged, so
-failures are diagnosable); Bellman-Ford candidates are exact: the parent chain
-of every vertex must reproduce the true shortest-path cost.
+failures are diagnosable); Bellman-Ford candidates are exact: every parent
+edge must be tight against the true shortest-path costs.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ class DfsCondition(Enum):
     PARENT_REACHABLE_FROM_MIN_ANCESTOR = "ParentReachableFromMinAncestor"
 
 
-_UNDEFINED = object()
-
-
 @dataclass(frozen=True)
 class DfsVerdict:
     valid: bool
@@ -36,22 +33,16 @@ class DfsVerdict:
 
 
 def _has_pointer_cycle(pi: tuple[int, ...]) -> bool:
-    """Whether following parent pointers from any vertex revisits a vertex."""
-    n = len(pi)
-    for v in range(n):
-        seen = {v}
-        cur = v
-        for _ in range(n):
-            parent = pi[cur]
-            if parent == cur:
-                break
-            if parent in seen:
-                return True
-            seen.add(parent)
-            cur = parent
-        else:
-            return True
-    return False
+    """Whether some parent chain loops instead of ending at a self-parent.
+
+    After n steps every chain sits on the cycle it runs into, and that cycle
+    is a self-parent exactly when the chain ends. ends[v] holds the vertex
+    reached from v; each round doubles the steps taken, so a few rounds pass n.
+    """
+    ends = list(pi)
+    for _ in range((len(pi) - 1).bit_length()):
+        ends = [ends[v] for v in ends]
+    return any(pi[v] != v for v in ends)
 
 
 def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
@@ -116,61 +107,22 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
 def check_bf_valid(g: Graph, pi: tuple[int, ...]) -> bool:
     """Whether pi encodes a shortest-path tree of g from its source.
 
-    Requires: the source is its own parent, every parent edge exists, parent
-    pointers are acyclic, the parent-chain cost of every vertex equals the
-    true shortest-path cost, and an unreachable vertex is its own parent (the
-    reference algorithm never assigns one a parent, and without this rule
-    edges inside an unreachable component would let infinite-cost chains pass
-    the cost comparison).
+    The source and every unreachable vertex must be their own parents (the
+    reference algorithm never assigns an unreachable vertex a parent); every
+    other vertex's parent edge must exist and be tight, cost[p] + w(p, v) ==
+    cost[v]. This is exact: weights are positive, so costs fall strictly along
+    tight parent edges, which rules out pointer cycles and any root other than
+    the source, and every chain then sums to its vertex's true cost.
     """
     if g.source is None:
         raise ValueError("bellman-ford validity needs a graph with a source")
     validate_predecessors(g, pi)
-    source = g.source
-    if pi[source] != source:
-        return False
-    weights, true_costs = g.weights, g.sp_costs
-    n = g.n
-    for t in range(n):
-        p = pi[t]
-        if p != t and weights[p][t] == 0:
-            return False
-
-    # chain costs with memoization; _UNDEFINED marks pointer cycles and chains
-    # ending at an unreachable root, whose vertices would pass the cost
-    # comparison at infinity although they are not their own parents
-    known: list[object] = [None] * n
-    known[source] = 0
-    for v0 in range(n):
-        if known[v0] is not None:
-            continue
-        path = []
-        cur = v0
-        while True:
-            if known[cur] is not None:
-                base = known[cur]
-                break
-            if pi[cur] == cur:
-                base = INFINITE_COST  # non-source self-parent: unreachable root
-                known[cur] = base
-                break
-            path.append(cur)
-            nxt = pi[cur]
-            if nxt in path:
-                base = _UNDEFINED
-                break
-            cur = nxt
-        if base == INFINITE_COST:
-            base = _UNDEFINED
-        for node in reversed(path):
-            if base is _UNDEFINED:
-                known[node] = _UNDEFINED
-            else:
-                base = base + weights[pi[node]][node]
-                known[node] = base
-
-    for model, truth in zip(known, true_costs):
-        if model is _UNDEFINED or model != truth:
+    weights, costs = g.weights, g.sp_costs
+    for v, p in enumerate(pi):
+        if v == g.source or costs[v] == INFINITE_COST:
+            if p != v:
+                return False
+        elif weights[p][v] == 0 or costs[p] + weights[p][v] != costs[v]:
             return False
     return True
 

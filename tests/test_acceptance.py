@@ -45,7 +45,6 @@ def suite_records(task: Task, n: int, graph_count: int, methods: tuple[str, ...]
     key = (task, n, graph_count, methods)
     if key not in _suite_cache:
         cfg = EvalConfig(
-            task=task,
             graph_spec=GraphSpec(n=n, task=task),
             graph_count=graph_count,
             samples_per_graph=5,
@@ -198,7 +197,6 @@ def test_08_distributions_stabilize_with_rerun_budget():
 def test_09_samplers_cover_like_the_reference_reruns():
     """Unique-valid coverage curves track the rerun baseline within 0.2."""
     cfg = EvalConfig(
-        task=Task.BF,
         graph_spec=GraphSpec(n=5, task=Task.BF),
         graph_count=10,
         samples_per_graph=25,
@@ -265,7 +263,6 @@ def test_12_accuracy_degrades_monotonically_under_perturbation():
     accuracies = []
     for alpha in (0.0, 0.25, 0.5, 1.0):
         cfg = EvalConfig(
-            task=Task.BF,
             graph_spec=GraphSpec(n=5, task=Task.BF),
             graph_count=100,
             samples_per_graph=2,

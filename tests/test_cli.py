@@ -191,18 +191,34 @@ def test_validation_errors_exit_3(tmp_path, capsys):
                "-k", "0", "--seed", "3", "-o", str(tmp_path / "k0.json")) == 3
 
     # Malformed files: an edge endpoint, a parent, a graph_index or a
-    # probability outside its range is rejected, never wrapped or crashed on.
+    # probability outside its range, a parent that is not an int, or a
+    # solutions file of the wrong shape is rejected, never wrapped or crashed on.
     for endpoint in (-1, 7):
         bad_graphs = tmp_path / f"edge{endpoint}.json"
         bad_graphs.write_text(json.dumps([{"n": 3, "directed": False, "source": 0,
                                            "edges": [[0, endpoint, "1"]]}]))
         assert run("dist", "-i", str(bad_graphs), "--task", "bf", "--seed", "2",
                    "-o", str(tmp_path / "never.json")) == 3
-    for index, solution in ((0, [0, 0, -2]), (0, [0, 0, 5]), (-1, [0, 0, 0]), (2, [0, 0, 0])):
+    def one_entry(index, solutions):
+        return {"task": "bf", "entries": [{"graph_index": index, "solutions": solutions}]}
+
+    bad_payloads = [
+        one_entry(index, [solution])
+        for index, solution in (
+            (0, [0, 0, -2]), (0, [0, 0, 5]), (-1, [0, 0, 0]), (2, [0, 0, 0]),
+            (0, [0, 0, "a"]), (0, [0, 1.0, 2]), (0, [0, True, 2]), (0, [0, 0, 1.0]), (0, None),
+        )
+    ] + [
+        [one_entry(0, [[0, 0, 0]])],  # not an object
+        {"task": "bf", "entries": {"graph_index": 0, "solutions": [[0, 0, 0]]}},
+        {"task": "bf", "entries": [[0, [0, 0, 0]]]},
+        one_entry(0, 5),
+    ]
+    for payload in bad_payloads:
         sols = tmp_path / "bad_sols.json"
-        sols.write_text(json.dumps({"task": "bf", "entries": [
-            {"graph_index": index, "solutions": [solution]}]}))
-        assert run("check", "-i", str(g3), "-s", str(sols)) == 3
+        sols.write_text(json.dumps(payload))
+        assert run("check", "-i", str(g3), "-s", str(sols)) == 3, payload
+        assert "error:" in capsys.readouterr().err
     nan_dists = tmp_path / "nan.json"
     nan_dists.write_text(d3.read_text().replace("[1.0, 0.0, 0.0]", "[NaN, NaN, NaN]", 1))
     assert nan_dists.read_text() != d3.read_text()

@@ -60,7 +60,6 @@ def test_beam_batch_on_two_tree_distribution(unit_square):
 
 def small_config(task: Task, **overrides) -> EvalConfig:
     defaults = dict(
-        task=task,
         graph_spec=GraphSpec(n=5, task=task),
         graph_count=4,
         samples_per_graph=5,

@@ -1,6 +1,8 @@
 """Validity screens for candidate trees, cross-checked against exhaustive
 enumeration on every graph small enough to brute-force."""
 
+import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -13,11 +15,13 @@ from treesample import (
     GraphSpec,
     Task,
     TiebreakMode,
+    bellman_ford_costs,
     check_bf_valid,
     check_dfs_valid,
     enumerate_dfs_trees,
     enumerate_shortest_path_trees,
     generate_graph,
+    path_cost_from_source,
 )
 
 from conftest import brute_force_shortest_path_trees
@@ -136,6 +140,9 @@ def test_bf_check_input_validation(unit_square, two_tree_digraph):
     for wrapped in ((0, 0, 0, -3), (0, 0, 0, 4)):  # -3 would wrap to vertex 1
         with pytest.raises(ValueError, match="out-of-range"):
             check_bf_valid(unit_square, wrapped)
+    for not_int in ((0, 0, 0, 1.0), (0, 0, 0, True), (0, 0, 0, "a")):  # 1.0, True equal 1
+        with pytest.raises(ValueError, match="ints"):
+            check_bf_valid(unit_square, not_int)
     with pytest.raises(ValueError, match="source"):
         check_bf_valid(two_tree_digraph, (0, 0, 1))
 
@@ -150,3 +157,53 @@ def test_bf_check_equals_enumeration_everywhere(seed, n, dense):
     p = 0.7 if dense else None
     g = generate_graph(GraphSpec(n=n, task=Task.BF, seed=seed, edge_probability=p))
     assert brute_force_shortest_path_trees(g) == enumerate_shortest_path_trees(g)
+
+
+def _split_graph(n: int, directed: bool, rng: random.Random) -> Graph:
+    """Random graph whose source is its last vertex and whose first vertices
+    (at least one, when n > 1) form a component the source cannot reach.
+    Weights of 1/3 and 2/3 make cost ties, and so several trees, common."""
+    far = rng.randint(1, max(1, (n - 1) // 2)) if n > 1 else 0
+    edges = []
+    for u, v in product(range(n), repeat=2):
+        if u == v or (not directed and u > v):
+            continue
+        same_side = (u < far) == (v < far)
+        # Directed arcs may leave the far component, never enter it.
+        if (same_side and rng.random() < 0.8) or (directed and u < far <= v and rng.random() < 0.3):
+            edges.append((u, v, rng.choice((Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)))))
+    return Graph.from_edges(n, edges, directed=directed, source=n - 1)
+
+
+def test_bf_check_equals_chain_cost_definition_on_every_array():
+    # Independent oracle: an array is a shortest-path tree exactly when every
+    # vertex's parent chain costs what Bellman-Ford says, counting an
+    # unreachable self-parent as infinite (path_cost_from_source's convention).
+    rng = random.Random(4)
+    for n in range(1, 6):
+        for directed in (False, True):
+            for _ in range(20):
+                g = _split_graph(n, directed, rng)
+                costs = bellman_ford_costs(g)
+                accepted = 0
+                for pi in product(range(n), repeat=n):
+                    chain = all(path_cost_from_source(g, pi, v) == costs[v] for v in range(n))
+                    assert check_bf_valid(g, pi) == chain, (g, pi)
+                    accepted += chain
+                assert accepted >= 1
+
+
+def test_no_cycle_tag_equals_self_return_within_n_steps():
+    def returns_to_itself(pi: tuple[int, ...], v: int) -> bool:
+        cur = v
+        for _ in range(len(pi)):
+            cur = pi[cur]
+            if cur == v:
+                return True
+        return False
+
+    for n in range(1, 7):
+        g = Graph.from_edges(n, [], directed=True)
+        for pi in product(range(n), repeat=n):
+            cycle = any(pi[v] != v and returns_to_itself(pi, v) for v in range(n))
+            assert (DfsCondition.NO_CYCLE in check_dfs_valid(g, pi).failed_conditions) == cycle, pi
