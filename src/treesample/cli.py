@@ -34,11 +34,11 @@ from .evaluation import (
     diversity_table,
     edge_reuse_evolution,
 )
-from .graphs import Graph, GraphSpec, Task, generate_graph, graphs_from_json, graphs_to_json
+from .graphs import GraphSpec, Task, generate_graph, graphs_from_json, graphs_to_json
 from .parallel import parallel_map
 from .samplers import METHODS, SamplerConfig, draw_samples
 from .seeding import derive_rng, derive_seed
-from .validity import check_bf_valid, check_dfs_valid
+from .validity import verdict
 
 OUTPUT_DIR_ENV = "TREESAMPLE_OUT"
 
@@ -178,19 +178,11 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verdict(g: Graph, task: Task, pi: tuple[int, ...]) -> tuple[bool, list[str]]:
-    """The task's checker verdict and its failed-condition tags (none for bf)."""
-    if task is Task.DFS:
-        verdict = check_dfs_valid(g, pi)
-        return verdict.valid, verdict.tags()
-    return check_bf_valid(g, pi), []
-
-
 def _sample_item(args_tuple):
     g, dist, task, method, cfg, k, seed = args_tuple
     rng = derive_rng(seed)
     solutions = draw_samples(method, dist, g, cfg, k, rng)
-    verdicts = [_verdict(g, task, s) for s in solutions]
+    verdicts = [verdict(g, task, s) for s in solutions]
     entry: dict = {"solutions": [list(s) for s in solutions]}
     entry["valid"] = [ok for ok, _ in verdicts]
     if task is Task.DFS:
@@ -250,7 +242,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         for solution in entry["solutions"]:
             if not isinstance(solution, list):
                 raise ValueError(f"solution {index} is not a list: {solution!r}")
-            ok, tags = _verdict(graphs[gi], task, tuple(solution))
+            ok, tags = verdict(graphs[gi], task, tuple(solution))
             lines.append(f"{index},{str(ok).lower()},{';'.join(tags)}")
             index += 1
     text = "\n".join(lines) + "\n"
@@ -376,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="graph JSON file")
     p.add_argument("--runs", type=int, default=20)
     p.add_argument(
-        "--mode", type=_mode, choices=list(TiebreakMode), metavar="{per-run-global,per-node}", default=TiebreakMode.PER_RUN_GLOBAL
+        "--mode", type=_mode, choices=list(TiebreakMode), metavar="{per-run-global,per-node}",
+        default=TiebreakMode.PER_RUN_GLOBAL, help="DFS tiebreak mode; bf ignores it",
     )
     p.set_defaults(func=cmd_dist)
 
@@ -426,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = which.add_parser("table2", help="single-draw validity rates", parents=[evaluation])
     p.add_argument("--runs", type=int, default=5, help="evaluation runs")
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=int, default=5, help="unused: table2 draws one per graph")
     p.set_defaults(func=cmd_study_table2)
 
     return parser

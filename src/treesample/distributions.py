@@ -61,12 +61,11 @@ def build_empirical(
 
     Each run gets an independent sub-seed derived from (seed, run index). Per-
     row counts always total exactly `runs`, so row sums are 1 up to float
-    division rounding.
+    division rounding. `mode` only affects DFS: the Bellman-Ford runner reads
+    just the seed, so both modes give the same BF distribution.
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
-    if task is Task.BF and g.source is None:
-        raise ValueError("bellman-ford distributions need a graph with a source")
     counts = np.zeros((g.n, g.n), dtype=np.int64)
     rows = np.arange(g.n)
     for r in range(runs):

@@ -18,7 +18,7 @@ from .graphs import Graph, GraphSpec, Task, generate_graph, tree_edges
 from .samplers import SamplerConfig, draw_samples, extract
 from .seeding import derive_rng, derive_seed
 from .tables import StudyTable
-from .validity import check_bf_valid, check_dfs_valid
+from .validity import verdict
 from .parallel import parallel_map
 
 
@@ -56,12 +56,6 @@ class MetricsRecord:
     valids_std: float
 
 
-def is_valid(g: Graph, pi: tuple[int, ...], task: Task) -> bool:
-    if task is Task.DFS:
-        return check_dfs_valid(g, pi).valid
-    return check_bf_valid(g, pi)
-
-
 def _graph_distribution(cfg: EvalConfig, run: int, index: int) -> tuple[Graph, ParentDistribution]:
     spec = replace(cfg.graph_spec, seed=derive_seed(cfg.seed, "graph", run, index))
     g = generate_graph(spec)
@@ -73,24 +67,56 @@ def _graph_distribution(cfg: EvalConfig, run: int, index: int) -> tuple[Graph, P
     return g, dist
 
 
-def _suite_item(args) -> dict[str, tuple[bool, int, int]]:
-    """Per-(run, graph) work, per method: is one draw valid, and the distinct
-    arrays and valid draws (with multiplicity) among a k-sample batch."""
-    cfg, methods, run, index = args
-    task = cfg.graph_spec.task
+# A measure maps (cfg: EvalConfig, g: Graph, dist: ParentDistribution, method,
+# run, index) to a list of floats. Each draws from its own named rng stream, so
+# a table that asks for fewer measures still gets the same numbers.
+
+
+def _single(cfg, g, dist, method, run, index) -> list[float]:
+    """Whether one draw is valid."""
+    pi = extract(method, dist, g, cfg.sampler, derive_rng(cfg.seed, "single", method, run, index))
+    return [float(verdict(g, cfg.graph_spec.task, pi)[0])]
+
+
+def _batch(cfg, g, dist, method, run, index) -> list[float]:
+    """Distinct arrays and valid draws (with multiplicity) among a k-sample batch."""
+    rng = derive_rng(cfg.seed, "batch", method, run, index)
+    samples = draw_samples(method, dist, g, cfg.sampler, cfg.samples_per_graph, rng)
+    valids = sum(1 for s in samples if verdict(g, cfg.graph_spec.task, s)[0])
+    return [len(set(samples)), valids]
+
+
+def _suite_item(args) -> dict[str, list[float]]:
+    """Per-(run, graph) work: build the graph and distribution once, then list
+    every measure's values for each method."""
+    cfg, (methods, measures), run, index = args
     g, dist = _graph_distribution(cfg, run, index)
-    out: dict[str, tuple[bool, int, int]] = {}
-    for method in methods:
-        single = extract(
-            method, dist, g, cfg.sampler, derive_rng(cfg.seed, "single", method, run, index)
-        )
-        samples = draw_samples(
-            method, dist, g, cfg.sampler, cfg.samples_per_graph,
-            derive_rng(cfg.seed, "batch", method, run, index),
-        )
-        valids = sum(1 for s in samples if is_valid(g, s, task))
-        out[method] = (is_valid(g, single, task), len(set(samples)), valids)
-    return out
+    return {
+        method: [v for measure in measures for v in measure(cfg, g, dist, method, run, index)]
+        for method in methods
+    }
+
+
+def _run_means(cfg: EvalConfig, methods: list[str], measures: tuple, jobs: int) -> dict:
+    """Per method, a runs x values array: each value averaged over a run's graphs."""
+    if cfg.graph_count < 1 or cfg.runs < 1:
+        raise ValueError("graph_count and runs must be positive")
+    count, plan = cfg.graph_count, (tuple(methods), measures)
+    items = [(cfg, plan, run, index) for run in range(cfg.runs) for index in range(count)]
+    results = parallel_map(_suite_item, items, jobs)
+    runs = [results[run * count : (run + 1) * count] for run in range(cfg.runs)]
+    return {
+        method: np.array([np.array([r[method] for r in chunk]).mean(axis=0) for chunk in runs])
+        for method in methods
+    }
+
+
+def _summary(cfg: EvalConfig, methods: list[str], measures: tuple, jobs: int) -> dict:
+    """Per method, the mean and std across runs of each value, in turn."""
+    return {
+        method: [f(column).item() for column in values.T for f in (np.mean, np.std)]
+        for method, values in _run_means(cfg, methods, measures, jobs).items()
+    }
 
 
 def evaluate(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> dict[str, MetricsRecord]:
@@ -102,60 +128,32 @@ def evaluate(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> dict[str, Me
     std are taken across runs. Graph and distribution seeds do not depend on
     the method, so a method's record is the same whatever it is evaluated with.
     """
-    if cfg.graph_count < 1 or cfg.runs < 1:
-        raise ValueError("graph_count and runs must be positive")
-    items = [
-        (cfg, tuple(methods), run, index)
-        for run in range(cfg.runs)
-        for index in range(cfg.graph_count)
-    ]
-    results = parallel_map(_suite_item, items, jobs)
+    summary = _summary(cfg, methods, (_single, _batch), jobs)
+    return {method: MetricsRecord(method, *summary[method]) for method in methods}
 
-    records: dict[str, MetricsRecord] = {}
+
+def _summary_table(
+    cfg: EvalConfig, methods: list[str], measure, names: tuple[str, ...], jobs: int
+) -> StudyTable:
+    """One row per method: mean and std of each value the measure names."""
+    summary = _summary(cfg, methods, (measure,), jobs)
+    stats = [f"{name}_{stat}" for name in names for stat in ("mean", "std")]
+    table = StudyTable(("method", "n", "dist", *stats))
     for method in methods:
-        acc_runs, uniq_runs, valid_runs = [], [], []
-        for run in range(cfg.runs):
-            chunk = results[run * cfg.graph_count : (run + 1) * cfg.graph_count]
-            acc_runs.append(np.mean([float(c[method][0]) for c in chunk]))
-            uniq_runs.append(np.mean([c[method][1] for c in chunk]))
-            valid_runs.append(np.mean([c[method][2] for c in chunk]))
-        records[method] = MetricsRecord(
-            method=method,
-            accuracy_mean=float(np.mean(acc_runs)),
-            accuracy_std=float(np.std(acc_runs)),
-            uniques_mean=float(np.mean(uniq_runs)),
-            uniques_std=float(np.std(uniq_runs)),
-            valids_mean=float(np.mean(valid_runs)),
-            valids_std=float(np.std(valid_runs)),
-        )
-    return records
+        table.append(method, cfg.graph_spec.n, cfg.distribution_label(), *summary[method])
+    return table
 
 
 def diversity_table(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> StudyTable:
-    """Unique/valid counts per k samples for several methods on shared graphs."""
-    records = evaluate(cfg, methods, jobs)
-    table = StudyTable(
-        ("method", "n", "dist", "uniques_mean", "uniques_std", "valids_mean", "valids_std")
-    )
-    for method in methods:
-        r = records[method]
-        table.append(
-            method, cfg.graph_spec.n, cfg.distribution_label(),
-            r.uniques_mean, r.uniques_std, r.valids_mean, r.valids_std,
-        )
-    return table
+    """Unique/valid counts per k samples for several methods on shared graphs;
+    the same numbers as evaluate's, without drawing the single samples."""
+    return _summary_table(cfg, methods, _batch, ("uniques", "valids"), jobs)
 
 
 def accuracy_table(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> StudyTable:
-    """Single-draw validity rates for several methods on shared graphs."""
-    records = evaluate(cfg, methods, jobs)
-    table = StudyTable(("method", "n", "dist", "acc_mean", "acc_std"))
-    for method in methods:
-        r = records[method]
-        table.append(
-            method, cfg.graph_spec.n, cfg.distribution_label(), r.accuracy_mean, r.accuracy_std
-        )
-    return table
+    """Single-draw validity rates for several methods on shared graphs; the
+    same numbers as evaluate's, without drawing the k-sample batches."""
+    return _summary_table(cfg, methods, _single, ("acc",), jobs)
 
 
 def mean_edge_reuse(samples: list[tuple[int, ...]], denominator: str = "union") -> float:
@@ -184,64 +182,47 @@ def mean_edge_reuse(samples: list[tuple[int, ...]], denominator: str = "union") 
     return float(np.mean(scores))
 
 
-def _reference_runs(g: Graph, task: Task, count: int, seed: int) -> list[tuple[int, ...]]:
-    out = []
-    for r in range(count):
-        policy = TiebreakPolicy(seed=derive_seed(seed, "ref", r))
-        out.append(randomized_dfs(g, policy) if task is Task.DFS else randomized_bellman_ford(g, policy))
-    return out
+def _curve_samples(cfg, g, dist, label: str, method: str, index: int) -> list[tuple[int, ...]]:
+    """A method's k-sample batch, or for "reference" k reruns of the reference algorithm."""
+    k = cfg.samples_per_graph
+    if method != "reference":
+        rng = derive_rng(cfg.seed, label, method, index)
+        return draw_samples(method, dist, g, cfg.sampler, k, rng)
+    seed = derive_seed(cfg.seed, "refstream", index)
+    runner = randomized_dfs if cfg.graph_spec.task is Task.DFS else randomized_bellman_ford
+    return [runner(g, TiebreakPolicy(seed=derive_seed(seed, "ref", r))) for r in range(k)]
 
 
-def _coverage_curve(g: Graph, task: Task, samples: list[tuple[int, ...]]) -> list[float]:
+def _coverage(cfg, g, dist, method, run, index) -> list[float]:
     """Distinct valid solutions among the first s samples, s = 1..k."""
     seen: set[tuple[int, ...]] = set()
     curve = []
-    for s in samples:
-        if is_valid(g, s, task):
+    for s in _curve_samples(cfg, g, dist, "coverage", method, index):
+        if verdict(g, cfg.graph_spec.task, s)[0]:
             seen.add(s)
         curve.append(float(len(seen)))
     return curve
 
 
-def _edge_reuse_curve(
-    denominator: str, g: Graph, task: Task, samples: list[tuple[int, ...]]
-) -> list[float]:
+def _edge_reuse(denominator: str, cfg, g, dist, method, run, index) -> list[float]:
     """Mean pairwise edge reuse among the first s samples, s = 2..k."""
+    samples = _curve_samples(cfg, g, dist, "reuse", method, index)
     return [mean_edge_reuse(samples[:s], denominator) for s in range(2, len(samples) + 1)]
 
 
-def _curve_item(args) -> dict[str, list[float]]:
-    """Per-graph work: each method's k-sample batch and k reference runs, as curves."""
-    cfg, methods, label, curve, index = args
-    task = cfg.graph_spec.task
-    g, dist = _graph_distribution(cfg, 0, index)
-    k = cfg.samples_per_graph
-    curves: dict[str, list[float]] = {}
-    for method in methods:
-        rng = derive_rng(cfg.seed, label, method, index)
-        samples = draw_samples(method, dist, g, cfg.sampler, k, rng)
-        curves[method] = curve(g, task, samples)
-    reference = _reference_runs(g, task, k, derive_seed(cfg.seed, "refstream", index))
-    curves["reference"] = curve(g, task, reference)
-    return curves
-
-
 def _curve_table(
-    cfg: EvalConfig, methods: list[str], label: str, curve, first_index: int, column: str, jobs: int
+    cfg: EvalConfig, methods: list[str], measure, first_index: int, column: str, jobs: int
 ) -> StudyTable:
-    """Per-method curves averaged over graphs; the reference reruns appear as "reference"."""
-    if cfg.graph_count < 1:
-        raise ValueError("graph_count must be positive")
-    items = [(cfg, tuple(methods), label, curve, index) for index in range(cfg.graph_count)]
-    results = parallel_map(_curve_item, items, jobs)
+    """Per-method curves averaged over one run's graphs; the reference reruns
+    are one more row, "reference"."""
+    if "reference" in methods:
+        raise ValueError("'reference' names the reruns baseline, not a sampler method")
+    methods = [*methods, "reference"]
+    curves = _run_means(replace(cfg, runs=1), methods, (measure,), jobs)
     table = StudyTable(("method", "n", "dist", "sample_index", column))
-    for method in [*methods, "reference"]:
-        means = np.array([r[method] for r in results]).mean(axis=0)
-        for offset, value in enumerate(means):
-            table.append(
-                method, cfg.graph_spec.n, cfg.distribution_label(), first_index + offset,
-                float(value),
-            )
+    for method in methods:
+        for i, value in enumerate(curves[method][0], first_index):
+            table.append(method, cfg.graph_spec.n, cfg.distribution_label(), i, float(value))
     return table
 
 
@@ -251,7 +232,7 @@ def coverage_study(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> StudyT
     The reference algorithm's own reruns appear as method "reference"; sampler
     curves count a draw only when it is distinct and valid.
     """
-    return _curve_table(cfg, methods, "coverage", _coverage_curve, 1, "mean_unique_valid", jobs)
+    return _curve_table(cfg, methods, _coverage, 1, "mean_unique_valid", jobs)
 
 
 def edge_reuse_evolution(
@@ -260,8 +241,8 @@ def edge_reuse_evolution(
     """Mean pairwise edge reuse over the first s samples, s = 2..k."""
     if cfg.samples_per_graph < 2:
         raise ValueError("edge reuse evolution needs at least two samples per graph")
-    curve = partial(_edge_reuse_curve, denominator)
-    return _curve_table(cfg, methods, "reuse", curve, 2, "mean_edge_reuse", jobs)
+    measure = partial(_edge_reuse, denominator)
+    return _curve_table(cfg, methods, measure, 2, "mean_edge_reuse", jobs)
 
 
 __all__ = [
@@ -272,6 +253,5 @@ __all__ = [
     "diversity_table",
     "edge_reuse_evolution",
     "evaluate",
-    "is_valid",
     "mean_edge_reuse",
 ]

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, INFINITE_COST, validate_predecessors
+from .graphs import Graph, INFINITE_COST, Task, validate_predecessors
 
 
 class DfsCondition(Enum):
@@ -127,4 +127,12 @@ def check_bf_valid(g: Graph, pi: tuple[int, ...]) -> bool:
     return True
 
 
-__all__ = ["DfsCondition", "DfsVerdict", "check_bf_valid", "check_dfs_valid"]
+def verdict(g: Graph, task: Task, pi: tuple[int, ...]) -> tuple[bool, list[str]]:
+    """The task's checker verdict and its failed-condition tags (none for bf)."""
+    if task is Task.DFS:
+        dfs = check_dfs_valid(g, pi)
+        return dfs.valid, dfs.tags()
+    return check_bf_valid(g, pi), []
+
+
+__all__ = ["DfsCondition", "DfsVerdict", "check_bf_valid", "check_dfs_valid", "verdict"]

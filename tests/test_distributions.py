@@ -69,6 +69,14 @@ def test_empirical_deterministic_and_mode_sensitive(tiebreak_sensitive_digraph):
     assert not np.array_equal(a.probs, c.probs)
 
 
+def test_bf_empirical_ignores_mode(unit_square):
+    # The Bellman-Ford runner reads only the policy seed, so modes are DFS-only.
+    a = build_empirical(unit_square, Task.BF, runs=50, seed=4)
+    b = build_empirical(unit_square, Task.BF, runs=50, seed=4, mode=TiebreakMode.PER_NODE)
+    assert 0.0 < a.probs.max(axis=1).min() < 1.0  # the two tied trees both occur
+    assert np.array_equal(a.probs, b.probs)
+
+
 def test_empirical_rejects_bad_inputs(two_tree_digraph):
     with pytest.raises(ValueError, match="at least one run"):
         build_empirical(two_tree_digraph, Task.DFS, runs=0)

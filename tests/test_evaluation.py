@@ -18,7 +18,7 @@ from treesample import (
     evaluate,
     mean_edge_reuse,
 )
-from treesample.evaluation import is_valid
+from treesample.validity import verdict
 
 
 def test_edge_reuse_hand_values():
@@ -53,7 +53,7 @@ def test_beam_batch_on_two_tree_distribution(unit_square):
     samples = draw_samples("beam", dist, unit_square, SamplerConfig(beam_branch=1), 10, rng)
     assert 1 <= len(set(samples)) <= len(enumerate_shortest_path_trees(unit_square))
     # beam on an exact distribution only emits real trees
-    assert sum(is_valid(unit_square, s, Task.BF) for s in samples) == 10
+    assert sum(verdict(unit_square, Task.BF, s)[0] for s in samples) == 10
     with pytest.raises(ValueError, match="at least one sample"):
         draw_samples("beam", dist, unit_square, SamplerConfig(), 0, rng)
 
@@ -94,6 +94,25 @@ def test_evaluate_methods_together_equal_methods_alone(task, methods, jobs):
     together = evaluate(cfg, methods, jobs=jobs)
     assert list(together) == methods
     assert together == {**evaluate(cfg, [a], jobs=jobs), **evaluate(cfg, [b], jobs=jobs)}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "task, methods", [(Task.BF, ["argmax", "beam", "greedy"]), (Task.DFS, ["upwards", "random"])]
+)
+def test_tables_print_evaluate_numbers(task, methods, alpha, jobs):
+    # Each table draws only what it prints, from the same streams as evaluate.
+    cfg = small_config(task, perturb_alpha=alpha, runs=3)
+    records = evaluate(cfg, methods, jobs=jobs)
+    label = cfg.distribution_label()
+    assert diversity_table(cfg, methods, jobs=jobs).rows == [
+        (m, 5, label, r.uniques_mean, r.uniques_std, r.valids_mean, r.valids_std)
+        for m, r in records.items()
+    ]
+    assert accuracy_table(cfg, methods, jobs=jobs).rows == [
+        (m, 5, label, r.accuracy_mean, r.accuracy_std) for m, r in records.items()
+    ]
 
 
 def test_diversity_table_shape():
@@ -167,6 +186,10 @@ def test_edge_reuse_evolution_shape():
     assert all(0.0 <= row[4] <= 1.0 for row in table.rows)
     with pytest.raises(ValueError, match="two samples"):
         edge_reuse_evolution(small_config(Task.BF, samples_per_graph=1), ["beam"])
+    # "reference" names the reruns row the curve studies add themselves.
+    for study in (coverage_study, edge_reuse_evolution):
+        with pytest.raises(ValueError, match="reference"):
+            study(cfg, ["reference"])
 
 
 def test_dfs_suite_runs_end_to_end():
