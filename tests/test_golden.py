@@ -37,9 +37,12 @@ STUDIES = {
     "coverage-bf.csv": ["coverage", "--task", "bf", "-n", "6", "--graphs", "3", "--samples", "4"],
     "coverage-dfs.csv": ["coverage", "--task", "dfs", "-n", "5", "--graphs", "3",
                          "--samples", "4"],
+    "coverage-bf-default.csv": ["coverage", "--task", "bf", "-n", "5", "--graphs", "2"],
     "reuse-bf.csv": ["edge-reuse", "--task", "bf", "-n", "6", "--graphs", "3", "--samples", "4"],
     "reuse-dfs.csv": ["edge-reuse", "--task", "dfs", "-n", "5", "--graphs", "3", "--samples", "3",
                       "--denominator", "first"],
+    "reuse-dfs-jobs2.csv": ["edge-reuse", "--task", "dfs", "-n", "5", "--graphs", "3",
+                            "--samples", "4", "--jobs", "2"],
     "table1-bf.csv": ["table1", "--task", "bf", "-n", "6", "--graphs", "3", "--runs", "2",
                       "--samples", "3"],
     "table1-dfs.csv": ["table1", "--task", "dfs", "-n", "5", "--graphs", "3", "--runs", "2",
