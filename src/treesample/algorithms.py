@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -25,12 +24,6 @@ class TiebreakMode(Enum):
     PER_RUN_GLOBAL = "per-run-global"
     # fresh uniform choice among eligible children at every expansion
     PER_NODE = "per-node"
-
-
-@dataclass(frozen=True)
-class TiebreakPolicy:
-    mode: TiebreakMode = TiebreakMode.PER_RUN_GLOBAL
-    seed: int = 0
 
 
 def _dfs_forest(n: int, adjacency, pick) -> tuple[int, ...]:
@@ -60,14 +53,16 @@ def _dfs_forest(n: int, adjacency, pick) -> tuple[int, ...]:
     return tuple(pi)
 
 
-def randomized_dfs(g: Graph, policy: TiebreakPolicy) -> tuple[int, ...]:
+def randomized_dfs(
+    g: Graph, seed: int, mode: TiebreakMode = TiebreakMode.PER_RUN_GLOBAL
+) -> tuple[int, ...]:
     """One DFS forest with randomized child tie-breaking.
 
     The weight matrix is treated as a directed adjacency structure, so an
     undirected graph is searched along both directions of every edge.
     """
-    rng = np.random.default_rng(policy.seed)
-    if policy.mode is TiebreakMode.PER_RUN_GLOBAL:
+    rng = np.random.default_rng(seed)
+    if mode is TiebreakMode.PER_RUN_GLOBAL:
         order = rng.permutation(np.arange(1, g.n)) if g.n > 1 else np.empty(0, dtype=int)
         rank = [0] * g.n
         for position, vertex in enumerate(order.tolist()):
@@ -78,18 +73,17 @@ def randomized_dfs(g: Graph, policy: TiebreakPolicy) -> tuple[int, ...]:
     return _dfs_forest(g.n, g.adjacency, pick)
 
 
-def randomized_bellman_ford(g: Graph, policy: TiebreakPolicy) -> tuple[int, ...]:
+def randomized_bellman_ford(g: Graph, seed: int) -> tuple[int, ...]:
     """One shortest-path tree with randomized relaxation order.
 
     Runs up to n-1 passes, reshuffling the arc order before each pass and
     relaxing only on strictly smaller cost; stops early once a pass changes
     nothing (the state is a fixed point, so the output is unaffected).
-    Unreachable vertices keep themselves as parents. The policy's mode is
-    irrelevant here; only its seed is used.
+    Unreachable vertices keep themselves as parents.
     """
     if g.source is None:
         raise ValueError("bellman-ford needs a graph with a source")
-    rng = np.random.default_rng(policy.seed)
+    rng = np.random.default_rng(seed)
     arcs = g.arcs
     dist: list[float | int] = [INFINITE_COST] * g.n
     dist[g.source] = 0
@@ -206,7 +200,6 @@ def enumerate_shortest_path_trees(g: Graph, limit: int = ENUMERATION_LIMIT) -> s
 __all__ = [
     "ENUMERATION_LIMIT",
     "TiebreakMode",
-    "TiebreakPolicy",
     "bellman_ford_costs",
     "enumerate_dfs_trees",
     "enumerate_shortest_path_trees",

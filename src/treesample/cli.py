@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from . import __version__
+from . import __version__, evaluation
 from .algorithms import TiebreakMode
 from .distributions import (
     RerunStudyConfig,
@@ -27,13 +27,7 @@ from .distributions import (
     distributions_to_json,
     rerun_divergence_study,
 )
-from .evaluation import (
-    EvalConfig,
-    accuracy_table,
-    coverage_study,
-    diversity_table,
-    edge_reuse_evolution,
-)
+from .evaluation import EvalConfig
 from .graphs import GraphSpec, Task, generate_graph, graphs_from_json, graphs_to_json
 from .parallel import parallel_map
 from .samplers import METHODS, SamplerConfig, draw_samples
@@ -52,6 +46,15 @@ DEFAULT_METHODS = {
     Task.DFS: ("argmax", "upwards", "alt-upwards", "random"),
 }
 DIVERSITY_METHODS = ("greedy", "beam", "upwards", "alt-upwards")
+# `study <which>` for the sampler studies: the evaluation function (looked up
+# by name when called, so a wrapper set on the module sees the call), default
+# methods per task, and the flags passed on to the function as keywords.
+STUDIES = {
+    "coverage": ("coverage_study", DEFAULT_METHODS, ()),
+    "edge-reuse": ("edge_reuse_evolution", DEFAULT_METHODS, ("denominator",)),
+    "table1": ("diversity_table", dict.fromkeys(Task, DIVERSITY_METHODS), ()),
+    "table2": ("accuracy_table", DEFAULT_METHODS, ()),
+}
 
 
 def _resolve_output(raw: str) -> Path:
@@ -63,8 +66,6 @@ def _resolve_output(raw: str) -> Path:
 
 
 def _jsonable(value):
-    if isinstance(value, Path):
-        return str(value)
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, (list, tuple)):
@@ -107,24 +108,14 @@ def _method_list(raw: str) -> tuple[str, ...]:
     return methods
 
 
-def _task(raw: str) -> Task:
-    return Task(raw)
-
-
-def _mode(raw: str) -> TiebreakMode:
-    return TiebreakMode(raw)
-
-
-def _task_flag(default: Task) -> argparse.ArgumentParser:
+def _with_task(default: Task) -> argparse.ArgumentParser:
     """Parent parser holding --task.
 
     One parser per default: parents share their Action objects with every
     child, so set_defaults on one subcommand would change the others too.
     """
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--task", type=_task, choices=list(Task), metavar="{dfs,bf}", default=default
-    )
+    parent.add_argument("--task", type=Task, metavar="{dfs,bf}", default=default)
     return parent
 
 
@@ -256,19 +247,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _eval_config(args: argparse.Namespace, runs: int, samples: int) -> EvalConfig:
-    return EvalConfig(
-        graph_spec=GraphSpec(n=args.n, edge_probability=args.p, task=args.task),
-        sampler=_sampler_config(args),
-        graph_count=args.graphs,
-        samples_per_graph=samples,
-        runs=runs,
-        dist_runs=args.dist_runs,
-        perturb_alpha=args.alpha,
-        seed=args.seed,
-    )
-
-
 def _finish_table(table, args: argparse.Namespace, command: str) -> int:
     out = _resolve_output(args.output)
     table.write_csv(out)
@@ -290,32 +268,22 @@ def cmd_study_reruns(args: argparse.Namespace) -> int:
     return _finish_table(table, args, "study reruns")
 
 
-def cmd_study_coverage(args: argparse.Namespace) -> int:
-    methods = args.methods or DEFAULT_METHODS[args.task]
-    cfg = _eval_config(args, runs=1, samples=args.samples)
-    table = coverage_study(cfg, list(methods), jobs=args.jobs)
-    return _finish_table(table, args, "study coverage")
-
-
-def cmd_study_edge_reuse(args: argparse.Namespace) -> int:
-    methods = args.methods or DEFAULT_METHODS[args.task]
-    cfg = _eval_config(args, runs=1, samples=args.samples)
-    table = edge_reuse_evolution(cfg, list(methods), denominator=args.denominator, jobs=args.jobs)
-    return _finish_table(table, args, "study edge-reuse")
-
-
-def cmd_study_table1(args: argparse.Namespace) -> int:
-    methods = args.methods or DIVERSITY_METHODS
-    cfg = _eval_config(args, runs=args.runs, samples=args.samples)
-    table = diversity_table(cfg, list(methods), jobs=args.jobs)
-    return _finish_table(table, args, "study table1")
-
-
-def cmd_study_table2(args: argparse.Namespace) -> int:
-    methods = args.methods or DEFAULT_METHODS[args.task]
-    cfg = _eval_config(args, runs=args.runs, samples=args.samples)
-    table = accuracy_table(cfg, list(methods), jobs=args.jobs)
-    return _finish_table(table, args, "study table2")
+def cmd_study(args: argparse.Namespace) -> int:
+    name, default_methods, options = STUDIES[args.which]
+    cfg = EvalConfig(
+        graph_spec=GraphSpec(n=args.n, edge_probability=args.p, task=args.task),
+        sampler=_sampler_config(args),
+        graph_count=args.graphs,
+        samples_per_graph=args.samples,
+        runs=args.runs,
+        dist_runs=args.dist_runs,
+        perturb_alpha=args.alpha,
+        seed=args.seed,
+    )
+    methods = list(args.methods or default_methods[args.task])
+    keywords = {option: getattr(args, option) for option in options}
+    table = getattr(evaluation, name)(cfg, methods, jobs=args.jobs, **keywords)
+    return _finish_table(table, args, f"study {args.which}")
 
 
 # ---------------------------------------------------------------- parser
@@ -336,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("-o", "--output", required=True)
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1)
-    task = _task_flag(Task.BF)
+    task = _with_task(Task.BF)
     density = argparse.ArgumentParser(add_help=False)
     density.add_argument(
         "--p", type=float, default=None, help="edge probability (default: per-task density)"
@@ -346,14 +314,22 @@ def build_parser() -> argparse.ArgumentParser:
     sampler.add_argument("--beam-branch", type=int, default=3)
     sampler.add_argument("--greedy-samples", type=int, default=3)
     sampler.add_argument("--greedy-resamples", type=int, default=10)
-    evaluation = argparse.ArgumentParser(
+    eval_flags = argparse.ArgumentParser(
         add_help=False, parents=[task, density, sampler, seeded, jobs]
     )
-    evaluation.add_argument("-n", type=int, default=5, help="graph size")
-    evaluation.add_argument("--graphs", type=int, default=50, help="graphs per run")
-    evaluation.add_argument("--dist-runs", type=int, default=20, help="reruns per distribution")
-    evaluation.add_argument("--alpha", type=float, default=0.0, help="row perturbation strength")
-    evaluation.add_argument("--methods", type=_method_list, default=None)
+    eval_flags.add_argument("-n", type=int, default=5, help="graph size")
+    eval_flags.add_argument("--graphs", type=int, default=50, help="graphs per run")
+    eval_flags.add_argument("--dist-runs", type=int, default=20, help="reruns per distribution")
+    eval_flags.add_argument("--alpha", type=float, default=0.0, help="row perturbation strength")
+    eval_flags.add_argument("--methods", type=_method_list, default=None)
+    # The sampler studies: curves average one run's graphs, tables several runs.
+    curve = argparse.ArgumentParser(add_help=False, parents=[eval_flags])
+    curve.add_argument("--samples", type=int, default=25)
+    curve.set_defaults(runs=1, func=cmd_study)
+    table = argparse.ArgumentParser(add_help=False, parents=[eval_flags])
+    table.add_argument("--runs", type=int, default=5, help="evaluation runs")
+    table.add_argument("--samples", type=int, default=5, help="batch size; table2 draws one")
+    table.set_defaults(func=cmd_study)
 
     p = sub.add_parser("gen", help="generate random graphs", parents=[task, density, seeded])
     p.add_argument("-n", type=int, required=True, help="graph size")
@@ -368,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="graph JSON file")
     p.add_argument("--runs", type=int, default=20)
     p.add_argument(
-        "--mode", type=_mode, choices=list(TiebreakMode), metavar="{per-run-global,per-node}",
+        "--mode", type=TiebreakMode, metavar="{per-run-global,per-node}",
         default=TiebreakMode.PER_RUN_GLOBAL, help="DFS tiebreak mode; bf ignores it",
     )
     p.set_defaults(func=cmd_dist)
@@ -394,33 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = which.add_parser(
         "reruns",
         help="distribution stability vs rerun budget",
-        parents=[_task_flag(Task.DFS), density, seeded, jobs],
+        parents=[_with_task(Task.DFS), density, seeded, jobs],
     )
     p.add_argument("--sizes", type=_int_list, default=(5, 10, 16, 32))
     p.add_argument("--graphs", type=int, default=20, help="graphs per size")
     p.add_argument("--counts", type=_int_list, default=(20, 50, 100), help="rerun budgets")
     p.set_defaults(func=cmd_study_reruns)
 
-    p = which.add_parser("coverage", help="cumulative unique valid solutions", parents=[evaluation])
-    p.add_argument("--samples", type=int, default=25)
-    p.set_defaults(func=cmd_study_coverage)
-
+    which.add_parser("coverage", help="cumulative unique valid solutions", parents=[curve])
     p = which.add_parser(
-        "edge-reuse", help="pairwise edge reuse as samples accumulate", parents=[evaluation]
+        "edge-reuse", help="pairwise edge reuse as samples accumulate", parents=[curve]
     )
-    p.add_argument("--samples", type=int, default=25)
     p.add_argument("--denominator", choices=("union", "first"), default="union")
-    p.set_defaults(func=cmd_study_edge_reuse)
-
-    p = which.add_parser("table1", help="uniques/valids per sample batch", parents=[evaluation])
-    p.add_argument("--runs", type=int, default=5, help="evaluation runs")
-    p.add_argument("--samples", type=int, default=5)
-    p.set_defaults(func=cmd_study_table1)
-
-    p = which.add_parser("table2", help="single-draw validity rates", parents=[evaluation])
-    p.add_argument("--runs", type=int, default=5, help="evaluation runs")
-    p.add_argument("--samples", type=int, default=5, help="unused: table2 draws one per graph")
-    p.set_defaults(func=cmd_study_table2)
+    which.add_parser("table1", help="uniques/valids per sample batch", parents=[table])
+    which.add_parser("table2", help="single-draw validity rates", parents=[table])
 
     return parser
 

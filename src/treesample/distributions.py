@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .algorithms import TiebreakMode, TiebreakPolicy, randomized_bellman_ford, randomized_dfs
+from .algorithms import TiebreakMode, randomized_bellman_ford, randomized_dfs
 from .graphs import Graph, GraphSpec, Task, generate_graph
 from .parallel import parallel_map
 from .seeding import derive_seed
@@ -69,11 +69,11 @@ def build_empirical(
     counts = np.zeros((g.n, g.n), dtype=np.int64)
     rows = np.arange(g.n)
     for r in range(runs):
-        policy = TiebreakPolicy(mode=mode, seed=derive_seed(seed, "run", r))
+        run_seed = derive_seed(seed, "run", r)
         if task is Task.DFS:
-            pi = randomized_dfs(g, policy)
+            pi = randomized_dfs(g, run_seed, mode)
         else:
-            pi = randomized_bellman_ford(g, policy)
+            pi = randomized_bellman_ford(g, run_seed)
         counts[rows, pi] += 1
     return ParentDistribution(g.n, counts / runs)
 

@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .algorithms import TiebreakPolicy, randomized_bellman_ford, randomized_dfs
+from .algorithms import randomized_bellman_ford, randomized_dfs
 from .distributions import ParentDistribution, build_empirical, perturb
 from .graphs import Graph, GraphSpec, Task, generate_graph, tree_edges
 from .samplers import SamplerConfig, draw_samples, extract
@@ -190,7 +190,7 @@ def _curve_samples(cfg, g, dist, label: str, method: str, index: int) -> list[tu
         return draw_samples(method, dist, g, cfg.sampler, k, rng)
     seed = derive_seed(cfg.seed, "refstream", index)
     runner = randomized_dfs if cfg.graph_spec.task is Task.DFS else randomized_bellman_ford
-    return [runner(g, TiebreakPolicy(seed=derive_seed(seed, "ref", r))) for r in range(k)]
+    return [runner(g, derive_seed(seed, "ref", r)) for r in range(k)]
 
 
 def _coverage(cfg, g, dist, method, run, index) -> list[float]:
@@ -214,11 +214,14 @@ def _curve_table(
     cfg: EvalConfig, methods: list[str], measure, first_index: int, column: str, jobs: int
 ) -> StudyTable:
     """Per-method curves averaged over one run's graphs; the reference reruns
-    are one more row, "reference"."""
+    are one more row, "reference". The curves' rng streams carry no run key,
+    so a second run would repeat the first one's draws: cfg.runs must be 1."""
     if "reference" in methods:
         raise ValueError("'reference' names the reruns baseline, not a sampler method")
+    if cfg.runs != 1:
+        raise ValueError(f"curve studies average one run's graphs; got runs={cfg.runs}")
     methods = [*methods, "reference"]
-    curves = _run_means(replace(cfg, runs=1), methods, (measure,), jobs)
+    curves = _run_means(cfg, methods, (measure,), jobs)
     table = StudyTable(("method", "n", "dist", "sample_index", column))
     for method in methods:
         for i, value in enumerate(curves[method][0], first_index):

@@ -20,7 +20,6 @@ from treesample import (
     RerunStudyConfig,
     Task,
     TiebreakMode,
-    TiebreakPolicy,
     build_empirical,
     check_bf_valid,
     check_dfs_valid,
@@ -121,14 +120,12 @@ def test_06_reference_outputs_always_pass_validity():
                     GraphSpec(n=n, task=task, seed=derive_seed(0, "nec", task.value, n, gi))
                 )
                 for run in range(5):
-                    policy = TiebreakPolicy(
-                        mode=TiebreakMode.PER_NODE if run % 2 else TiebreakMode.PER_RUN_GLOBAL,
-                        seed=derive_seed(0, "necrun", task.value, n, gi, run),
-                    )
+                    mode = TiebreakMode.PER_NODE if run % 2 else TiebreakMode.PER_RUN_GLOBAL
+                    seed = derive_seed(0, "necrun", task.value, n, gi, run)
                     if task is Task.DFS:
-                        ok = check_dfs_valid(g, randomized_dfs(g, policy)).valid
+                        ok = check_dfs_valid(g, randomized_dfs(g, seed, mode)).valid
                     else:
-                        ok = check_bf_valid(g, randomized_bellman_ford(g, policy))
+                        ok = check_bf_valid(g, randomized_bellman_ford(g, seed))
                     outputs += 1
                     failures += not ok
     print(f"necessity sweep: {outputs} outputs, {failures} failures")
@@ -161,8 +158,8 @@ def test_07_checker_equals_enumeration_on_small_graphs():
             for mode in TiebreakMode:
                 support = set(enumerate_dfs_trees(g, mode=mode))
                 for run in range(3):
-                    policy = TiebreakPolicy(mode=mode, seed=derive_seed(1, "odr", n, gi, run))
-                    assert randomized_dfs(g, policy) in support, (n, gi, mode)
+                    seed = derive_seed(1, "odr", n, gi, run)
+                    assert randomized_dfs(g, seed, mode) in support, (n, gi, mode)
             dfs_checked += 1
     print(f"oracle agreement: {checked} exhaustive equivalences, {dfs_checked} membership graphs")
     assert checked == 500 and dfs_checked == 500
@@ -200,6 +197,7 @@ def test_09_samplers_cover_like_the_reference_reruns():
         graph_spec=GraphSpec(n=5, task=Task.BF),
         graph_count=10,
         samples_per_graph=25,
+        runs=1,
         dist_runs=20,
         seed=0,
     )

@@ -13,7 +13,6 @@ from treesample import (
     INFINITE_COST,
     Task,
     TiebreakMode,
-    TiebreakPolicy,
     bellman_ford_costs,
     enumerate_dfs_trees,
     enumerate_shortest_path_trees,
@@ -71,7 +70,7 @@ def test_enumeration_rejects_large_graphs():
 def test_edgeless_graph_has_identity_forest():
     g = Graph.from_edges(4, [], directed=True)
     assert enumerate_dfs_trees(g) == {(0, 1, 2, 3): Fraction(1)}
-    assert randomized_dfs(g, TiebreakPolicy(seed=5)) == (0, 1, 2, 3)
+    assert randomized_dfs(g, 5) == (0, 1, 2, 3)
 
 
 def test_randomized_dfs_deterministic_and_in_support(two_tree_digraph, unit_square):
@@ -80,16 +79,13 @@ def test_randomized_dfs_deterministic_and_in_support(two_tree_digraph, unit_squa
         support = set(enumerate_dfs_trees(g))
         for mode in TiebreakMode:
             for seed in range(50):
-                policy = TiebreakPolicy(mode=mode, seed=seed)
-                pi = randomized_dfs(g, policy)
-                assert pi == randomized_dfs(g, policy)
+                pi = randomized_dfs(g, seed, mode)
+                assert pi == randomized_dfs(g, seed, mode)
                 assert pi in support
 
 
 def test_randomized_dfs_frequencies_match_enumeration(two_tree_digraph):
-    counts = Counter(
-        randomized_dfs(two_tree_digraph, TiebreakPolicy(seed=s)) for s in range(1000)
-    )
+    counts = Counter(randomized_dfs(two_tree_digraph, s) for s in range(1000))
     assert set(counts) == {(0, 0, 1), (0, 2, 0)}
     assert abs(counts[(0, 0, 1)] / 1000 - 0.5) < 0.05
 
@@ -109,7 +105,7 @@ def test_costs_require_source():
     with pytest.raises(ValueError, match="source"):
         bellman_ford_costs(g)
     with pytest.raises(ValueError, match="source"):
-        randomized_bellman_ford(g, TiebreakPolicy(seed=0))
+        randomized_bellman_ford(g, 0)
 
 
 def test_shortest_path_tree_enumeration(unit_square, third_weight_line):
@@ -126,9 +122,8 @@ def test_randomized_bf_deterministic_and_covers_both_trees(unit_square):
     trees = enumerate_shortest_path_trees(unit_square)
     seen = set()
     for seed in range(40):
-        policy = TiebreakPolicy(seed=seed)
-        pi = randomized_bellman_ford(unit_square, policy)
-        assert pi == randomized_bellman_ford(unit_square, policy)
+        pi = randomized_bellman_ford(unit_square, seed)
+        assert pi == randomized_bellman_ford(unit_square, seed)
         assert pi in trees
         seen.add(pi)
     assert seen == trees
@@ -140,7 +135,7 @@ def test_random_dfs_output_is_always_enumerated(seed, n):
     g = generate_graph(GraphSpec(n=n, task=Task.DFS, seed=seed))
     for mode in TiebreakMode:
         support = set(enumerate_dfs_trees(g, mode=mode))
-        pi = randomized_dfs(g, TiebreakPolicy(mode=mode, seed=seed))
+        pi = randomized_dfs(g, seed, mode)
         assert pi in support
 
 
@@ -148,7 +143,7 @@ def test_random_dfs_output_is_always_enumerated(seed, n):
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 6))
 def test_random_bf_output_is_always_enumerated(seed, n):
     g = generate_graph(GraphSpec(n=n, task=Task.BF, seed=seed))
-    pi = randomized_bellman_ford(g, TiebreakPolicy(seed=seed))
+    pi = randomized_bellman_ford(g, seed)
     assert pi in enumerate_shortest_path_trees(g)
 
 
@@ -159,7 +154,7 @@ def test_bf_chain_costs_telescope_to_true_costs(seed, n):
     from treesample import path_cost_from_source
 
     g = generate_graph(GraphSpec(n=n, task=Task.BF, seed=seed))
-    pi = randomized_bellman_ford(g, TiebreakPolicy(seed=seed + 1))
+    pi = randomized_bellman_ford(g, seed + 1)
     costs = bellman_ford_costs(g)
     for v in range(n):
         assert path_cost_from_source(g, pi, v) == costs[v]

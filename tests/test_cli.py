@@ -16,6 +16,12 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def study_manifest(out):
+    """The command and the resolved run and sample counts a study recorded."""
+    manifest = read_json(out.with_name(out.name + ".manifest.json"))
+    return manifest["command"], manifest["config"]["runs"], manifest["config"]["samples"]
+
+
 def test_full_pipeline(tmp_path, capsys):
     graphs = tmp_path / "graphs.json"
     dists = tmp_path / "dists.json"
@@ -134,11 +140,12 @@ def test_study_reruns_csv(tmp_path):
 
 def test_study_table1_and_table2_csv(tmp_path):
     t1, t2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    assert run("study", "table1", "--task", "bf", "-n", "4", "--graphs", "2", "--runs", "2",
-               "--samples", "3", "--methods", "beam,greedy", "--seed", "1", "-o", str(t1)) == 0
+    assert run("study", "table1", "--task", "bf", "-n", "4", "--graphs", "2",
+               "--methods", "beam,greedy", "--seed", "1", "-o", str(t1)) == 0
     lines = t1.read_text().splitlines()
     assert lines[0] == "method,n,dist,uniques_mean,uniques_std,valids_mean,valids_std"
     assert [line.split(",")[0] for line in lines[1:]] == ["beam", "greedy"]
+    assert study_manifest(t1) == ("study table1", 5, 5)  # the defaults
     assert run("study", "table2", "--task", "dfs", "-n", "4", "--graphs", "2", "--runs", "2",
                "--samples", "3", "--seed", "1", "-o", str(t2)) == 0
     lines = t2.read_text().splitlines()
@@ -147,21 +154,25 @@ def test_study_table1_and_table2_csv(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == [
         "argmax", "upwards", "alt-upwards", "random"
     ]
+    assert study_manifest(t2) == ("study table2", 2, 3)
 
 
 def test_study_coverage_and_edge_reuse_csv(tmp_path):
     cov, reuse = tmp_path / "cov.csv", tmp_path / "reuse.csv"
     assert run("study", "coverage", "--task", "bf", "-n", "4", "--graphs", "2",
-               "--samples", "3", "--methods", "argmax", "--seed", "2", "-o", str(cov)) == 0
+               "--methods", "argmax", "--seed", "2", "-o", str(cov)) == 0
     lines = cov.read_text().splitlines()
     assert lines[0] == "method,n,dist,sample_index,mean_unique_valid"
-    assert len(lines) == 7  # (argmax + reference) x 3 sample indexes
+    assert len(lines) == 51  # (argmax + reference) x 25 sample indexes, the default
+    # The curve studies average one run's graphs.
+    assert study_manifest(cov) == ("study coverage", 1, 25)
     assert run("study", "edge-reuse", "--task", "bf", "-n", "4", "--graphs", "2",
                "--samples", "3", "--methods", "argmax", "--seed", "2",
                "--denominator", "first", "-o", str(reuse)) == 0
     lines = reuse.read_text().splitlines()
     assert lines[0] == "method,n,dist,sample_index,mean_edge_reuse"
     assert len(lines) == 5  # (argmax + reference) x 2 prefix lengths
+    assert study_manifest(reuse) == ("study edge-reuse", 1, 3)
 
 
 def test_usage_errors_exit_2(capsys):
@@ -170,6 +181,8 @@ def test_usage_errors_exit_2(capsys):
     assert run("gen", "-n", "4", "--task", "nope", "--seed", "1", "-o", "x.json") == 2
     assert run("sample", "-i", "a", "-d", "b", "--method", "fancy", "--seed", "1",
                "-o", "c") == 2
+    # The curve studies always average one run's graphs; they take no --runs.
+    assert run("study", "coverage", "--runs", "2", "--seed", "1", "-o", "x.csv") == 2
     capsys.readouterr()
 
 

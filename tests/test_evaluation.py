@@ -137,13 +137,14 @@ def test_accuracy_table_shape_and_perturb_label():
 def test_tables_are_job_count_invariant():
     cfg = small_config(Task.BF)
     assert diversity_table(cfg, ["beam"], jobs=1).rows == diversity_table(cfg, ["beam"], jobs=3).rows
+    cfg = small_config(Task.BF, runs=1)
     assert (
         coverage_study(cfg, ["argmax"], jobs=1).rows == coverage_study(cfg, ["argmax"], jobs=3).rows
     )
 
 
 def test_coverage_study_curves():
-    cfg = small_config(Task.BF, samples_per_graph=6)
+    cfg = small_config(Task.BF, samples_per_graph=6, runs=1)
     table = coverage_study(cfg, ["argmax", "beam"])
     assert table.columns == ("method", "n", "dist", "sample_index", "mean_unique_valid")
     methods = {row[0] for row in table.rows}
@@ -168,7 +169,7 @@ def test_coverage_never_exceeds_solution_count():
     from treesample.evaluation import _graph_distribution
 
     cfg = small_config(Task.BF, graph_spec=GraphSpec(n=4, task=Task.BF), graph_count=1,
-                       samples_per_graph=8)
+                       samples_per_graph=8, runs=1)
     g, _ = _graph_distribution(cfg, 0, 0)
     limit = len(enumerate_shortest_path_trees(g))
     table = coverage_study(cfg, ["beam", "greedy"])
@@ -178,18 +179,21 @@ def test_coverage_never_exceeds_solution_count():
 
 
 def test_edge_reuse_evolution_shape():
-    cfg = small_config(Task.BF, samples_per_graph=5)
+    cfg = small_config(Task.BF, samples_per_graph=5, runs=1)
     table = edge_reuse_evolution(cfg, ["beam"])
     assert table.columns == ("method", "n", "dist", "sample_index", "mean_edge_reuse")
     beam_rows = [row for row in table.rows if row[0] == "beam"]
     assert [row[3] for row in beam_rows] == [2, 3, 4, 5]  # k - 1 prefixes
     assert all(0.0 <= row[4] <= 1.0 for row in table.rows)
     with pytest.raises(ValueError, match="two samples"):
-        edge_reuse_evolution(small_config(Task.BF, samples_per_graph=1), ["beam"])
-    # "reference" names the reruns row the curve studies add themselves.
+        edge_reuse_evolution(small_config(Task.BF, samples_per_graph=1, runs=1), ["beam"])
+    # "reference" names the reruns row the curve studies add themselves, and
+    # their rng streams carry no run key, so a second run would repeat the first.
     for study in (coverage_study, edge_reuse_evolution):
         with pytest.raises(ValueError, match="reference"):
             study(cfg, ["reference"])
+        with pytest.raises(ValueError, match="runs=2"):
+            study(small_config(Task.BF, runs=2), ["beam"])
 
 
 def test_dfs_suite_runs_end_to_end():
