@@ -1,113 +1,20 @@
 """Parent distributions from randomized graph algorithms, and samplers that
-extract multiple candidate solutions from them."""
+extract multiple candidate solutions from them.
+
+Each module's `__all__` declares its public names; the package re-exports
+them all, so its `__all__` is the union of those lists.
+"""
 
 __version__ = "0.1.0"
 
-from .algorithms import (
-    TiebreakMode,
-    bellman_ford_costs,
-    enumerate_dfs_trees,
-    enumerate_shortest_path_trees,
-    randomized_bellman_ford,
-    randomized_dfs,
-)
-from .distributions import (
-    ParentDistribution,
-    RerunStudyConfig,
-    build_empirical,
-    distributions_from_json,
-    distributions_to_json,
-    kl_divergence,
-    perturb,
-    rerun_divergence_study,
-)
-from .evaluation import (
-    EvalConfig,
-    MetricsRecord,
-    accuracy_table,
-    coverage_study,
-    diversity_table,
-    edge_reuse_evolution,
-    evaluate,
-    mean_edge_reuse,
-)
-from .graphs import (
-    BF_EDGE_PROBABILITY,
-    DFS_EDGE_PROBABILITY,
-    Graph,
-    GraphSpec,
-    INFINITE_COST,
-    Task,
-    generate_graph,
-    graphs_from_json,
-    graphs_to_json,
-    path_cost_from_source,
-    tree_edges,
-)
-from .samplers import (
-    METHODS,
-    SamplerConfig,
-    alt_upwards_sample,
-    argmax_extract,
-    beam_extract,
-    draw_samples,
-    extract,
-    greedy_extract,
-    random_extract,
-    sample_predecessor,
-    upwards_sample,
-)
-from .tables import StudyTable
-from .validity import DfsCondition, DfsVerdict, check_bf_valid, check_dfs_valid
+from . import algorithms, distributions, evaluation, graphs, samplers, tables, validity
+from .algorithms import *
+from .distributions import *
+from .evaluation import *
+from .graphs import *
+from .samplers import *
+from .tables import *
+from .validity import *
 
-__all__ = [
-    "BF_EDGE_PROBABILITY",
-    "DFS_EDGE_PROBABILITY",
-    "DfsCondition",
-    "DfsVerdict",
-    "EvalConfig",
-    "Graph",
-    "GraphSpec",
-    "INFINITE_COST",
-    "METHODS",
-    "MetricsRecord",
-    "ParentDistribution",
-    "RerunStudyConfig",
-    "SamplerConfig",
-    "StudyTable",
-    "Task",
-    "TiebreakMode",
-    "accuracy_table",
-    "alt_upwards_sample",
-    "argmax_extract",
-    "beam_extract",
-    "bellman_ford_costs",
-    "build_empirical",
-    "check_bf_valid",
-    "check_dfs_valid",
-    "coverage_study",
-    "distributions_from_json",
-    "distributions_to_json",
-    "diversity_table",
-    "draw_samples",
-    "edge_reuse_evolution",
-    "enumerate_dfs_trees",
-    "enumerate_shortest_path_trees",
-    "evaluate",
-    "extract",
-    "generate_graph",
-    "graphs_from_json",
-    "graphs_to_json",
-    "greedy_extract",
-    "kl_divergence",
-    "mean_edge_reuse",
-    "path_cost_from_source",
-    "perturb",
-    "random_extract",
-    "randomized_bellman_ford",
-    "randomized_dfs",
-    "rerun_divergence_study",
-    "sample_predecessor",
-    "tree_edges",
-    "upwards_sample",
-]
+_MODULES = (algorithms, distributions, evaluation, graphs, samplers, tables, validity)
+__all__ = [name for module in _MODULES for name in module.__all__]

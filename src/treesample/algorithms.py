@@ -107,22 +107,20 @@ def bellman_ford_costs(g: Graph) -> list[Fraction | float]:
     return [c if c == INFINITE_COST else Fraction(c, g.denominator) for c in g.sp_costs]
 
 
-def _check_enumerable(n: int, limit: int) -> None:
-    if n > limit:
-        raise ValueError(f"enumeration supports n <= {limit}, got n={n}")
+def _check_enumerable(n: int) -> None:
+    if n > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration supports n <= {ENUMERATION_LIMIT}, got n={n}")
 
 
 def enumerate_dfs_trees(
-    g: Graph,
-    mode: TiebreakMode = TiebreakMode.PER_RUN_GLOBAL,
-    limit: int = ENUMERATION_LIMIT,
+    g: Graph, mode: TiebreakMode = TiebreakMode.PER_RUN_GLOBAL
 ) -> dict[tuple[int, ...], Fraction]:
     """Every DFS forest reachable under the tie-break mode, with exact frequency.
 
     Global mode runs all (n-1)! orders of V \\ {0}; per-node mode branches over
     each eligible child with weight 1/len(eligible) at every expansion.
     """
-    _check_enumerable(g.n, limit)
+    _check_enumerable(g.n)
     n = g.n
     adjacency = g.adjacency
     outcomes: dict[tuple[int, ...], Fraction] = {}
@@ -176,14 +174,14 @@ def enumerate_dfs_trees(
     return outcomes
 
 
-def enumerate_shortest_path_trees(g: Graph, limit: int = ENUMERATION_LIMIT) -> set[tuple[int, ...]]:
+def enumerate_shortest_path_trees(g: Graph) -> set[tuple[int, ...]]:
     """All predecessor arrays encoding a shortest-path tree from the source.
 
     Reachable non-source vertices choose independently among their shortest-path
     DAG parents (cost[u] + w(u,v) = cost[v], exactly); unreachable vertices and
     the source are fixed to themselves.
     """
-    _check_enumerable(g.n, limit)
+    _check_enumerable(g.n)
     if g.source is None:
         raise ValueError("shortest-path enumeration needs a graph with a source")
     costs = g.sp_costs

@@ -45,14 +45,18 @@ DEFAULT_METHODS = {
     Task.BF: ("argmax", "beam", "greedy", "random"),
     Task.DFS: ("argmax", "upwards", "alt-upwards", "random"),
 }
-DIVERSITY_METHODS = ("greedy", "beam", "upwards", "alt-upwards")
+# greedy and beam need a BF source, so the DFS table1 keeps the upward walks.
+DIVERSITY_METHODS = {
+    Task.BF: ("greedy", "beam", "upwards", "alt-upwards"),
+    Task.DFS: ("upwards", "alt-upwards"),
+}
 # `study <which>` for the sampler studies: the evaluation function (looked up
 # by name when called, so a wrapper set on the module sees the call), default
 # methods per task, and the flags passed on to the function as keywords.
 STUDIES = {
     "coverage": ("coverage_study", DEFAULT_METHODS, ()),
     "edge-reuse": ("edge_reuse_evolution", DEFAULT_METHODS, ("denominator",)),
-    "table1": ("diversity_table", dict.fromkeys(Task, DIVERSITY_METHODS), ()),
+    "table1": ("diversity_table", DIVERSITY_METHODS, ()),
     "table2": ("accuracy_table", DEFAULT_METHODS, ()),
 }
 

@@ -8,6 +8,7 @@ to emulate imperfect predictions of the same shape.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,17 +79,17 @@ def build_empirical(
     return ParentDistribution(g.n, counts / runs)
 
 
-def kl_divergence(p: ParentDistribution, q: ParentDistribution, eps: float = KL_EPSILON) -> float:
+def kl_divergence(p: ParentDistribution, q: ParentDistribution) -> float:
     """Mean over rows of KL(p_row || q_row) after epsilon smoothing.
 
-    Every entry gets eps added, rows are renormalized, so the result is finite
-    for any pair of same-size distributions and zero iff they are entrywise
-    equal after smoothing.
+    Every entry gets KL_EPSILON added and rows are renormalized, so the result
+    is finite for any pair of same-size distributions and zero iff they are
+    entrywise equal after smoothing.
     """
     if p.n != q.n:
         raise ValueError(f"dimension mismatch: {p.n} vs {q.n}")
-    ps = p.probs + eps
-    qs = q.probs + eps
+    ps = p.probs + KL_EPSILON
+    qs = q.probs + KL_EPSILON
     ps = ps / ps.sum(axis=1, keepdims=True)
     qs = qs / qs.sum(axis=1, keepdims=True)
     rows = np.sum(ps * (np.log(ps) - np.log(qs)), axis=1)
@@ -120,7 +121,8 @@ class RerunStudyConfig:
     seed: int = 0
 
 
-def _rerun_study_item(args) -> list[tuple[int, int, int, float]]:
+def _rerun_study_item(args) -> list[float]:
+    """KL values of one graph, one per rerun-count pair in combinations order."""
     cfg, size, index = args
     spec = GraphSpec(
         n=size,
@@ -135,12 +137,11 @@ def _rerun_study_item(args) -> list[tuple[int, int, int, float]]:
         )
         for count in cfg.rerun_counts
     }
-    out = []
-    counts = sorted(cfg.rerun_counts)
-    for i, lo in enumerate(counts):
-        for hi in counts[i + 1 :]:
-            out.append((size, lo, hi, kl_divergence(dists[lo], dists[hi])))
-    return out
+    return [kl_divergence(dists[lo], dists[hi]) for lo, hi in _count_pairs(cfg)]
+
+
+def _count_pairs(cfg: RerunStudyConfig) -> list[tuple[int, int]]:
+    return list(itertools.combinations(sorted(cfg.rerun_counts), 2))
 
 
 def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
@@ -154,20 +155,21 @@ def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
         raise ValueError("graphs_per_size must be positive")
     if len(cfg.rerun_counts) < 2:
         raise ValueError("need at least two rerun counts to compare")
+    for name in ("sizes", "rerun_counts"):
+        values = getattr(cfg, name)
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must not repeat, got {list(values)}")
     items = [(cfg, size, index) for size in cfg.sizes for index in range(cfg.graphs_per_size)]
-    results = parallel_map(_rerun_study_item, items, jobs)
-
-    buckets: dict[tuple[int, int, int], list[float]] = {}
-    for chunk in results:
-        for size, lo, hi, value in chunk:
-            buckets.setdefault((size, lo, hi), []).append(value)
+    pairs = _count_pairs(cfg)
+    kl = np.array(parallel_map(_rerun_study_item, items, jobs))
+    # sizes x graphs x pairs, copied to sizes x pairs x graphs: numpy sums a
+    # contiguous last axis pairwise, as it sums a 1-D array, so each mean and
+    # std is bit-identical to one taken over that pair's list of graphs.
+    kl = kl.reshape(len(cfg.sizes), cfg.graphs_per_size, len(pairs)).transpose(0, 2, 1).copy()
+    rows = itertools.product(cfg.sizes, pairs)
     table = StudyTable(("size", "pair_lo", "pair_hi", "mean_kl", "std_kl"))
-    for size in cfg.sizes:
-        counts = sorted(cfg.rerun_counts)
-        for i, lo in enumerate(counts):
-            for hi in counts[i + 1 :]:
-                values = np.array(buckets[(size, lo, hi)])
-                table.append(size, lo, hi, float(values.mean()), float(values.std()))
+    for (size, (lo, hi)), mean, std in zip(rows, kl.mean(axis=2).flat, kl.std(axis=2).flat):
+        table.append(size, lo, hi, float(mean), float(std))
     return table
 
 

@@ -286,6 +286,8 @@ def graphs_from_json(path: Path | str) -> list[Graph]:
 
 
 __all__ = [
+    "BF_EDGE_PROBABILITY",
+    "DFS_EDGE_PROBABILITY",
     "Graph",
     "GraphSpec",
     "INFINITE_COST",

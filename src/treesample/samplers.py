@@ -286,4 +286,5 @@ __all__ = [
     "greedy_extract",
     "random_extract",
     "sample_predecessor",
+    "upwards_sample",
 ]

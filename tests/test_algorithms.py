@@ -64,7 +64,6 @@ def test_enumeration_rejects_large_graphs():
     gb = generate_graph(GraphSpec(n=9, task=Task.BF, seed=0))
     with pytest.raises(ValueError, match="n <= 8"):
         enumerate_shortest_path_trees(gb)
-    assert enumerate_dfs_trees(g, limit=9)  # opt-in override
 
 
 def test_edgeless_graph_has_identity_forest():

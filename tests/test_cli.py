@@ -146,6 +146,12 @@ def test_study_table1_and_table2_csv(tmp_path):
     assert lines[0] == "method,n,dist,uniques_mean,uniques_std,valids_mean,valids_std"
     assert [line.split(",")[0] for line in lines[1:]] == ["beam", "greedy"]
     assert study_manifest(t1) == ("study table1", 5, 5)  # the defaults
+    # The DFS default leaves out greedy and beam, which need a BF source.
+    assert run("study", "table1", "--task", "dfs", "-n", "4", "--graphs", "2", "--runs", "1",
+               "--samples", "2", "--seed", "1", "-o", str(t1)) == 0
+    assert [line.split(",")[0] for line in t1.read_text().splitlines()[1:]] == [
+        "upwards", "alt-upwards"
+    ]
     assert run("study", "table2", "--task", "dfs", "-n", "4", "--graphs", "2", "--runs", "2",
                "--samples", "3", "--seed", "1", "-o", str(t2)) == 0
     lines = t2.read_text().splitlines()
@@ -200,6 +206,8 @@ def test_validation_errors_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert run("gen", "-n", "0", "--task", "bf", "--seed", "1",
                "-o", str(tmp_path / "zero.json")) == 3
+    assert run("study", "reruns", "--sizes", "4", "--graphs", "1", "--counts", "5,5,10",
+               "--seed", "1", "-o", str(tmp_path / "reruns.csv")) == 3
     assert run("sample", "-i", str(g3), "-d", str(d3), "--task", "bf", "--method", "argmax",
                "-k", "0", "--seed", "3", "-o", str(tmp_path / "k0.json")) == 3
 

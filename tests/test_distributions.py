@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from treesample import (
+    GraphSpec,
     ParentDistribution,
     RerunStudyConfig,
     Task,
@@ -16,10 +17,12 @@ from treesample import (
     build_empirical,
     distributions_from_json,
     distributions_to_json,
+    generate_graph,
     kl_divergence,
     perturb,
     rerun_divergence_study,
 )
+from treesample.seeding import derive_seed
 
 
 def row_stochastic(n: int):
@@ -149,6 +152,31 @@ def test_rerun_study_table_shape():
     assert table.to_csv_text().splitlines()[0] == "size,pair_lo,pair_hi,mean_kl,std_kl"
 
 
+def test_rerun_study_rows_equal_per_pair_reference():
+    # More than 8 graphs, where numpy's pairwise summation of a 1-D array
+    # differs from adding graph after graph: each row must equal the mean and
+    # std of that pair's own list of values, bit for bit.
+    cfg = RerunStudyConfig(sizes=(4, 5), graphs_per_size=11, rerun_counts=(6, 2, 4), seed=3)
+    expected = []
+    for size in cfg.sizes:
+        kls = {pair: [] for pair in ((2, 4), (2, 6), (4, 6))}
+        for index in range(cfg.graphs_per_size):
+            seed = derive_seed(cfg.seed, "graph", size, index)
+            g = generate_graph(GraphSpec(n=size, task=cfg.task, seed=seed))
+            dists = {
+                c: build_empirical(
+                    g, cfg.task, runs=c, seed=derive_seed(cfg.seed, "dist", size, index, c)
+                )
+                for c in cfg.rerun_counts
+            }
+            for lo, hi in kls:
+                kls[lo, hi].append(kl_divergence(dists[lo], dists[hi]))
+        for (lo, hi), values in kls.items():
+            values = np.array(values)
+            expected.append((size, lo, hi, float(values.mean()), float(values.std())))
+    assert rerun_divergence_study(cfg).rows == expected
+
+
 def test_rerun_study_jobs_do_not_change_results():
     cfg = RerunStudyConfig(sizes=(5,), graphs_per_size=4, rerun_counts=(5, 10), seed=11)
     assert rerun_divergence_study(cfg, jobs=1).rows == rerun_divergence_study(cfg, jobs=4).rows
@@ -159,6 +187,10 @@ def test_rerun_study_config_validation():
         rerun_divergence_study(RerunStudyConfig(sizes=(4,), graphs_per_size=0))
     with pytest.raises(ValueError, match="two rerun counts"):
         rerun_divergence_study(RerunStudyConfig(sizes=(4,), rerun_counts=(5,)))
+    with pytest.raises(ValueError, match="rerun_counts must not repeat"):
+        rerun_divergence_study(RerunStudyConfig(sizes=(4,), rerun_counts=(5, 5, 10)))
+    with pytest.raises(ValueError, match="sizes must not repeat"):
+        rerun_divergence_study(RerunStudyConfig(sizes=(4, 5, 4), rerun_counts=(5, 10)))
 
 
 def test_distribution_json_round_trip(tmp_path, two_tree_digraph):

@@ -1,10 +1,20 @@
-"""Support layers: seed derivation, study tables, parallel map."""
+"""Support layers: seed derivation, study tables, parallel map, package API."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesample import StudyTable
+import treesample
+from treesample import (
+    StudyTable,
+    algorithms,
+    distributions,
+    evaluation,
+    graphs,
+    samplers,
+    tables,
+    validity,
+)
 from treesample.parallel import parallel_map
 from treesample.seeding import derive_rng, derive_seed
 
@@ -69,3 +79,34 @@ def test_parallel_map_matches_serial():
 
 def _square(x: int) -> int:
     return x * x
+
+
+# Every name the package exported before its `__all__` became the union of
+# the module lists; none of them may drop out.
+EARLIER_EXPORTS = (
+    "BF_EDGE_PROBABILITY", "DFS_EDGE_PROBABILITY", "DfsCondition", "DfsVerdict",
+    "EvalConfig", "Graph", "GraphSpec", "INFINITE_COST", "METHODS", "MetricsRecord",
+    "ParentDistribution", "RerunStudyConfig", "SamplerConfig", "StudyTable", "Task",
+    "TiebreakMode", "accuracy_table", "alt_upwards_sample", "argmax_extract",
+    "beam_extract", "bellman_ford_costs", "build_empirical", "check_bf_valid",
+    "check_dfs_valid", "coverage_study", "distributions_from_json",
+    "distributions_to_json", "diversity_table", "draw_samples", "edge_reuse_evolution",
+    "enumerate_dfs_trees", "enumerate_shortest_path_trees", "evaluate", "extract",
+    "generate_graph", "graphs_from_json", "graphs_to_json", "greedy_extract",
+    "kl_divergence", "mean_edge_reuse", "path_cost_from_source", "perturb",
+    "random_extract", "randomized_bellman_ford", "randomized_dfs",
+    "rerun_divergence_study", "sample_predecessor", "tree_edges", "upwards_sample",
+)
+
+
+def test_package_exports_the_union_of_module_lists():
+    modules = (algorithms, distributions, evaluation, graphs, samplers, tables, validity)
+    union = [name for module in modules for name in module.__all__]
+    assert len(set(union)) == len(union)  # no name is public in two modules
+    assert sorted(treesample.__all__) == sorted(union)
+    assert len(EARLIER_EXPORTS) == 49
+    assert set(EARLIER_EXPORTS) <= set(treesample.__all__)
+    for name in treesample.__all__:
+        assert getattr(treesample, name) is getattr(
+            next(m for m in modules if name in m.__all__), name
+        )
