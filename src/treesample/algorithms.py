@@ -76,30 +76,12 @@ def randomized_dfs(
 def randomized_bellman_ford(g: Graph, seed: int) -> tuple[int, ...]:
     """One shortest-path tree with randomized relaxation order.
 
-    Runs up to n-1 passes, reshuffling the arc order before each pass and
-    relaxing only on strictly smaller cost; stops early once a pass changes
-    nothing (the state is a fixed point, so the output is unaffected).
-    Unreachable vertices keep themselves as parents.
+    Graph.relax with the arc order reshuffled before each pass: updates only
+    on strictly smaller cost, and an early stop once a pass changes nothing
+    (the state is a fixed point, so the output is unaffected). Unreachable
+    vertices keep themselves as parents.
     """
-    if g.source is None:
-        raise ValueError("bellman-ford needs a graph with a source")
-    rng = np.random.default_rng(seed)
-    arcs = g.arcs
-    dist: list[float | int] = [INFINITE_COST] * g.n
-    dist[g.source] = 0
-    pi = list(range(g.n))
-    for _ in range(g.n - 1):
-        changed = False
-        for idx in rng.permutation(len(arcs)).tolist():
-            u, v, w = arcs[idx]
-            cand = dist[u] + w
-            if cand < dist[v]:
-                dist[v] = cand
-                pi[v] = u
-                changed = True
-        if not changed:
-            break
-    return tuple(pi)
+    return tuple(g.relax(np.random.default_rng(seed))[1])
 
 
 def bellman_ford_costs(g: Graph) -> list[Fraction | float]:
@@ -136,63 +118,38 @@ def enumerate_dfs_trees(
             outcomes[tree] = outcomes.get(tree, Fraction(0)) + Fraction(1, total)
         return outcomes
 
-    def branch(color: list[bool], pi: list[int], stack: list[int], root: int, weight: Fraction):
-        while True:
-            if not stack:
-                nxt = root
-                while nxt < n and color[nxt]:
-                    nxt += 1
-                if nxt == n:
-                    tree = tuple(pi)
-                    outcomes[tree] = outcomes.get(tree, Fraction(0)) + weight
-                    return
-                color[nxt] = True
-                stack = [nxt]
-                root = nxt
-                continue
-            u = stack[-1]
-            eligible = [v for v in adjacency[u] if not color[v]]
-            if not eligible:
-                stack = stack[:-1]
-                continue
-            if len(eligible) == 1:
-                child = eligible[0]
-                color[child] = True
-                pi[child] = u
-                stack = stack + [child]
-                continue
-            share = weight / len(eligible)
-            for child in eligible:
-                color2 = list(color)
-                pi2 = list(pi)
-                color2[child] = True
-                pi2[child] = u
-                branch(color2, pi2, stack + [child], root, share)
-            return
+    # Replay the search once per leaf of the choice tree. A script lists the
+    # eligible-list index of each pick; a pick past its end takes index 0 and
+    # queues one script per other child, lowest index on top, so leaves come
+    # in depth-first order.
+    scripts: list[tuple[int, ...]] = [()]
+    while scripts:
+        choices = list(scripts.pop())
+        sizes: list[int] = []
 
-    branch([False] * n, list(range(n)), [], 0, Fraction(1))
+        def pick(u, eligible):
+            if len(sizes) == len(choices):
+                scripts.extend((*choices, c) for c in range(len(eligible) - 1, 0, -1))
+                choices.append(0)
+            sizes.append(len(eligible))
+            return eligible[choices[len(sizes) - 1]]
+
+        tree = _dfs_forest(n, adjacency, pick)
+        outcomes[tree] = outcomes.get(tree, Fraction(0)) + Fraction(1, math.prod(sizes))
     return outcomes
 
 
 def enumerate_shortest_path_trees(g: Graph) -> set[tuple[int, ...]]:
     """All predecessor arrays encoding a shortest-path tree from the source.
 
-    Reachable non-source vertices choose independently among their shortest-path
-    DAG parents (cost[u] + w(u,v) = cost[v], exactly); unreachable vertices and
-    the source are fixed to themselves.
+    Every vertex chooses independently among its Graph.sp_parents: reachable
+    non-source vertices among their tight parents, the source and unreachable
+    vertices only themselves.
     """
     _check_enumerable(g.n)
     if g.source is None:
         raise ValueError("shortest-path enumeration needs a graph with a source")
-    costs = g.sp_costs
-    choice_sets: list[list[int]] = []
-    for v in range(g.n):
-        if v == g.source or costs[v] == INFINITE_COST:
-            choice_sets.append([v])
-            continue
-        parents = (u for u, t, w in g.arcs if t == v and costs[u] + w == costs[v])
-        choice_sets.append(sorted(parents))
-    return {tuple(combo) for combo in itertools.product(*choice_sets)}
+    return set(itertools.product(*g.sp_parents))
 
 
 __all__ = [

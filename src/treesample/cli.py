@@ -284,7 +284,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         perturb_alpha=args.alpha,
         seed=args.seed,
     )
-    methods = list(args.methods or default_methods[args.task])
+    methods = list(default_methods[args.task] if args.methods is None else args.methods)
     keywords = {option: getattr(args, option) for option in options}
     table = getattr(evaluation, name)(cfg, methods, jobs=args.jobs, **keywords)
     return _finish_table(table, args, f"study {args.which}")

@@ -157,8 +157,8 @@ def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
         raise ValueError("need at least two rerun counts to compare")
     for name in ("sizes", "rerun_counts"):
         values = getattr(cfg, name)
-        if len(set(values)) != len(values):
-            raise ValueError(f"{name} must not repeat, got {list(values)}")
+        if not values or len(set(values)) != len(values):
+            raise ValueError(f"{name} must not repeat or be empty, got {list(values)}")
     items = [(cfg, size, index) for size in cfg.sizes for index in range(cfg.graphs_per_size)]
     pairs = _count_pairs(cfg)
     kl = np.array(parallel_map(_rerun_study_item, items, jobs))

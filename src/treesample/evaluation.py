@@ -101,6 +101,8 @@ def _run_means(cfg: EvalConfig, methods: list[str], measures: tuple, jobs: int) 
     """Per method, a runs x values array: each value averaged over a run's graphs."""
     if cfg.graph_count < 1 or cfg.runs < 1:
         raise ValueError("graph_count and runs must be positive")
+    if not methods or len(set(methods)) != len(methods):
+        raise ValueError(f"methods must not repeat or be empty, got {list(methods)}")
     count, plan = cfg.graph_count, (tuple(methods), measures)
     items = [(cfg, plan, run, index) for run in range(cfg.runs) for index in range(count)]
     results = parallel_map(_suite_item, items, jobs)
@@ -216,8 +218,8 @@ def _curve_table(
     """Per-method curves averaged over one run's graphs; the reference reruns
     are one more row, "reference". The curves' rng streams carry no run key,
     so a second run would repeat the first one's draws: cfg.runs must be 1."""
-    if "reference" in methods:
-        raise ValueError("'reference' names the reruns baseline, not a sampler method")
+    if not methods or "reference" in methods:
+        raise ValueError(f"need sampler methods; 'reference' names the reruns row, got {methods}")
     if cfg.runs != 1:
         raise ValueError(f"curve studies average one run's graphs; got runs={cfg.runs}")
     methods = [*methods, "reference"]

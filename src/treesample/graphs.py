@@ -133,26 +133,55 @@ class Graph:
         reach.setflags(write=False)
         return reach
 
-    @cached_property
-    def sp_costs(self) -> tuple[int | float, ...]:
-        """Integer shortest-path costs from the source; unreachable -> infinity.
+    def relax(self, rng: np.random.Generator | None = None) -> tuple[list, list[int]]:
+        """Bellman-Ford from the source: (integer costs, parents).
 
-        Relaxes arcs in order until a pass changes nothing (at most n-1 passes).
+        Each pass relaxes every arc, in arcs order or, given rng, in a fresh
+        rng.permutation drawn at the start of the pass; a vertex is updated
+        only on a strictly smaller cost. Stops after a pass that changes
+        nothing (at most n-1 passes). Unreachable vertices keep infinite cost
+        and themselves as parents.
         """
         if self.source is None:
             raise ValueError("bellman-ford needs a graph with a source")
+        arcs = self.arcs
         dist: list[float | int] = [INFINITE_COST] * self.n
         dist[self.source] = 0
+        pi = list(range(self.n))
         for _ in range(self.n - 1):
             changed = False
-            for u, v, w in self.arcs:
+            for idx in range(len(arcs)) if rng is None else rng.permutation(len(arcs)).tolist():
+                u, v, w = arcs[idx]
                 cand = dist[u] + w
                 if cand < dist[v]:
                     dist[v] = cand
+                    pi[v] = u
                     changed = True
             if not changed:
                 break
-        return tuple(dist)
+        return dist, pi
+
+    @cached_property
+    def sp_costs(self) -> tuple[int | float, ...]:
+        """Integer shortest-path costs from the source; unreachable -> infinity."""
+        return tuple(self.relax()[0])
+
+    @cached_property
+    def sp_parents(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, its ascending tight parents: u with cost[u] + w(u, v) == cost[v].
+
+        The source and every unreachable vertex have only themselves; the
+        guard matters, since infinity + w == infinity between unreachables.
+        """
+        costs, weights = self.sp_costs, self.weights
+        return tuple(
+            (v,)
+            if v == self.source or costs[v] == INFINITE_COST
+            else tuple(
+                u for u in range(self.n) if weights[u][v] and costs[u] + weights[u][v] == costs[v]
+            )
+            for v in range(self.n)
+        )
 
     def to_dict(self) -> dict:
         edges = [

@@ -100,6 +100,12 @@ def alt_upwards_sample(dist: ParentDistribution, rng: np.random.Generator) -> tu
     return _upwards(dist, rng, mask_parents=False)
 
 
+def _lightest_parent(g: Graph, v: int) -> int | None:
+    """v's in-neighbour over its lightest edge (lowest index on ties), or None."""
+    parents = [(g.weights[u][v], u) for u in range(g.n) if g.weights[u][v] > 0]
+    return min(parents)[1] if parents else None
+
+
 def beam_extract(
     dist: ParentDistribution,
     g: Graph,
@@ -158,9 +164,9 @@ def beam_extract(
             best_cost = min(cost for cost, _ in completed)
             pi[v] = min(parent for cost, parent in completed if cost == best_cost)
             continue
-        graph_parents = [(weight[u][v], u) for u in range(n) if weight[u][v] > 0]
-        if graph_parents:
-            pi[v] = min(graph_parents)[1]
+        lightest = _lightest_parent(g, v)
+        if lightest is not None:
+            pi[v] = lightest
             if stats is not None:
                 stats["beam_parent_fallback"] = stats.get("beam_parent_fallback", 0) + 1
         else:
@@ -216,9 +222,9 @@ def greedy_extract(
         if best is not None:
             pi[v] = best[1]
             continue
-        graph_parents = [(weight[u][v], u) for u in range(n) if weight[u][v] > 0]
-        if graph_parents:
-            pi[v] = min(graph_parents)[1]
+        lightest = _lightest_parent(g, v)
+        if lightest is not None:
+            pi[v] = lightest
             if stats is not None:
                 stats["greedy_parent_fallback"] = stats.get("greedy_parent_fallback", 0) + 1
         else:

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, INFINITE_COST, Task, validate_predecessors
+from .graphs import Graph, Task, validate_predecessors
 
 
 class DfsCondition(Enum):
@@ -117,12 +117,8 @@ def check_bf_valid(g: Graph, pi: tuple[int, ...]) -> bool:
     if g.source is None:
         raise ValueError("bellman-ford validity needs a graph with a source")
     validate_predecessors(g, pi)
-    weights, costs = g.weights, g.sp_costs
-    for v, p in enumerate(pi):
-        if v == g.source or costs[v] == INFINITE_COST:
-            if p != v:
-                return False
-        elif weights[p][v] == 0 or costs[p] + weights[p][v] != costs[v]:
+    for p, parents in zip(pi, g.sp_parents):
+        if p not in parents:
             return False
     return True
 

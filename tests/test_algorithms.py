@@ -51,10 +51,14 @@ def test_mode_changes_tree_weights(tiebreak_sensitive_digraph):
 def test_enumeration_weights_sum_to_one():
     for seed in range(8):
         g = generate_graph(GraphSpec(n=6, task=Task.DFS, seed=seed))
+        supports = []
         for mode in TiebreakMode:
             trees = enumerate_dfs_trees(g, mode=mode)
             assert sum(trees.values()) == 1
             assert all(w > 0 for w in trees.values())
+            supports.append(set(trees))
+        # The modes weight the forests differently but reach the same ones.
+        assert supports[0] == supports[1]
 
 
 def test_enumeration_rejects_large_graphs():

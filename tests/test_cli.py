@@ -208,6 +208,13 @@ def test_validation_errors_exit_3(tmp_path, capsys):
                "-o", str(tmp_path / "zero.json")) == 3
     assert run("study", "reruns", "--sizes", "4", "--graphs", "1", "--counts", "5,5,10",
                "--seed", "1", "-o", str(tmp_path / "reruns.csv")) == 3
+    assert run("study", "reruns", "--sizes", "", "--graphs", "1",
+               "--seed", "1", "-o", str(tmp_path / "reruns.csv")) == 3
+    # A repeated or an empty --methods list is an error, not duplicate rows
+    # or the defaults.
+    for methods in ("upwards,upwards", ","):
+        assert run("study", "table2", "--task", "dfs", "-n", "4", "--graphs", "2", "--runs", "1",
+                   "--methods", methods, "--seed", "1", "-o", str(tmp_path / "t2.csv")) == 3
     assert run("sample", "-i", str(g3), "-d", str(d3), "--task", "bf", "--method", "argmax",
                "-k", "0", "--seed", "3", "-o", str(tmp_path / "k0.json")) == 3
 

@@ -191,6 +191,8 @@ def test_rerun_study_config_validation():
         rerun_divergence_study(RerunStudyConfig(sizes=(4,), rerun_counts=(5, 5, 10)))
     with pytest.raises(ValueError, match="sizes must not repeat"):
         rerun_divergence_study(RerunStudyConfig(sizes=(4, 5, 4), rerun_counts=(5, 10)))
+    with pytest.raises(ValueError, match="sizes must not repeat or be empty"):
+        rerun_divergence_study(RerunStudyConfig(sizes=(), rerun_counts=(5, 10)))
 
 
 def test_distribution_json_round_trip(tmp_path, two_tree_digraph):

@@ -82,6 +82,20 @@ def test_evaluate_record_shape():
     assert 0.0 <= record.valids_mean <= 5.0
 
 
+def test_method_lists_must_be_non_empty_and_distinct():
+    cfg = small_config(Task.BF, runs=1)
+    for methods in (["argmax", "argmax"], []):
+        with pytest.raises(ValueError, match="must not repeat or be empty"):
+            evaluate(cfg, methods)
+        with pytest.raises(ValueError, match="must not repeat or be empty"):
+            accuracy_table(cfg, methods)
+    for study in (coverage_study, edge_reuse_evolution):
+        with pytest.raises(ValueError, match="must not repeat or be empty"):
+            study(cfg, ["beam", "beam"])
+        with pytest.raises(ValueError, match="need sampler methods"):
+            study(cfg, [])
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
     "task, methods", [(Task.BF, ["beam", "greedy"]), (Task.DFS, ["upwards", "alt-upwards"])]

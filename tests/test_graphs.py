@@ -160,6 +160,19 @@ def test_reach_matrix_is_reflexive_and_read_only():
         g.reach_matrix[0, 1] = True
 
 
+def test_sp_parents_pin_the_tight_parents(unit_square, third_weight_line):
+    # The source keeps itself; unit_square's vertex 3 is tight through 1 and 2.
+    assert unit_square.sp_costs == (0, 1, 1, 2)
+    assert unit_square.sp_parents == ((0,), (0,), (0,), (1, 2))
+    assert third_weight_line.sp_parents == ((0,), (0,), (1,))
+    # 2-3 is unreachable from 0; infinity + w == infinity must not make 2 a
+    # tight parent of 3, or 3 of 2.
+    g = Graph.from_edges(4, [(0, 1, 1), (2, 3, 1)], directed=False, source=0)
+    assert g.sp_costs == (0, 1, INFINITE_COST, INFINITE_COST)
+    assert g.sp_parents == ((0,), (0,), (2,), (3,))
+    assert g.relax() == ([0, 1, INFINITE_COST, INFINITE_COST], [0, 0, 2, 3])
+
+
 def test_tree_edges_drops_self_parents():
     assert tree_edges((0, 0, 1, 3)) == {(0, 1), (1, 2)}
     assert tree_edges((0, 1, 2)) == set()

@@ -1,5 +1,10 @@
 """Support layers: seed derivation, study tables, parallel map, package API."""
 
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,3 +115,38 @@ def test_package_exports_the_union_of_module_lists():
         assert getattr(treesample, name) is getattr(
             next(m for m in modules if name in m.__all__), name
         )
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    # A private name is read only inside its own module: no `from .m import
+    # _name`, and no `module._name` on an imported module (dunders aside).
+    offences = []
+    for path in sorted(Path(treesample.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if node.level:  # the package is flat, so every relative import is level 1
+                    source = "treesample" + ("." + source if source else "")
+                for alias in node.names:
+                    if _private(alias.name):
+                        offences.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                    target = getattr(importlib.import_module(source), alias.name, None)
+                    if inspect.ismodule(target):
+                        modules.add(alias.asname or alias.name)
+        offences += [
+            f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ]
+    assert offences == []
