@@ -53,6 +53,15 @@ def _dfs_forest(n: int, adjacency, pick) -> tuple[int, ...]:
     return tuple(pi)
 
 
+def _ranked_pick(n: int, order):
+    """The _dfs_forest pick for one global priority order of V \\ {0}: adopt
+    the eligible child that comes first in order."""
+    rank = [0] * n
+    for position, vertex in enumerate(order):
+        rank[vertex] = position
+    return lambda u, eligible: min(eligible, key=rank.__getitem__)
+
+
 def randomized_dfs(
     g: Graph, seed: int, mode: TiebreakMode = TiebreakMode.PER_RUN_GLOBAL
 ) -> tuple[int, ...]:
@@ -64,10 +73,7 @@ def randomized_dfs(
     rng = np.random.default_rng(seed)
     if mode is TiebreakMode.PER_RUN_GLOBAL:
         order = rng.permutation(np.arange(1, g.n)) if g.n > 1 else np.empty(0, dtype=int)
-        rank = [0] * g.n
-        for position, vertex in enumerate(order.tolist()):
-            rank[vertex] = position
-        pick = lambda u, eligible: min(eligible, key=rank.__getitem__)
+        pick = _ranked_pick(g.n, order.tolist())
     else:
         pick = lambda u, eligible: eligible[rng.integers(len(eligible))]
     return _dfs_forest(g.n, g.adjacency, pick)
@@ -111,10 +117,7 @@ def enumerate_dfs_trees(
         orders = list(itertools.permutations(range(1, n))) or [()]
         total = len(orders)
         for order in orders:
-            rank = [0] * n
-            for position, vertex in enumerate(order):
-                rank[vertex] = position
-            tree = _dfs_forest(n, adjacency, lambda u, elig: min(elig, key=rank.__getitem__))
+            tree = _dfs_forest(n, adjacency, _ranked_pick(n, order))
             outcomes[tree] = outcomes.get(tree, Fraction(0)) + Fraction(1, total)
         return outcomes
 
@@ -147,8 +150,6 @@ def enumerate_shortest_path_trees(g: Graph) -> set[tuple[int, ...]]:
     vertices only themselves.
     """
     _check_enumerable(g.n)
-    if g.source is None:
-        raise ValueError("shortest-path enumeration needs a graph with a source")
     return set(itertools.product(*g.sp_parents))
 
 

@@ -136,6 +136,8 @@ def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     graphs = []
     for index in range(args.count):
         spec = GraphSpec(

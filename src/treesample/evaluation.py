@@ -26,8 +26,9 @@ from .parallel import parallel_map
 class EvalConfig:
     """Shared recipe for the sampler evaluation studies.
 
-    perturb_alpha 0 evaluates the empirical distribution; anything above mixes
-    rows toward random simplex points before sampling.
+    perturb_alpha 0 evaluates the empirical distribution; a value in (0, 1]
+    mixes rows toward random simplex points before sampling, and any other
+    value (negative, above 1, NaN) is rejected.
     """
 
     graph_spec: GraphSpec
@@ -62,7 +63,7 @@ def _graph_distribution(cfg: EvalConfig, run: int, index: int) -> tuple[Graph, P
     dist = build_empirical(
         g, spec.task, runs=cfg.dist_runs, seed=derive_seed(cfg.seed, "dist", run, index)
     )
-    if cfg.perturb_alpha > 0.0:
+    if cfg.perturb_alpha != 0.0:
         dist = perturb(dist, cfg.perturb_alpha, seed=derive_seed(cfg.seed, "perturb", run, index))
     return g, dist
 

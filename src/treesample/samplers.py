@@ -100,10 +100,30 @@ def alt_upwards_sample(dist: ParentDistribution, rng: np.random.Generator) -> tu
     return _upwards(dist, rng, mask_parents=False)
 
 
-def _lightest_parent(g: Graph, v: int) -> int | None:
-    """v's in-neighbour over its lightest edge (lowest index on ties), or None."""
+def _distinct_parents(
+    dist: ParentDistribution, v: int, k: int, rng: np.random.Generator
+) -> list[int]:
+    """Up to k distinct positive-mass parents of v, drawn weighted by v's row."""
+    row = dist.probs[v]
+    size = min(k, int(np.count_nonzero(row)))
+    return rng.choice(dist.n, size=size, replace=False, p=row / row.sum()).tolist()
+
+
+def _fallback(g: Graph, v: int, method: str, rng: np.random.Generator, stats: dict | None) -> int:
+    """v's parent over its lightest in-edge (lowest index on ties); without an
+    in-edge, beam draws a random vertex and greedy keeps v. stats counts each
+    under f"{method}_{kind}_fallback", kind being parent, random or self."""
     parents = [(g.weights[u][v], u) for u in range(g.n) if g.weights[u][v] > 0]
-    return min(parents)[1] if parents else None
+    if parents:
+        kind, parent = "parent", min(parents)[1]
+    elif method == "beam":
+        kind, parent = "random", int(rng.integers(g.n))
+    else:
+        kind, parent = "self", v
+    if stats is not None:
+        key = f"{method}_{kind}_fallback"
+        stats[key] = stats.get(key, 0) + 1
+    return parent
 
 
 def beam_extract(
@@ -135,44 +155,28 @@ def beam_extract(
         if v == source:
             continue
         completed: list[tuple[float | int, int]] = []
-        frontier: list[tuple[float | int, list[int]]] = [(0, [v])]
+        # A path is (cost, first hop, last vertex); first hop None means it is still at v.
+        frontier: list[tuple[float | int, int | None, int]] = [(0, None, v)]
         for _ in range(n):
-            candidates: list[tuple[float | int, list[int]]] = []
-            for cost, path in frontier:
-                last = path[-1]
-                row = dist.probs[last]
-                branch = min(cfg.beam_branch, int(np.count_nonzero(row)))
-                if branch == 0:
-                    continue
-                picks = rng.choice(n, size=branch, replace=False, p=row / row.sum())
-                for q in picks.tolist():
+            candidates: list[tuple[float | int, int | None, int]] = []
+            for cost, first_hop, last in frontier:
+                for q in _distinct_parents(dist, last, cfg.beam_branch, rng):
                     if q == last:
-                        if len(path) == 1:
+                        if first_hop is None:
                             completed.append((math.inf, v))  # root claim
                         continue
                     w = weight[q][last]
                     extended = cost + w if w else math.inf
+                    hop = q if first_hop is None else first_hop
                     if q == source:
-                        completed.append((extended, path[1] if len(path) > 1 else q))
+                        completed.append((extended, hop))
                     else:
-                        candidates.append((extended, path + [q]))
+                        candidates.append((extended, hop, q))
             if not candidates:
                 break
             candidates.sort(key=lambda item: item[0])
             frontier = candidates[: cfg.beam_width]
-        if completed:
-            best_cost = min(cost for cost, _ in completed)
-            pi[v] = min(parent for cost, parent in completed if cost == best_cost)
-            continue
-        lightest = _lightest_parent(g, v)
-        if lightest is not None:
-            pi[v] = lightest
-            if stats is not None:
-                stats["beam_parent_fallback"] = stats.get("beam_parent_fallback", 0) + 1
-        else:
-            pi[v] = int(rng.integers(n))
-            if stats is not None:
-                stats["beam_random_fallback"] = stats.get("beam_random_fallback", 0) + 1
+        pi[v] = min(completed)[1] if completed else _fallback(g, v, "beam", rng, stats)
     return tuple(pi)
 
 
@@ -188,7 +192,8 @@ def greedy_extract(
     Each round draws up to greedy_parent_samples distinct positive-mass
     parents, weighted by the row. A sampled parent q is plausible when edge
     (q, v) exists, or when q == v (a root claim, ranked below every real
-    edge). Rounds without any plausible sample are retried up to
+    edge). The cheapest plausible parent wins (cost ties resolve to the lowest
+    index). Rounds without any plausible sample are retried up to
     greedy_max_resamples times; after that the vertex takes its lightest graph
     parent, or itself when no in-edge exists.
     """
@@ -202,35 +207,18 @@ def greedy_extract(
     for v in range(n):
         if v == source:
             continue
-        row = dist.probs[v]
-        row = row / row.sum()
-        draw = min(cfg.greedy_parent_samples, int(np.count_nonzero(row)))
-        best: tuple[float | int, int] | None = None
         for _ in range(cfg.greedy_max_resamples):
-            picks = rng.choice(n, size=draw, replace=False, p=row)
-            for q in picks.tolist():
-                if q == v:
-                    candidate = (math.inf, v)
-                elif weight[q][v] > 0:
-                    candidate = (weight[q][v], q)
-                else:
-                    continue
-                if best is None or candidate < best:
-                    best = candidate
-            if best is not None:
+            picks = _distinct_parents(dist, v, cfg.greedy_parent_samples, rng)
+            plausible = [
+                (math.inf if q == v else weight[q][v], q)
+                for q in picks
+                if q == v or weight[q][v] > 0
+            ]
+            if plausible:
+                pi[v] = min(plausible)[1]
                 break
-        if best is not None:
-            pi[v] = best[1]
-            continue
-        lightest = _lightest_parent(g, v)
-        if lightest is not None:
-            pi[v] = lightest
-            if stats is not None:
-                stats["greedy_parent_fallback"] = stats.get("greedy_parent_fallback", 0) + 1
         else:
-            pi[v] = v
-            if stats is not None:
-                stats["greedy_self_fallback"] = stats.get("greedy_self_fallback", 0) + 1
+            pi[v] = _fallback(g, v, "greedy", rng, stats)
     return tuple(pi)
 
 

@@ -114,8 +114,6 @@ def check_bf_valid(g: Graph, pi: tuple[int, ...]) -> bool:
     tight parent edges, which rules out pointer cycles and any root other than
     the source, and every chain then sums to its vertex's true cost.
     """
-    if g.source is None:
-        raise ValueError("bellman-ford validity needs a graph with a source")
     validate_predecessors(g, pi)
     for p, parents in zip(pi, g.sp_parents):
         if p not in parents:

@@ -206,6 +206,16 @@ def test_validation_errors_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert run("gen", "-n", "0", "--task", "bf", "--seed", "1",
                "-o", str(tmp_path / "zero.json")) == 3
+    for count in ("0", "-3"):
+        assert run("gen", "-n", "3", "--count", count, "--task", "bf", "--seed", "1",
+                   "-o", str(tmp_path / "none.json")) == 3
+    assert not (tmp_path / "none.json").exists()
+    # A perturbation strength outside [0, 1] is an error, never an unperturbed
+    # run labelled as perturbed.
+    for alpha in ("-0.5", "nan"):
+        assert run("study", "table2", "--task", "bf", "-n", "5", "--graphs", "2", "--runs", "1",
+                   "--alpha", alpha, "--seed", "1", "-o", str(tmp_path / "alpha.csv")) == 3
+    assert not (tmp_path / "alpha.csv").exists()
     assert run("study", "reruns", "--sizes", "4", "--graphs", "1", "--counts", "5,5,10",
                "--seed", "1", "-o", str(tmp_path / "reruns.csv")) == 3
     assert run("study", "reruns", "--sizes", "", "--graphs", "1",

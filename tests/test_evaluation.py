@@ -148,6 +148,13 @@ def test_accuracy_table_shape_and_perturb_label():
     assert all(0.0 <= row[3] <= 1.0 for row in table.rows)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, float("nan")])
+def test_out_of_range_perturbation_is_rejected(alpha):
+    # Never an unperturbed run under a "perturbed-<alpha>" label.
+    with pytest.raises(ValueError, match="alpha"):
+        accuracy_table(small_config(Task.DFS, perturb_alpha=alpha), ["argmax"])
+
+
 def test_tables_are_job_count_invariant():
     cfg = small_config(Task.BF)
     assert diversity_table(cfg, ["beam"], jobs=1).rows == diversity_table(cfg, ["beam"], jobs=3).rows

@@ -55,10 +55,10 @@ STUDIES = {
     # Minimal beam and greedy knobs under full perturbation reach all four
     # sampler fallbacks: lightest parent and random vertex (beam), lightest
     # parent and self (greedy).
-    "table2-bf-fallbacks.csv": ["table2", "--task", "bf", "-n", "12", "--graphs", "4", "--runs", "1",
-                                "--alpha", "1", "--beam-width", "1", "--beam-branch", "1",
-                                "--greedy-samples", "1", "--greedy-resamples", "1",
-                                "--methods", "beam,greedy"],
+    "table2-bf-fallbacks.csv": ["table2", "--task", "bf", "-n", "12", "--graphs", "4",
+                                "--runs", "1", "--alpha", "1", "--beam-width", "1",
+                                "--beam-branch", "1", "--greedy-samples", "1",
+                                "--greedy-resamples", "1", "--methods", "beam,greedy"],
     "table1-bf64.csv": ["table1", "--task", "bf", "-n", "64", "--graphs", "2", "--jobs", "2"],
 }
 
