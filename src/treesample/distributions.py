@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -26,13 +27,31 @@ ROW_SUM_TOLERANCE = 1e-9
 KL_EPSILON = 1e-8
 
 
+class DrawTable(NamedTuple):
+    """What the samplers read on every draw, derived once per distribution.
+
+    p[v] is row v divided by its sum, the vector `Generator.choice` is given;
+    cdf[v] is cumsum(p[v]) divided by its last entry, as numpy's choice
+    computes it; support[v] counts the positive entries of p[v]; order lists
+    the vertices by column sum, least-parenting (leafiest) first, stable.
+    """
+
+    p: np.ndarray
+    cdf: list[list[float]]
+    support: list[int]
+    order: list[int]
+
+
 @dataclass(eq=False)
 class ParentDistribution:
+    """Row-stochastic n x n parent matrix; probs is a read-only copy."""
+
     n: int
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=float)
+        self.probs = np.array(self.probs, dtype=float)
+        self.probs.setflags(write=False)
         if self.probs.shape != (self.n, self.n):
             raise ValueError(f"probs must be {self.n}x{self.n}, got {self.probs.shape}")
         if not np.all(np.isfinite(self.probs)):
@@ -42,6 +61,20 @@ class ParentDistribution:
         sums = self.probs.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE):
             raise ValueError("every row must sum to 1")
+
+    @cached_property
+    def draw_table(self) -> DrawTable:
+        """The sampling table, built on first use in the process that draws."""
+        p = self.probs / self.probs.sum(axis=1, keepdims=True)
+        p.setflags(write=False)
+        cdf = np.cumsum(p, axis=1)
+        cdf /= cdf[:, -1:]
+        return DrawTable(
+            p=p,
+            cdf=cdf.tolist(),
+            support=np.count_nonzero(p, axis=1).tolist(),
+            order=np.argsort(self.probs.sum(axis=0), kind="stable").tolist(),
+        )
 
     def to_dict(self) -> dict:
         return {"n": self.n, "probs": self.probs.tolist()}
@@ -184,6 +217,7 @@ def distributions_from_json(path: Path | str) -> list[ParentDistribution]:
 
 
 __all__ = [
+    "DrawTable",
     "KL_EPSILON",
     "ParentDistribution",
     "RerunStudyConfig",

@@ -94,6 +94,11 @@ class Graph:
         return self.weights[u][v] != 0
 
     @cached_property
+    def vertices(self) -> frozenset[int]:
+        """The vertex set {0, ..., n-1}."""
+        return frozenset(range(self.n))
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Ascending out-neighbor lists."""
         return tuple(
@@ -271,9 +276,9 @@ def validate_predecessors(g: Graph, pi: tuple[int, ...]) -> None:
     """Raise ValueError unless pi holds one int parent per vertex, each in 0..n-1."""
     if len(pi) != g.n:
         raise ValueError(f"predecessor array has length {len(pi)}, expected {g.n}")
-    if any(type(p) is not int for p in pi):
+    if {*map(type, pi)} != {int}:
         raise ValueError(f"predecessor array entries must be ints, got {list(pi)!r}")
-    if min(pi) < 0 or max(pi) >= g.n:
+    if not g.vertices.issuperset(pi):
         raise ValueError(f"predecessor array mentions out-of-range vertices for n={g.n}")
 
 

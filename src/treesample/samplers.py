@@ -15,11 +15,14 @@ Six strategies with different diversity/validity trade-offs:
 
 Beam and greedy consult the graph (weights, source); the others only need the
 distribution. All samplers return a full predecessor array for any input.
+Draws read the distribution's cached `draw_table` CDFs and reproduce numpy's
+`Generator.choice` stream exactly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +56,10 @@ def sample_predecessor(
     Falls back to a uniformly random non-masked vertex when the restricted row
     has zero mass, and to a uniformly random vertex when everything is masked.
     """
+    if not mask:
+        return bisect_right(dist.draw_table.cdf[v], rng.random())
     row = dist.probs[v].copy()
-    if mask:
-        row[list(mask)] = 0.0
+    row[list(mask)] = 0.0
     total = row.sum()
     if total > 0.0:
         return int(rng.choice(dist.n, p=row / total))
@@ -70,12 +74,9 @@ def argmax_extract(dist: ParentDistribution) -> tuple[int, ...]:
 
 
 def _upwards(dist: ParentDistribution, rng: np.random.Generator, mask_parents: bool) -> tuple[int, ...]:
-    n = dist.n
-    leafiness = dist.probs.sum(axis=0)  # column sum: how often a vertex parents anyone
-    order = np.argsort(leafiness, kind="stable").tolist()
-    pi: list[int | None] = [None] * n
+    pi: list[int | None] = [None] * dist.n
     mask: set[int] = set()
-    for v in order:
+    for v in dist.draw_table.order:
         cur = v
         while pi[cur] is None:
             pi[cur] = sample_predecessor(dist, cur, mask, rng)
@@ -103,21 +104,37 @@ def alt_upwards_sample(dist: ParentDistribution, rng: np.random.Generator) -> tu
 def _distinct_parents(
     dist: ParentDistribution, v: int, k: int, rng: np.random.Generator
 ) -> list[int]:
-    """Up to k distinct positive-mass parents of v, drawn weighted by v's row."""
-    row = dist.probs[v]
-    size = min(k, int(np.count_nonzero(row)))
-    return rng.choice(dist.n, size=size, replace=False, p=row / row.sum()).tolist()
+    """Up to k distinct positive-mass parents of v, drawn weighted by v's row.
+
+    This is `rng.choice(n, size, replace=False, p=row)` written out: each round
+    draws one uniform per missing parent, bisects the CDF and keeps each
+    parent's first hit; a further round zeroes the parents found so far and
+    rebuilds the CDF from what is left, as numpy does.
+    """
+    table = dist.draw_table
+    size = min(k, table.support[v])
+    cdf = table.cdf[v]
+    found: list[int] = []
+    while True:
+        for x in rng.random(size - len(found)).tolist():
+            q = bisect_right(cdf, x)
+            if q not in found:
+                found.append(q)
+        if len(found) == size:
+            return found
+        p = table.p[v].copy()
+        p[found] = 0.0
+        rest = np.cumsum(p)
+        cdf = (rest / rest[-1]).tolist()
 
 
-def _fallback(g: Graph, v: int, method: str, rng: np.random.Generator, stats: dict | None) -> int:
-    """v's parent over its lightest in-edge (lowest index on ties); without an
-    in-edge, beam draws a random vertex and greedy keeps v. stats counts each
-    under f"{method}_{kind}_fallback", kind being parent, random or self."""
+def _fallback(g: Graph, v: int, method: str, stats: dict | None) -> int:
+    """v's parent over its lightest in-edge (lowest index on ties), or v itself
+    without an in-edge. stats counts each under f"{method}_{kind}_fallback",
+    kind being parent or self."""
     parents = [(g.weights[u][v], u) for u in range(g.n) if g.weights[u][v] > 0]
     if parents:
         kind, parent = "parent", min(parents)[1]
-    elif method == "beam":
-        kind, parent = "random", int(rng.integers(g.n))
     else:
         kind, parent = "self", v
     if stats is not None:
@@ -142,7 +159,7 @@ def beam_extract(
     resolve to the lowest parent index). A first-step self-sample counts as a
     completed root claim at infinite cost, so unreachable vertices can keep
     themselves. Without any completion the vertex falls back to its lightest
-    graph parent, then to a random vertex.
+    graph parent, or to itself when no in-edge exists.
     """
     if g.source is None:
         raise ValueError("beam extraction needs a graph with a source")
@@ -176,7 +193,7 @@ def beam_extract(
                 break
             candidates.sort(key=lambda item: item[0])
             frontier = candidates[: cfg.beam_width]
-        pi[v] = min(completed)[1] if completed else _fallback(g, v, "beam", rng, stats)
+        pi[v] = min(completed)[1] if completed else _fallback(g, v, "beam", stats)
     return tuple(pi)
 
 
@@ -218,7 +235,7 @@ def greedy_extract(
                 pi[v] = min(plausible)[1]
                 break
         else:
-            pi[v] = _fallback(g, v, "greedy", rng, stats)
+            pi[v] = _fallback(g, v, "greedy", stats)
     return tuple(pi)
 
 

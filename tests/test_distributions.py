@@ -44,6 +44,15 @@ def test_distribution_validation():
         ParentDistribution(2, np.array([[np.nan, np.nan], [0.0, 1.0]]))
 
 
+def test_probs_are_a_read_only_copy():
+    source = np.array([[1.0, 0.0], [0.25, 0.75]])
+    dist = ParentDistribution(2, source)
+    with pytest.raises(ValueError, match="read-only"):
+        dist.probs[1, 0] = 0.5
+    source[1] = [0.5, 0.5]  # the caller's array stays writable and detached
+    assert dist.probs[1].tolist() == [0.25, 0.75]
+
+
 def test_empirical_rows_are_run_frequencies(two_tree_digraph):
     # The only trees are (0,0,1) and (0,2,0): row 0 is a point mass on 0, and
     # rows 1 and 2 split between {0, 2} and {0, 1} at about half each.

@@ -53,8 +53,7 @@ STUDIES = {
                             "--alpha", "0.3", "--beam-width", "2", "--greedy-samples", "2"],
     "table2-dfs.csv": ["table2", "--task", "dfs", "-n", "5", "--graphs", "3", "--runs", "2"],
     # Minimal beam and greedy knobs under full perturbation reach all four
-    # sampler fallbacks: lightest parent and random vertex (beam), lightest
-    # parent and self (greedy).
+    # sampler fallbacks: lightest parent and self, in beam and in greedy.
     "table2-bf-fallbacks.csv": ["table2", "--task", "bf", "-n", "12", "--graphs", "4",
                                 "--runs", "1", "--alpha", "1", "--beam-width", "1",
                                 "--beam-branch", "1", "--greedy-samples", "1",

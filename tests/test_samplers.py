@@ -23,6 +23,7 @@ from treesample import (
     sample_predecessor,
     upwards_sample,
 )
+from treesample.samplers import _distinct_parents
 
 
 def point_mass(pi: tuple[int, ...]) -> ParentDistribution:
@@ -135,7 +136,7 @@ def test_beam_keeps_unreachable_vertices_rooted():
 def test_beam_fallbacks_and_counters():
     # Rows that chase a 1 <-> 2 pointer loop never complete a path to the
     # source; the vertex falls back to its lightest graph parent when one
-    # exists, else to a random vertex.
+    # exists, else to itself.
     loop = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     dist = ParentDistribution(3, loop)
     g = Graph.from_edges(3, [(1, 2, 1)], directed=False, source=0)
@@ -145,8 +146,8 @@ def test_beam_fallbacks_and_counters():
     edgeless = Graph.from_edges(3, [], directed=False, source=0)
     stats = {}
     pi = beam_extract(dist, edgeless, SamplerConfig(), rng(0), stats)
-    assert stats == {"beam_random_fallback": 2}
-    assert pi[0] == 0 and all(0 <= p < 3 for p in pi)
+    assert stats == {"beam_self_fallback": 2}
+    assert pi == (0, 1, 2) and check_bf_valid(edgeless, pi)
 
 
 def test_beam_requires_source(two_tree_digraph):
@@ -241,6 +242,48 @@ def test_sample_predecessor_fallback_branches():
     # Masking everything falls back to any vertex.
     picks = {sample_predecessor(dist, 2, {0, 1, 2}, rng(s)) for s in range(60)}
     assert picks == {0, 1, 2}
+
+
+def choice_cases():
+    """Seeded (dist, v, k, seed) draws: Dirichlet rows and rows of counts / 20
+    at n = 1..64, k = 1..5, plus single-support rows."""
+    meta = rng(2024)
+    for case in range(800):
+        n = int(meta.integers(1, 65))
+        if case % 4 == 0:
+            probs = np.eye(n)[meta.integers(n, size=n)]
+        elif case % 2:
+            probs = meta.dirichlet(np.ones(n), size=n)
+        else:
+            probs = meta.multinomial(20, meta.dirichlet(np.full(n, 0.3)), size=n) / 20
+        dist = ParentDistribution(n, probs)
+        yield dist, int(meta.integers(n)), int(meta.integers(1, 6)), int(meta.integers(2**32))
+
+
+def test_draws_reproduce_numpy_choice():
+    # The samplers bisect the cached CDFs instead of calling Generator.choice;
+    # each draw must return choice's parents and leave the generator where
+    # choice leaves it, including when a duplicate forces a second round.
+    seen = {"one-support": 0, "k above support": 0, "retry round": 0}
+    for dist, v, k, seed in choice_cases():
+        row = dist.probs[v]
+        p = row / row.sum()
+        support = int(np.count_nonzero(row))
+        size = min(k, support)
+        ours, oracle, plain = rng(seed), rng(seed), rng(seed)
+        expected = oracle.choice(dist.n, size=size, replace=False, p=p).tolist()
+        assert _distinct_parents(dist, v, k, ours) == expected
+        after = oracle.random()
+        assert ours.random() == after
+        plain.random(size)
+        seen["retry round"] += plain.random() != after
+        seen["one-support"] += support == 1
+        seen["k above support"] += k > support
+
+        ours, oracle = rng(seed), rng(seed)
+        assert sample_predecessor(dist, v, set(), ours) == oracle.choice(dist.n, p=p)
+        assert ours.random() == oracle.random()
+    assert min(seen.values()) > 0, seen
 
 
 def test_draw_samples_streams_sequentially(unit_square):
