@@ -403,9 +403,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # JSONDecodeError subclasses ValueError, so the I/O arm must come first.
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyError as exc:
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -81,6 +81,8 @@ class ParentDistribution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParentDistribution":
+        if not isinstance(data, dict):
+            raise ValueError(f"distribution entry must be a JSON object, got {data!r}")
         return cls(data["n"], np.array(data["probs"], dtype=float))
 
 
@@ -126,7 +128,8 @@ def kl_divergence(p: ParentDistribution, q: ParentDistribution) -> float:
     ps = ps / ps.sum(axis=1, keepdims=True)
     qs = qs / qs.sum(axis=1, keepdims=True)
     rows = np.sum(ps * (np.log(ps) - np.log(qs)), axis=1)
-    return float(rows.mean())
+    # Each row's KL is non-negative; rounding can put nearly equal rows just below 0.
+    return float(np.maximum(rows, 0.0).mean())
 
 
 def perturb(p: ParentDistribution, alpha: float, seed: int = 0) -> ParentDistribution:
@@ -213,6 +216,8 @@ def distributions_to_json(dists: Iterable[ParentDistribution], path: Path | str)
 
 def distributions_from_json(path: Path | str) -> list[ParentDistribution]:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, list):
+        raise ValueError("distributions file must hold a JSON list of distributions")
     return [ParentDistribution.from_dict(entry) for entry in payload]
 
 

@@ -52,12 +52,14 @@ class Graph:
     denominator: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={self.n!r}")
+        if type(self.directed) is not bool:
+            raise ValueError(f"directed must be true or false, got {self.directed!r}")
         if len(self.weights) != self.n or any(len(row) != self.n for row in self.weights):
             raise ValueError("weight matrix shape does not match n")
-        if self.source is not None and not 0 <= self.source < self.n:
-            raise ValueError(f"source {self.source} out of range for n={self.n}")
+        if self.source is not None and not (type(self.source) is int and 0 <= self.source < self.n):
+            raise ValueError(f"source {self.source!r} out of range for n={self.n}")
         if not self.directed and tuple(map(tuple, self.weights)) != tuple(zip(*self.weights)):
             raise ValueError("undirected graph requires a symmetric matrix")
         flat = [w for row in self.weights for w in row]
@@ -74,13 +76,22 @@ class Graph:
         directed: bool,
         source: int | None = None,
     ) -> "Graph":
+        """Graph from (u, v, weight) edges: distinct int endpoints in 0..n-1, and
+        a positive int, Fraction or string weight ("2/3"; never a bool or float).
+        """
+        if type(n) is not int:
+            raise ValueError(f"graph needs an int vertex count, got n={n!r}")
         arcs: dict[tuple[int, int], Fraction] = {}
         for u, v, w in edges:
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u!r},{v!r}) has an endpoint outside 0..{n - 1}")
+            if u == v:
+                raise ValueError(f"edge ({u},{v}) is a self-loop")
+            if type(w) not in (int, str, Fraction):
+                raise ValueError(f"edge ({u},{v}) weight {w!r} is not an int, Fraction or string")
             w = Fraction(w)
             if w <= 0:
                 raise ValueError(f"edge ({u},{v}) must have positive weight, got {w}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
             arcs[u, v] = w
             if not directed:
                 arcs[v, u] = w
@@ -119,24 +130,6 @@ class Graph:
     def edge_list(self) -> list[tuple[int, int, Fraction]]:
         """Directed arcs (u, v, w) with exact Fraction weights, in arcs order."""
         return [(u, v, Fraction(w, self.denominator)) for u, v, w in self.arcs]
-
-    @cached_property
-    def reach_matrix(self) -> np.ndarray:
-        """Reflexive-transitive closure as a read-only n x n boolean matrix."""
-        reach = np.zeros((self.n, self.n), dtype=bool)
-        adj = self.adjacency
-        for s in range(self.n):
-            seen = reach[s]
-            stack = [s]
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-        reach.setflags(write=False)
-        return reach
 
     def relax(self, rng: np.random.Generator | None = None) -> tuple[list, list[int]]:
         """Bellman-Ford from the source: (integer costs, parents).
@@ -196,8 +189,11 @@ class Graph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":
-        edges = [(u, v, Fraction(w)) for u, v, w in data["edges"]]
-        return cls.from_edges(data["n"], edges, data["directed"], data.get("source"))
+        if not isinstance(data, dict) or not isinstance(data["edges"], list):
+            raise ValueError(f"graph entry must be an object with an 'edges' list, got {data!r}")
+        if not all(isinstance(edge, list) and len(edge) == 3 for edge in data["edges"]):
+            raise ValueError("every edge must be a [u, v, weight] list")
+        return cls.from_edges(data["n"], data["edges"], data["directed"], data.get("source"))
 
 
 # Default edge densities per task, calibrated so the stock evaluation studies
@@ -316,6 +312,8 @@ def graphs_to_json(graphs: Iterable[Graph], path: Path | str) -> None:
 
 def graphs_from_json(path: Path | str) -> list[Graph]:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, list):
+        raise ValueError("graphs file must hold a JSON list of graphs")
     return [Graph.from_dict(entry) for entry in payload]
 
 

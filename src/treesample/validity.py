@@ -1,16 +1,15 @@
 """Validity checks for candidate predecessor arrays.
 
-DFS candidates are screened by a set of necessary conditions (tagged, so
-failures are diagnosable); Bellman-Ford candidates are exact: every parent
-edge must be tight against the true shortest-path costs.
+Both checks are exact. A DFS candidate passes when some run of the search
+builds it, and a failure carries diagnostic tags; a Bellman-Ford candidate
+passes when every parent edge is tight against the true shortest-path costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from graphlib import CycleError, TopologicalSorter
 
 from .graphs import Graph, Task, validate_predecessors
 
@@ -20,7 +19,7 @@ class DfsCondition(Enum):
     EDGES = "Edges"
     NO_CYCLE = "NoCycle"
     ROOT_UNREACHABLE_FROM_LOWER = "RootUnreachableFromLower"
-    PARENT_REACHABLE_FROM_MIN_ANCESTOR = "ParentReachableFromMinAncestor"
+    SIBLING_ORDER = "SiblingOrder"
 
 
 @dataclass(frozen=True)
@@ -32,74 +31,78 @@ class DfsVerdict:
         return sorted(c.value for c in self.failed_conditions)
 
 
-def _has_pointer_cycle(pi: tuple[int, ...]) -> bool:
-    """Whether some parent chain loops instead of ending at a self-parent.
-
-    After n steps every chain sits on the cycle it runs into, and that cycle
-    is a self-parent exactly when the chain ends. ends[v] holds the vertex
-    reached from v; each round doubles the steps taken, so a few rounds pass n.
-    """
-    ends = list(pi)
-    for _ in range((len(pi) - 1).bit_length()):
-        ends = [ends[v] for v in ends]
-    return any(pi[v] != v for v in ends)
+def _depths_and_roots(pi: tuple[int, ...]) -> tuple[list[int], list[int]] | None:
+    """Each vertex's depth and tree root in the forest pi, or None when some
+    parent chain loops instead of ending at a self-parent."""
+    n = len(pi)
+    depth: list[int | None] = [None] * n
+    root = list(range(n))
+    for v in range(n):
+        chain, u = [], v
+        while depth[u] is None and pi[u] != u:
+            if len(chain) == n:  # n steps without a root or a known vertex
+                return None
+            chain.append(u)
+            u = pi[u]
+        if depth[u] is None:
+            depth[u] = 0
+        for w in reversed(chain):
+            depth[w], root[w] = depth[pi[w]] + 1, root[pi[w]]
+    return depth, root
 
 
 def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
-    """Screen a candidate DFS forest with necessary structural conditions.
+    """Whether pi is a DFS forest of g, with a tag for each failed condition.
 
-    Checks, in tag order: vertex 0 is its own parent; every parent edge exists;
-    parent pointers are acyclic; a self-parent is never reachable from a
-    lower-index vertex; and ancestry is consistent with exploration order (the
-    parent of t must be reachable from the lowest-index vertex that reaches t,
-    and siblings cannot have graph edges in both directions between them: the
-    sibling explored first finishes before the other starts, yet a search never
-    retreats from a vertex with an unvisited out-neighbour).
+    The search restarts at the lowest unvisited vertex and takes children in
+    any order; pi is one of its forests exactly when no condition fails:
 
-    The conditions are necessary, not sufficient: every true DFS forest passes,
-    and some impostors may too.
+    - StartNode: vertex 0 is its own parent.
+    - Edges: every parent edge exists in g.
+    - NoCycle: every parent chain ends at a self-parent. A looping array is
+      no forest, so the conditions below are not evaluated for it.
+    - RootUnreachableFromLower: every tree's root is its lowest vertex, and
+      no arc enters a tree with a higher root (the earlier search would have).
+    - SiblingOrder: an arc x -> y between unrelated vertices of one tree
+      needs y's branch below their lowest common ancestor explored before
+      x's; these constraints must not form a cycle.
+
+    This is the classic arc classification (Tarjan 1972): in a child order
+    that meets the constraints, every non-tree arc is a back, forward or
+    cross arc into an earlier branch, so the search builds pi.
     """
     validate_predecessors(g, pi)
     failed: set[DfsCondition] = set()
-    n = g.n
-    reach = g.reach_matrix
-
     if pi[0] != 0:
         failed.add(DfsCondition.START_NODE)
-
-    if any(pi[t] != t and not g.has_edge(pi[t], t) for t in range(n)):
+    if any(p != t and not g.has_edge(p, t) for t, p in enumerate(pi)):
         failed.add(DfsCondition.EDGES)
-
-    if _has_pointer_cycle(pi):
+    forest = _depths_and_roots(pi)
+    if forest is None:
         failed.add(DfsCondition.NO_CYCLE)
+        return DfsVerdict(False, frozenset(failed))
+    depth, root = forest
 
-    for t in range(n):
-        if pi[t] == t:
-            if t > 0 and bool(reach[:t, t].any()):
-                failed.add(DfsCondition.ROOT_UNREACHABLE_FROM_LOWER)
-                break
+    if any(root[v] > v for v in range(g.n)) or any(root[x] < root[y] for x, y, _ in g.arcs):
+        failed.add(DfsCondition.ROOT_UNREACHABLE_FROM_LOWER)
 
-    for t in range(n):
-        if pi[t] != t:
-            lowest = int(np.argmax(reach[:, t]))  # reflexive, so some reacher exists
-            if not reach[lowest, pi[t]]:
-                failed.add(DfsCondition.PARENT_REACHABLE_FROM_MIN_ANCESTOR)
-                break
-
-    if DfsCondition.PARENT_REACHABLE_FROM_MIN_ANCESTOR not in failed:
-        done = False
-        for u in range(n):
-            if pi[u] == u:
-                continue
-            for v in range(u + 1, n):
-                if pi[v] != pi[u] or pi[v] == v:
-                    continue
-                if g.has_edge(u, v) and g.has_edge(v, u):
-                    failed.add(DfsCondition.PARENT_REACHABLE_FROM_MIN_ANCESTOR)
-                    done = True
-                    break
-            if done:
-                break
+    order = TopologicalSorter()
+    for x, y, _ in g.arcs:
+        if root[x] != root[y]:
+            continue
+        while depth[x] > depth[y]:
+            x = pi[x]
+        while depth[y] > depth[x]:
+            y = pi[y]
+        if x == y:  # one end is an ancestor of the other
+            continue
+        while pi[x] != pi[y]:
+            x, y = pi[x], pi[y]
+        order.add(x, y)  # x's branch starts after y's
+    try:
+        order.prepare()
+    except CycleError:
+        failed.add(DfsCondition.SIBLING_ORDER)
 
     return DfsVerdict(not failed, frozenset(failed))
 

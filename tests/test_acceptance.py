@@ -134,9 +134,9 @@ def test_06_reference_outputs_always_pass_validity():
 
 
 def test_07_checker_equals_enumeration_on_small_graphs():
-    """500 graphs per task with n <= 6: the validity checker and the
-    exhaustive enumerator agree exactly (both directions for shortest-path
-    trees; membership for every forest the randomized runner emits)."""
+    """500 graphs per task with n <= 6: the validity checkers and the
+    exhaustive enumerators agree exactly, in both directions, and every
+    forest the randomized DFS runner emits is in the enumerated support."""
     graphs_per_size = 125
     checked = 0
     for n in (3, 4, 5, 6):
@@ -150,18 +150,32 @@ def test_07_checker_equals_enumeration_on_small_graphs():
             assert accepted == enumerate_shortest_path_trees(g), (n, gi)
             checked += 1
     dfs_checked = 0
+    dfs_arrays = 0
     for n in (3, 4, 5, 6):
         for gi in range(graphs_per_size):
             g = generate_graph(
                 GraphSpec(n=n, task=Task.DFS, seed=derive_seed(1, "oracle-dfs", n, gi))
             )
+            # Every array up to n=5. At n=6 only arrays whose parents are the
+            # vertex itself or an in-neighbour: the rest fail on a missing
+            # edge, which the smaller sizes and the Edges tag tests cover.
+            if n <= 5:
+                candidates = list(itertools.product(range(n), repeat=n))
+            else:
+                candidates = list(itertools.product(
+                    *((v, *(u for u in range(n) if g.has_edge(u, v))) for v in range(n))
+                ))
+            accepted = {pi for pi in candidates if check_dfs_valid(g, pi).valid}
+            dfs_arrays += len(candidates)
             for mode in TiebreakMode:
                 support = set(enumerate_dfs_trees(g, mode=mode))
+                assert accepted == support, (n, gi, mode)
                 for run in range(3):
                     seed = derive_seed(1, "odr", n, gi, run)
                     assert randomized_dfs(g, seed, mode) in support, (n, gi, mode)
             dfs_checked += 1
-    print(f"oracle agreement: {checked} exhaustive equivalences, {dfs_checked} membership graphs")
+    print(f"oracle agreement: {checked} bf and {dfs_checked} dfs exhaustive equivalences "
+          f"({dfs_arrays} dfs arrays)")
     assert checked == 500 and dfs_checked == 500
 
 

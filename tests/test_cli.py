@@ -264,6 +264,40 @@ def test_validation_errors_exit_3(tmp_path, capsys):
                "--method", "argmax", "--seed", "3", "-o", str(tmp_path / "s.json")) == 3
 
 
+GOOD_GRAPH = {"n": 3, "directed": False, "source": 0, "edges": [[0, 1, "1"], [1, 2, "1/2"]]}
+
+
+@pytest.mark.parametrize(
+    "graphs, dists",
+    [
+        ({**GOOD_GRAPH, "n": "5"}, None),
+        ({**GOOD_GRAPH, "edges": [[0, 1.0, "1"]]}, None),  # float endpoint
+        ({**GOOD_GRAPH, "source": "0"}, None),
+        (GOOD_GRAPH, None),  # an object, not a list of graphs
+        ([1, 2], None),
+        ({**GOOD_GRAPH, "directed": "no"}, None),
+        ({**GOOD_GRAPH, "edges": [[1, 1, "1"]]}, None),  # self-loop
+        ({**GOOD_GRAPH, "edges": [[0, 1, True]]}, None),
+        ({**GOOD_GRAPH, "edges": [[0, 1]]}, None),
+        ({"n": 3, "directed": False, "source": 0}, None),  # no edges
+        (GOOD_GRAPH, {"n": 3, "probs": [[1, 0, 0], [1, 0, 0], [0, 1, 0]]}),  # an object
+    ],
+)
+def test_malformed_graph_and_distribution_files_exit_3(tmp_path, capsys, graphs, dists):
+    graphs_file, dists_file = tmp_path / "g.json", tmp_path / "d.json"
+    out = str(tmp_path / "out.json")
+    graphs_file.write_text(json.dumps(graphs if dists is None else [graphs]))
+    if dists is None:
+        code = run("dist", "-i", str(graphs_file), "--task", "bf", "--seed", "1", "-o", out)
+    else:
+        dists_file.write_text(json.dumps(dists))
+        code = run("sample", "-i", str(graphs_file), "-d", str(dists_file), "--task", "bf",
+                   "--method", "argmax", "--seed", "1", "-o", out)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_io_errors_exit_4(tmp_path, capsys):
     code = run("dist", "-i", str(tmp_path / "missing.json"), "--task", "bf", "--seed", "1",
                "-o", str(tmp_path / "d.json"))

@@ -4,7 +4,8 @@ Every command below runs in-process through `cli.main` at fixed seeds; the
 SHA-256 of each data file it writes (manifests excluded, they carry
 timestamps) is compared with `golden_digests.json`. A change that alters any
 output byte fails here. If the change is deliberate, regenerate the digests
-with `PYTHONPATH=src python tests/test_golden.py` and say why in the commit.
+with `PYTHONPATH=src python tests/test_golden.py`, which names each file
+whose digest changed, and say why in the commit.
 """
 
 import hashlib
@@ -89,16 +90,22 @@ def canonical_outputs(out: Path) -> dict[str, str]:
     }
 
 
+def changed_names(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+    """Data files whose digest differs, or that only one side has."""
+    return sorted(k for k in expected.keys() | actual.keys() if expected.get(k) != actual.get(k))
+
+
 def test_canonical_outputs_match_golden_digests(tmp_path, capsys):
     actual = canonical_outputs(tmp_path)
     capsys.readouterr()
-    expected = json.loads(DIGESTS.read_text())
-    changed = sorted(k for k in expected.keys() | actual.keys() if expected.get(k) != actual.get(k))
+    changed = changed_names(json.loads(DIGESTS.read_text()), actual)
     assert not changed, f"output bytes changed for: {', '.join(changed)}"
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         digests = canonical_outputs(Path(scratch))
+    for name in changed_names(json.loads(DIGESTS.read_text()), digests):
+        print(f"changed: {name}", file=sys.stderr)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Graph construction, generation conventions, serialization, reachability."""
+"""Graph construction, generation conventions, serialization, path costs."""
 
 from fractions import Fraction
 
@@ -30,9 +30,26 @@ def test_from_edges_rejects_nonpositive_weight():
 
 
 def test_from_edges_rejects_out_of_range_endpoints():
-    for bad in ((0, -1), (0, 7), (-4, 1)):
+    for bad in ((0, -1), (0, 7), (-4, 1), (0, 1.0)):
         with pytest.raises(ValueError, match="outside"):
             Graph.from_edges(4, [(*bad, 1)], directed=False)
+
+
+def test_from_edges_rejects_malformed_fields():
+    bad_edges = (
+        ((1, 1, 1), "self-loop"),
+        ((0, 1, True), "not an int"),  # True == 1, but no weight
+        ((0, 1, 0.5), "not an int"),
+    )
+    for edge, message in bad_edges:
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(2, [edge], directed=True)
+    with pytest.raises(ValueError, match="vertex count"):
+        Graph.from_edges("2", [], directed=True)
+    with pytest.raises(ValueError, match="directed"):
+        Graph.from_edges(2, [], directed="no")
+    with pytest.raises(ValueError, match="source"):
+        Graph.from_edges(2, [], directed=True, source="0")
 
 
 def test_weights_are_ints_over_the_smallest_common_denominator():
@@ -139,25 +156,6 @@ def test_json_round_trip_preserves_fraction_weights(tmp_path, third_weight_line,
     assert loaded == [third_weight_line, unit_square]
     assert loaded[0].edge_list()[0] == (0, 1, Fraction(1, 3))
     assert '"1/3"' in path.read_text()
-
-
-def test_reachability_matches_independent_search():
-    nx = pytest.importorskip("networkx")
-    for seed in range(20):
-        g = generate_graph(GraphSpec(n=9, edge_probability=0.25, task=Task.DFS, seed=seed))
-        ng = nx.DiGraph()
-        ng.add_nodes_from(range(g.n))
-        ng.add_edges_from((u, v) for u, v, _ in g.edge_list())
-        for s in range(g.n):
-            expected = nx.descendants(ng, s) | {s}
-            assert {t for t in range(g.n) if g.reach_matrix[s, t]} == expected
-
-
-def test_reach_matrix_is_reflexive_and_read_only():
-    g = Graph.from_edges(3, [], directed=True)
-    assert all(g.reach_matrix[v, v] for v in range(3))
-    with pytest.raises(ValueError, match="read-only"):
-        g.reach_matrix[0, 1] = True
 
 
 def test_sp_parents_pin_the_tight_parents(unit_square, third_weight_line):

@@ -1,4 +1,4 @@
-"""Validity screens for candidate trees, cross-checked against exhaustive
+"""Validity checks for candidate trees, cross-checked against exhaustive
 enumeration on every graph small enough to brute-force."""
 
 import random
@@ -41,13 +41,15 @@ def test_two_tree_graph_verdicts(two_tree_digraph):
     # search out of either would have adopted the other before backtracking.
     verdict = check_dfs_valid(g, (0, 0, 0))
     assert not verdict.valid
-    assert verdict.tags() == ["ParentReachableFromMinAncestor"]
+    assert verdict.tags() == ["SiblingOrder"]
 
 
 def test_missing_edge_and_cycle_tags(two_tree_digraph):
     g = two_tree_digraph
     verdict = check_dfs_valid(g, (0, 2, 1))  # parent pointers loop 1 <-> 2
-    assert DfsCondition.NO_CYCLE in verdict.failed_conditions
+    assert verdict.tags() == ["NoCycle"]
+    # A looping array is no forest: only StartNode and Edges join NoCycle.
+    assert check_dfs_valid(g, (1, 0, 0)).tags() == ["Edges", "NoCycle", "StartNode"]
     verdict = check_dfs_valid(Graph.from_edges(3, [(0, 1, 1)], directed=True), (0, 0, 0))
     assert DfsCondition.EDGES in verdict.failed_conditions
 
@@ -85,11 +87,32 @@ def test_sibling_mutual_edges_rejected_nonroot_parent():
     g = Graph.from_edges(4, edges, directed=True)
     verdict = check_dfs_valid(g, (0, 0, 1, 1))
     assert not verdict.valid
-    assert verdict.tags() == ["ParentReachableFromMinAncestor"]
+    assert verdict.tags() == ["SiblingOrder"]
     # With only one direction present the same shape is legitimate: explore 3
     # first (adopting nothing), backtrack, then 2 sees 3 already visited.
     one_way = Graph.from_edges(4, edges[:-1], directed=True)
     assert check_dfs_valid(one_way, (0, 0, 1, 1)).valid
+
+
+def test_sibling_order_cycle_rejected():
+    # 0 -> {1, 2, 3} and 1 -> 2 -> 3 -> 1. No two siblings are joined both
+    # ways, yet each of 1, 2, 3 must be explored after the one it points to,
+    # and those three constraints form a cycle: whichever child of 0 is
+    # entered first adopts the other two.
+    edges = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1)]
+    g = Graph.from_edges(4, edges, directed=True)
+    verdict = check_dfs_valid(g, (0, 0, 0, 0))
+    assert not verdict.valid
+    assert verdict.tags() == ["SiblingOrder"]
+
+
+def test_dfs_check_accepts_exactly_the_enumerated_forests(
+    two_tree_digraph, tiebreak_sensitive_digraph
+):
+    for g in (two_tree_digraph, tiebreak_sensitive_digraph):
+        accepted = {pi for pi in product(range(g.n), repeat=g.n) if check_dfs_valid(g, pi).valid}
+        for mode in TiebreakMode:
+            assert accepted == set(enumerate_dfs_trees(g, mode=mode))
 
 
 def test_every_enumerated_dfs_tree_passes_screen():
