@@ -24,6 +24,9 @@ GRAPH_SETS = {
     "bf5raw": ("bf", ["-n", "5", "--count", "3", "--weights", "2,5,7", "--no-normalize",
                       "--seed", "12"]),
     "bf16": ("bf", ["-n", "16", "--count", "2", "--weights", "1,4,6", "--seed", "13"]),
+    # Weights with a common factor: every graph's denominator (3) is below
+    # the max weight (6), so generation must divide the factor out.
+    "bf6even": ("bf", ["-n", "6", "--count", "3", "--weights", "2,4,6", "--seed", "14"]),
     "dfs5": ("dfs", ["-n", "5", "--count", "3", "--seed", "21"]),
     "dfs8": ("dfs", ["-n", "8", "--count", "3", "--seed", "22"]),
 }
