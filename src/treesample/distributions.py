@@ -83,7 +83,12 @@ class ParentDistribution:
     def from_dict(cls, data: dict) -> "ParentDistribution":
         if not isinstance(data, dict):
             raise ValueError(f"distribution entry must be a JSON object, got {data!r}")
-        return cls(data["n"], np.array(data["probs"], dtype=float))
+        n, probs = data["n"], data["probs"]
+        if type(n) is not int or not isinstance(probs, list) or not all(
+            isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in probs
+        ):
+            raise ValueError("distribution needs an int n and probs as rows of numbers (not bools)")
+        return cls(n, np.array(probs, dtype=float))
 
 
 def build_empirical(

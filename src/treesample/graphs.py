@@ -7,7 +7,8 @@ the least common multiple of the reduced edge denominators, so two graphs
 compare equal exactly when they have the same edges and rational weights.
 Undirected graphs keep the matrix symmetric. Path costs are integer sums, so
 shortest-path cost comparisons are exact and never need a floating tolerance;
-Fractions appear only at the JSON and API boundary.
+Fractions appear only where edges come in (`Graph.from_edges`) and go out
+(`Graph.to_dict`).
 """
 
 from __future__ import annotations
@@ -89,7 +90,10 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) is a self-loop")
             if type(w) not in (int, str, Fraction):
                 raise ValueError(f"edge ({u},{v}) weight {w!r} is not an int, Fraction or string")
-            w = Fraction(w)
+            try:
+                w = Fraction(w)
+            except ZeroDivisionError:
+                raise ValueError(f"edge ({u},{v}) weight {w!r} has a zero denominator") from None
             if w <= 0:
                 raise ValueError(f"edge ({u},{v}) must have positive weight, got {w}")
             arcs[u, v] = w
@@ -127,9 +131,10 @@ class Graph:
             (u, v, w) for u, row in enumerate(self.weights) for v, w in enumerate(row) if w
         )
 
-    def edge_list(self) -> list[tuple[int, int, Fraction]]:
-        """Directed arcs (u, v, w) with exact Fraction weights, in arcs order."""
-        return [(u, v, Fraction(w, self.denominator)) for u, v, w in self.arcs]
+    @cached_property
+    def _unreached(self) -> int:
+        """relax's cost for a vertex not yet reached: above every path cost."""
+        return 1 + sum(map(sum, self.weights))
 
     def relax(self, rng: np.random.Generator | None = None) -> tuple[list, list[int]]:
         """Bellman-Ford from the source: (integer costs, parents).
@@ -138,12 +143,15 @@ class Graph:
         rng.permutation drawn at the start of the pass; a vertex is updated
         only on a strictly smaller cost. Stops after a pass that changes
         nothing (at most n-1 passes). Unreachable vertices keep infinite cost
-        and themselves as parents.
+        and themselves as parents. Inside the loop they hold the int
+        `_unreached`, so no int is ever added to a float infinity (a sum that
+        overflows for weights beyond float range).
         """
         if self.source is None:
             raise ValueError("bellman-ford needs a graph with a source")
         arcs = self.arcs
-        dist: list[float | int] = [INFINITE_COST] * self.n
+        unreached = self._unreached
+        dist = [unreached] * self.n
         dist[self.source] = 0
         pi = list(range(self.n))
         for _ in range(self.n - 1):
@@ -157,7 +165,7 @@ class Graph:
                     changed = True
             if not changed:
                 break
-        return dist, pi
+        return [INFINITE_COST if d == unreached else d for d in dist], pi
 
     @cached_property
     def sp_costs(self) -> tuple[int | float, ...]:
@@ -166,25 +174,26 @@ class Graph:
 
     @cached_property
     def sp_parents(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, its ascending tight parents: u with cost[u] + w(u, v) == cost[v].
+        """Per vertex, its ascending tight parents: u with cost[v] - w(u, v) == cost[u].
 
         The source and every unreachable vertex have only themselves; the
-        guard matters, since infinity + w == infinity between unreachables.
+        guard matters, since infinity - w == infinity between unreachables.
+        The test subtracts from the finite cost[v], so an unreachable u's
+        infinite cost is only compared, never added to.
         """
         costs, weights = self.sp_costs, self.weights
         return tuple(
             (v,)
             if v == self.source or costs[v] == INFINITE_COST
             else tuple(
-                u for u in range(self.n) if weights[u][v] and costs[u] + weights[u][v] == costs[v]
+                u for u in range(self.n) if weights[u][v] and costs[v] - weights[u][v] == costs[u]
             )
             for v in range(self.n)
         )
 
     def to_dict(self) -> dict:
-        edges = [
-            [u, v, str(w)] for u, v, w in self.edge_list() if self.directed or u <= v
-        ]
+        d = self.denominator
+        edges = [[u, v, str(Fraction(w, d))] for u, v, w in self.arcs if self.directed or u <= v]
         return {"n": self.n, "directed": self.directed, "source": self.source, "edges": edges}
 
     @classmethod
@@ -233,34 +242,33 @@ def generate_graph(spec: GraphSpec) -> Graph:
     Each vertex pair gets an edge independently with the resolved edge
     probability; weights are uniform over weight_set, divided by
     max(weight_set) when normalize is set. DFS-task graphs are unweighted
-    (every present edge 1).
+    (every present edge 1). A BF weight c/m, m being max(weight_set) or 1, is
+    stored as c/g over the denominator m/g, g = gcd(m, every chosen c).
     """
     if spec.n < 1:
         raise ValueError(f"graph size must be positive, got {spec.n}")
     probability = spec.resolved_edge_probability()
     if not 0 < probability <= 1:
         raise ValueError(f"edge probability must lie in (0, 1], got {probability}")
-    if not spec.weight_set or any(w <= 0 for w in spec.weight_set):
-        raise ValueError("weight_set must be non-empty and positive")
+    if not spec.weight_set or not all(type(w) is int and w > 0 for w in spec.weight_set):
+        raise ValueError("weight_set must be non-empty positive ints")
 
     rng = np.random.default_rng(spec.seed)
+    n = spec.n
     directed = spec.task is Task.DFS
-    weighted = spec.task is Task.BF
     choices = sorted(spec.weight_set)
-    scale = Fraction(1, max(choices)) if spec.normalize else Fraction(1)
-
-    edges: list[tuple[int, int, Fraction]] = []
-    if directed:
-        pairs = [(u, v) for u in range(spec.n) for v in range(spec.n) if u != v]
-    else:
-        pairs = [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)]
-    for u, v in pairs:
-        if rng.random() < probability:
-            w = Fraction(choices[rng.integers(len(choices))]) * scale if weighted else Fraction(1)
-            edges.append((u, v, w))
-
-    source = 0 if spec.task is Task.BF else None
-    return Graph.from_edges(spec.n, edges, directed, source)
+    scale = choices[-1] if spec.normalize and not directed else 1
+    rows = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n) if directed else range(u + 1, n):
+            if u != v and rng.random() < probability:
+                if directed:
+                    rows[u][v] = 1
+                else:
+                    rows[u][v] = rows[v][u] = choices[rng.integers(len(choices))]
+    common = math.gcd(scale, *(c for row in rows for c in row))
+    weights = tuple(tuple(c // common for c in row) for row in rows)
+    return Graph(n, directed, weights, None if directed else 0, scale // common)
 
 
 def tree_edges(pi: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -276,33 +284,6 @@ def validate_predecessors(g: Graph, pi: tuple[int, ...]) -> None:
         raise ValueError(f"predecessor array entries must be ints, got {list(pi)!r}")
     if not g.vertices.issuperset(pi):
         raise ValueError(f"predecessor array mentions out-of-range vertices for n={g.n}")
-
-
-def path_cost_from_source(g: Graph, pi: tuple[int, ...], v: int) -> Fraction | float | None:
-    """Cost of the predecessor chain from v back to the source.
-
-    Returns the exact Fraction cost when the chain reaches the source, the
-    infinite sentinel when v is its own non-source parent (unreachable-vertex
-    convention), and None when the chain is undefined: a pointer cycle, a
-    traversed edge absent from g, or termination at some other vertex's
-    non-source self-parent.
-    """
-    if g.source is None:
-        raise ValueError("path costs need a graph with a source")
-    validate_predecessors(g, pi)
-    if pi[v] == v and v != g.source:
-        return INFINITE_COST
-    total = 0
-    cur = v
-    for _ in range(g.n):
-        parent = pi[cur]
-        if parent == cur:
-            return Fraction(total, g.denominator) if cur == g.source else None
-        if not g.has_edge(parent, cur):
-            return None
-        total += g.weights[parent][cur]
-        cur = parent
-    return None  # walked n steps without terminating: pointer cycle
 
 
 def graphs_to_json(graphs: Iterable[Graph], path: Path | str) -> None:
@@ -327,7 +308,6 @@ __all__ = [
     "generate_graph",
     "graphs_from_json",
     "graphs_to_json",
-    "path_cost_from_source",
     "tree_edges",
     "validate_predecessors",
 ]

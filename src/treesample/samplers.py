@@ -183,7 +183,7 @@ def beam_extract(
                             completed.append((math.inf, v))  # root claim
                         continue
                     w = weight[q][last]
-                    extended = cost + w if w else math.inf
+                    extended = cost + w if w and cost != math.inf else math.inf
                     hop = q if first_hop is None else first_hop
                     if q == source:
                         completed.append((extended, hop))

@@ -3,9 +3,10 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
-from treesample import Graph, check_bf_valid
+from treesample import INFINITE_COST, Graph, GraphSpec, Task, check_bf_valid, validate_predecessors
 
 
 @pytest.fixture
@@ -55,3 +56,55 @@ def tiebreak_sensitive_digraph() -> Graph:
 def brute_force_shortest_path_trees(g: Graph) -> set[tuple[int, ...]]:
     """All length-n arrays the validity check accepts; exponential, tests only."""
     return {pi for pi in product(range(g.n), repeat=g.n) if check_bf_valid(g, pi)}
+
+
+def edge_list(g: Graph) -> list[tuple[int, int, Fraction]]:
+    """g's directed arcs (u, v, w) with exact Fraction weights, in arcs order."""
+    return [(u, v, Fraction(w, g.denominator)) for u, v, w in g.arcs]
+
+
+def path_cost_from_source(g: Graph, pi: tuple[int, ...], v: int) -> Fraction | float | None:
+    """Cost of the predecessor chain from v back to the source.
+
+    Returns the exact Fraction cost when the chain reaches the source, the
+    infinite sentinel when v is its own non-source parent (unreachable-vertex
+    convention), and None when the chain is undefined: a pointer cycle, a
+    traversed edge absent from g, or termination at some other vertex's
+    non-source self-parent.
+    """
+    if g.source is None:
+        raise ValueError("path costs need a graph with a source")
+    validate_predecessors(g, pi)
+    if pi[v] == v and v != g.source:
+        return INFINITE_COST
+    total = 0
+    cur = v
+    for _ in range(g.n):
+        parent = pi[cur]
+        if parent == cur:
+            return Fraction(total, g.denominator) if cur == g.source else None
+        if not g.has_edge(parent, cur):
+            return None
+        total += g.weights[parent][cur]
+        cur = parent
+    return None  # walked n steps without terminating: pointer cycle
+
+
+def fraction_graph(spec: GraphSpec) -> Graph:
+    """generate_graph's reference build: the same rng calls in the same order,
+    each edge a Fraction, then Graph.from_edges."""
+    rng = np.random.default_rng(spec.seed)
+    probability = spec.resolved_edge_probability()
+    directed = spec.task is Task.DFS
+    choices = sorted(spec.weight_set)
+    scale = Fraction(1, max(choices)) if spec.normalize else Fraction(1)
+    if directed:
+        pairs = [(u, v) for u in range(spec.n) for v in range(spec.n) if u != v]
+    else:
+        pairs = [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)]
+    edges = []
+    for u, v in pairs:
+        if rng.random() < probability:
+            w = Fraction(1) if directed else Fraction(choices[rng.integers(len(choices))]) * scale
+            edges.append((u, v, w))
+    return Graph.from_edges(spec.n, edges, directed, None if directed else 0)

@@ -21,6 +21,8 @@ from treesample import (
     randomized_dfs,
 )
 
+from conftest import path_cost_from_source
+
 
 def test_two_tree_digraph_enumeration(two_tree_digraph):
     # Hand-derived: root 0 adopts one of {1, 2} first, which then adopts the
@@ -154,8 +156,6 @@ def test_random_bf_output_is_always_enumerated(seed, n):
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 7))
 def test_bf_chain_costs_telescope_to_true_costs(seed, n):
     """Walking any output's parent chain reproduces the true cost per vertex."""
-    from treesample import path_cost_from_source
-
     g = generate_graph(GraphSpec(n=n, task=Task.BF, seed=seed))
     pi = randomized_bellman_ford(g, seed + 1)
     costs = bellman_ford_costs(g)

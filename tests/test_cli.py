@@ -1,10 +1,13 @@
 """Command-line pipeline: gen -> dist -> sample -> check, studies, manifests,
 output redirection, exit codes, and job-count reproducibility."""
 
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
+from treesample import METHODS, enumerate_shortest_path_trees, graphs_from_json
 from treesample.cli import main
 
 
@@ -269,18 +272,24 @@ GOOD_GRAPH = {"n": 3, "directed": False, "source": 0, "edges": [[0, 1, "1"], [1,
 
 @pytest.mark.parametrize(
     "graphs, dists",
+    # graphs is the whole graphs file when dists is None, else its one entry.
     [
-        ({**GOOD_GRAPH, "n": "5"}, None),
-        ({**GOOD_GRAPH, "edges": [[0, 1.0, "1"]]}, None),  # float endpoint
-        ({**GOOD_GRAPH, "source": "0"}, None),
+        ([{**GOOD_GRAPH, "n": "5"}], None),
+        ([{**GOOD_GRAPH, "edges": [[0, 1.0, "1"]]}], None),  # float endpoint
+        ([{**GOOD_GRAPH, "source": "0"}], None),
         (GOOD_GRAPH, None),  # an object, not a list of graphs
         ([1, 2], None),
-        ({**GOOD_GRAPH, "directed": "no"}, None),
-        ({**GOOD_GRAPH, "edges": [[1, 1, "1"]]}, None),  # self-loop
-        ({**GOOD_GRAPH, "edges": [[0, 1, True]]}, None),
-        ({**GOOD_GRAPH, "edges": [[0, 1]]}, None),
-        ({"n": 3, "directed": False, "source": 0}, None),  # no edges
+        ([{**GOOD_GRAPH, "directed": "no"}], None),
+        ([{**GOOD_GRAPH, "edges": [[1, 1, "1"]]}], None),  # self-loop
+        ([{**GOOD_GRAPH, "edges": [[0, 1, True]]}], None),
+        ([{**GOOD_GRAPH, "edges": [[0, 1]]}], None),
+        ([{"n": 3, "directed": False, "source": 0}], None),  # no edges
         (GOOD_GRAPH, {"n": 3, "probs": [[1, 0, 0], [1, 0, 0], [0, 1, 0]]}),  # an object
+        ([{**GOOD_GRAPH, "edges": [[0, 1, "1/0"]]}], None),
+        (GOOD_GRAPH, [{"n": 3, "probs": {}}]),
+        (GOOD_GRAPH, [{"n": 3, "probs": [[1, 0, 0], [1, 0, {}], [0, 1, 0]]}]),
+        (GOOD_GRAPH, [{"n": 3, "probs": [[1, 0, 0], [True, 0, 0], [0, 1, 0]]}]),
+        ({"n": 1, "directed": False, "source": 0, "edges": []}, [{"n": True, "probs": [[1]]}]),
     ],
 )
 def test_malformed_graph_and_distribution_files_exit_3(tmp_path, capsys, graphs, dists):
@@ -296,6 +305,41 @@ def test_malformed_graph_and_distribution_files_exit_3(tmp_path, capsys, graphs,
     err = capsys.readouterr().err
     assert code == 3, err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_weights_beyond_float_range_run_through_the_pipeline(tmp_path):
+    # Integer weights above 1e308 must never meet the float infinity of an
+    # unreachable or missing-edge cost: relax, the tight-parent table and beam
+    # each used to add the two, which overflows.
+    tie = str(Fraction(1, 3) + Fraction(1, 10**400))  # 0->2 ties 0->1->2
+    graphs = [
+        # 3 and 4 are unreachable tails of arcs into the reachable part.
+        {"n": 5, "directed": True, "source": 0, "edges": [
+            [0, 1, "1e-400"], [1, 2, "1/3"], [0, 2, tie], [3, 1, "1/3"], [4, 3, "1/3"]]},
+        {"n": 5, "directed": False, "source": 0, "edges": [
+            [0, 1, "1e400"], [1, 2, "1e400"], [0, 2, "2e400"], [3, 4, "1e400"]]},
+    ]
+    graphs_file, dists = tmp_path / "g.json", tmp_path / "d.json"
+    graphs_file.write_text(json.dumps(graphs))
+    assert run("dist", "-i", str(graphs_file), "--task", "bf", "--runs", "10", "--seed", "1",
+               "-o", str(dists)) == 0
+    # Uniform rows make beam hop along missing edges, then along huge ones.
+    uniform = tmp_path / "uniform.json"
+    uniform.write_text(json.dumps([{"n": 5, "probs": [[0.2] * 5] * 5}] * 2))
+    trees = [enumerate_shortest_path_trees(g) for g in graphs_from_json(graphs_file)]
+    assert [len(t) for t in trees] == [2, 2]
+    for method, rows in itertools.product(METHODS, (dists, uniform)):
+        sols, verdicts = tmp_path / "s.json", tmp_path / "v.csv"
+        assert run("sample", "-i", str(graphs_file), "-d", str(rows), "--task", "bf",
+                   "--method", method, "-k", "4", "--seed", "2", "-o", str(sols)) == 0
+        assert run("check", "-i", str(graphs_file), "-s", str(sols), "-o", str(verdicts)) == 0
+        expected = [
+            tuple(pi) in trees[entry["graph_index"]]
+            for entry in read_json(sols)["entries"]
+            for pi in entry["solutions"]
+        ]
+        checked = [line.split(",")[1] == "true" for line in verdicts.read_text().splitlines()]
+        assert checked == expected, (method, rows.name)
 
 
 def test_io_errors_exit_4(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Graph construction, generation conventions, serialization, path costs."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,10 @@ from treesample import (
     generate_graph,
     graphs_from_json,
     graphs_to_json,
-    path_cost_from_source,
     tree_edges,
 )
+
+from conftest import edge_list, fraction_graph, path_cost_from_source
 
 
 def test_from_edges_rejects_nonpositive_weight():
@@ -78,7 +80,7 @@ def test_graph_shape_and_source_validation():
 def test_undirected_edges_are_symmetric():
     g = Graph.from_edges(3, [(0, 1, Fraction(1, 3))], directed=False)
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert g.edge_list() == [(0, 1, Fraction(1, 3)), (1, 0, Fraction(1, 3))]
+    assert edge_list(g) == [(0, 1, Fraction(1, 3)), (1, 0, Fraction(1, 3))]
     assert g.adjacency[1] == (0,)
 
 
@@ -98,7 +100,7 @@ def test_dfs_task_convention_directed_unweighted_no_source():
     g = generate_graph(GraphSpec(n=10, task=Task.DFS, seed=3))
     assert g.directed
     assert g.source is None
-    assert all(w == 1 for _, _, w in g.edge_list())
+    assert all(w == 1 for _, _, w in edge_list(g))
 
 
 def test_bf_task_convention_undirected_weighted_source_zero():
@@ -106,14 +108,36 @@ def test_bf_task_convention_undirected_weighted_source_zero():
     assert not g.directed
     assert g.source == 0
     allowed = {Fraction(1, 3), Fraction(2, 3), Fraction(1)}
-    weights = {w for _, _, w in g.edge_list()}
+    weights = {w for _, _, w in edge_list(g)}
     assert weights <= allowed
     assert len(weights) > 1  # 10 vertices at default density: several weights
 
 
 def test_unnormalized_weights_stay_integral():
     g = generate_graph(GraphSpec(n=10, task=Task.BF, seed=3, normalize=False))
-    assert {w for _, _, w in g.edge_list()} <= {Fraction(1), Fraction(2), Fraction(3)}
+    assert {w for _, _, w in edge_list(g)} <= {Fraction(1), Fraction(2), Fraction(3)}
+
+
+def test_generate_graph_equals_the_fraction_build():
+    # Integer rows built directly must equal Fraction edges through from_edges,
+    # including n=1, empty graphs, single-weight sets and common factors.
+    weight_sets = ((1, 2, 3), (2, 5, 7), (1, 4, 6), (4, 6), (3,), (6, 10, 15))
+    specs = [
+        GraphSpec(n, p, Task.BF, weights, normalize, seed=17 * n + i)
+        for n in (1, 2, 3, 5, 8, 20, 64)
+        for i, (weights, normalize, p) in enumerate(
+            itertools.product(weight_sets, (True, False), (None, 0.05, 0.5, 1))
+        )
+    ] + [
+        GraphSpec(n, p, Task.DFS, seed=seed)
+        for n in (1, 2, 3, 5, 8, 20, 64)
+        for p in (None, 0.05, 0.5, 1)
+        for seed in range(3)
+    ]
+    graphs = [generate_graph(spec) for spec in specs]
+    assert graphs == [fraction_graph(spec) for spec in specs]
+    assert any(not g.arcs for g in graphs if g.n > 1)
+    assert any(1 < g.denominator < max(s.weight_set) for g, s in zip(graphs, specs) if s.normalize)
 
 
 def test_density_defaults_resolve_per_task():
@@ -143,7 +167,7 @@ def test_generate_graph_rejects_bad_parameters():
 def test_edge_count_matches_density():
     # Undirected n=5 has 10 candidate pairs; at p=0.5 the mean count is 5.
     counts = [
-        len(generate_graph(GraphSpec(n=5, edge_probability=0.5, task=Task.BF, seed=s)).edge_list()) / 2
+        len(generate_graph(GraphSpec(n=5, edge_probability=0.5, task=Task.BF, seed=s)).arcs) / 2
         for s in range(1000)
     ]
     assert abs(float(np.mean(counts)) - 5.0) < 0.25
@@ -154,7 +178,7 @@ def test_json_round_trip_preserves_fraction_weights(tmp_path, third_weight_line,
     graphs_to_json([third_weight_line, unit_square], path)
     loaded = graphs_from_json(path)
     assert loaded == [third_weight_line, unit_square]
-    assert loaded[0].edge_list()[0] == (0, 1, Fraction(1, 3))
+    assert edge_list(loaded[0])[0] == (0, 1, Fraction(1, 3))
     assert '"1/3"' in path.read_text()
 
 
@@ -202,7 +226,7 @@ def test_generated_graphs_are_well_formed(seed, n, task):
     g = generate_graph(GraphSpec(n=n, task=task, seed=seed))
     assert g.n == n
     assert not any(g.has_edge(v, v) for v in range(n))
-    for u, v, w in g.edge_list():
+    for u, v, w in edge_list(g):
         assert w > 0
         if not g.directed:
-            assert (v, u, w) in g.edge_list()
+            assert (v, u, w) in edge_list(g)

@@ -21,10 +21,9 @@ from treesample import (
     enumerate_dfs_trees,
     enumerate_shortest_path_trees,
     generate_graph,
-    path_cost_from_source,
 )
 
-from conftest import brute_force_shortest_path_trees
+from conftest import brute_force_shortest_path_trees, path_cost_from_source
 
 
 def test_two_tree_graph_verdicts(two_tree_digraph):
