@@ -69,18 +69,10 @@ def _resolve_output(raw: str) -> Path:
     return path
 
 
-def _jsonable(value):
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _write_manifest(out_path: Path, args: argparse.Namespace, command: str) -> None:
     """Write the provenance record that accompanies every output file."""
     config = {
-        k: _jsonable(v)
+        k: v.value if isinstance(v, Enum) else v  # no flag holds a list of Enums
         for k, v in sorted(vars(args).items())
         if k not in ("func", "command") and not callable(v)
     }

@@ -27,16 +27,24 @@ ROW_SUM_TOLERANCE = 1e-9
 KL_EPSILON = 1e-8
 
 
+def choice_cdf(p: np.ndarray) -> list:
+    """The CDF `Generator.choice` bisects for weights p, as a list: cumsum
+    along the last axis divided by its last entry. A 2-D p gives one CDF per
+    row. A right bisection of it with one `rng.random()` is choice's draw."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf.tolist()
+
+
 class DrawTable(NamedTuple):
     """What the samplers read on every draw, derived once per distribution.
 
-    p[v] is row v divided by its sum, the vector `Generator.choice` is given;
-    cdf[v] is cumsum(p[v]) divided by its last entry, as numpy's choice
-    computes it; support[v] counts the positive entries of p[v]; order lists
-    the vertices by column sum, least-parenting (leafiest) first, stable.
+    With p[v] the row v divided by its sum (the weights `Generator.choice` is
+    given), cdf[v] is `choice_cdf(p[v])` and support[v] counts the positive
+    entries of p[v]; order lists the vertices by column sum, least-parenting
+    (leafiest) first, stable.
     """
 
-    p: np.ndarray
     cdf: list[list[float]]
     support: list[int]
     order: list[int]
@@ -66,12 +74,8 @@ class ParentDistribution:
     def draw_table(self) -> DrawTable:
         """The sampling table, built on first use in the process that draws."""
         p = self.probs / self.probs.sum(axis=1, keepdims=True)
-        p.setflags(write=False)
-        cdf = np.cumsum(p, axis=1)
-        cdf /= cdf[:, -1:]
         return DrawTable(
-            p=p,
-            cdf=cdf.tolist(),
+            cdf=choice_cdf(p),
             support=np.count_nonzero(p, axis=1).tolist(),
             order=np.argsort(self.probs.sum(axis=0), kind="stable").tolist(),
         )

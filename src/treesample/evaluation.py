@@ -7,6 +7,7 @@ so results are independent of scheduling and job count.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -163,25 +164,17 @@ def mean_edge_reuse(samples: list[tuple[int, ...]], denominator: str = "union") 
     """Average pairwise edge overlap among predecessor arrays.
 
     union: intersection over union per unordered pair (both empty -> 1).
-    first: intersection over the first array's edge count.
+    first: intersection over the first array's edge count (an empty first
+    array scores 1 against an empty second one, else 0).
     """
     if len(samples) < 2:
         raise ValueError("edge reuse needs at least two samples")
     if denominator not in ("union", "first"):
         raise ValueError(f"unknown denominator {denominator!r}")
-    edge_sets = [tree_edges(s) for s in samples]
     scores = []
-    for i in range(len(edge_sets)):
-        for j in range(i + 1, len(edge_sets)):
-            a, b = edge_sets[i], edge_sets[j]
-            if denominator == "union":
-                union = a | b
-                scores.append(len(a & b) / len(union) if union else 1.0)
-            else:
-                if not a:
-                    scores.append(1.0 if not b else 0.0)
-                else:
-                    scores.append(len(a & b) / len(a))
+    for a, b in itertools.combinations([tree_edges(s) for s in samples], 2):
+        base = a | b if denominator == "union" else a
+        scores.append(len(a & b) / len(base) if base else float(not b))
     return float(np.mean(scores))
 
 

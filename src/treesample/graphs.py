@@ -25,6 +25,11 @@ from typing import Iterable
 import numpy as np
 
 INFINITE_COST = math.inf
+# Input bounds, checked before anything is built. A graph of MAX_VERTICES (16x
+# the studies' largest, 64) builds in about 0.25 s and 40 MB; a weight string's
+# exponent stays within Python's default int-string digit limit.
+MAX_VERTICES = 1024
+MAX_WEIGHT_EXPONENT = 4300
 
 
 class Task(Enum):
@@ -80,8 +85,8 @@ class Graph:
         """Graph from (u, v, weight) edges: distinct int endpoints in 0..n-1, and
         a positive int, Fraction or string weight ("2/3"; never a bool or float).
         """
-        if type(n) is not int:
-            raise ValueError(f"graph needs an int vertex count, got n={n!r}")
+        if type(n) is not int or n > MAX_VERTICES:
+            raise ValueError(f"graph needs an int vertex count up to {MAX_VERTICES}, got n={n!r}")
         arcs: dict[tuple[int, int], Fraction] = {}
         for u, v, w in edges:
             if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
@@ -90,6 +95,8 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) is a self-loop")
             if type(w) not in (int, str, Fraction):
                 raise ValueError(f"edge ({u},{v}) weight {w!r} is not an int, Fraction or string")
+            if type(w) is str and _exponent_size(w) > MAX_WEIGHT_EXPONENT:
+                raise ValueError(f"edge ({u},{v}) weight {w!r}: |exponent| > {MAX_WEIGHT_EXPONENT}")
             try:
                 w = Fraction(w)
             except ZeroDivisionError:
@@ -245,8 +252,8 @@ def generate_graph(spec: GraphSpec) -> Graph:
     (every present edge 1). A BF weight c/m, m being max(weight_set) or 1, is
     stored as c/g over the denominator m/g, g = gcd(m, every chosen c).
     """
-    if spec.n < 1:
-        raise ValueError(f"graph size must be positive, got {spec.n}")
+    if not 1 <= spec.n <= MAX_VERTICES:
+        raise ValueError(f"graph size must be positive and at most {MAX_VERTICES}, got {spec.n}")
     probability = spec.resolved_edge_probability()
     if not 0 < probability <= 1:
         raise ValueError(f"edge probability must lie in (0, 1], got {probability}")
@@ -269,6 +276,14 @@ def generate_graph(spec: GraphSpec) -> Graph:
     common = math.gcd(scale, *(c for row in rows for c in row))
     weights = tuple(tuple(c // common for c in row) for row in rows)
     return Graph(n, directed, weights, None if directed else 0, scale // common)
+
+
+def _exponent_size(text: str) -> int:
+    """|e| of a weight string "<m>e<e>", else 0 (an e int() cannot read fails Fraction too)."""
+    try:
+        return abs(int(text.lower().partition("e")[2] or 0))
+    except ValueError:
+        return 0
 
 
 def tree_edges(pi: tuple[int, ...]) -> set[tuple[int, int]]:

@@ -15,8 +15,8 @@ Six strategies with different diversity/validity trade-offs:
 
 Beam and greedy consult the graph (weights, source); the others only need the
 distribution. All samplers return a full predecessor array for any input.
-Draws read the distribution's cached `draw_table` CDFs and reproduce numpy's
-`Generator.choice` stream exactly.
+Every draw, masked or not, bisects a `choice_cdf` CDF as numpy's
+`Generator.choice` does, so the streams match choice's exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ParentDistribution
+from .distributions import ParentDistribution, choice_cdf
 from .graphs import Graph
 
 METHODS = ("argmax", "upwards", "alt-upwards", "beam", "greedy", "random")
@@ -48,41 +48,34 @@ class SamplerConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-def sample_predecessor(
-    dist: ParentDistribution, v: int, mask: set[int] | frozenset[int], rng: np.random.Generator
-) -> int:
-    """Draw a parent for v from its row, restricted to non-masked columns.
-
-    Falls back to a uniformly random non-masked vertex when the restricted row
-    has zero mass, and to a uniformly random vertex when everything is masked.
-    """
-    if not mask:
-        return bisect_right(dist.draw_table.cdf[v], rng.random())
-    row = dist.probs[v].copy()
-    row[list(mask)] = 0.0
-    total = row.sum()
-    if total > 0.0:
-        return int(rng.choice(dist.n, p=row / total))
-    open_vertices = [u for u in range(dist.n) if u not in mask]
-    pool = open_vertices if open_vertices else list(range(dist.n))
-    return int(pool[rng.integers(len(pool))])
-
-
 def argmax_extract(dist: ParentDistribution) -> tuple[int, ...]:
     """Most likely parent per row; ties resolve to the lowest index."""
     return tuple(int(j) for j in np.argmax(dist.probs, axis=1))
 
 
+def _masked_draw(dist: ParentDistribution, v: int, mask: set[int], rng: np.random.Generator) -> int:
+    """v's parent drawn by choice's rule from its row with the masked columns
+    zeroed, or a uniform unmasked vertex when no mass is left (v itself is
+    never masked, so there is always one)."""
+    row = dist.probs[v].copy()
+    row[list(mask)] = 0.0
+    total = row.sum()
+    if total > 0.0:
+        return bisect_right(choice_cdf(row / total), rng.random())
+    open_vertices = [u for u in range(dist.n) if u not in mask]
+    return open_vertices[rng.integers(len(open_vertices))]
+
+
 def _upwards(dist: ParentDistribution, rng: np.random.Generator, mask_parents: bool) -> tuple[int, ...]:
+    cdf = dist.draw_table.cdf
     pi: list[int | None] = [None] * dist.n
     mask: set[int] = set()
     for v in dist.draw_table.order:
-        cur = v
-        while pi[cur] is None:
-            pi[cur] = sample_predecessor(dist, cur, mask, rng)
+        while pi[v] is None:  # walk v's chain up to an assigned vertex
+            pi[v] = _masked_draw(dist, v, mask, rng) if mask else bisect_right(cdf[v], rng.random())
             if mask_parents:
-                mask.add(cur)
-            cur = pi[cur]
+                mask.add(v)
+            v = pi[v]
     return tuple(pi)
 
 
@@ -106,7 +99,7 @@ def _distinct_parents(
 ) -> list[int]:
     """Up to k distinct positive-mass parents of v, drawn weighted by v's row.
 
-    This is `rng.choice(n, size, replace=False, p=row)` written out: each round
+    This is `Generator.choice` without replacement written out: each round
     draws one uniform per missing parent, bisects the CDF and keeps each
     parent's first hit; a further round zeroes the parents found so far and
     rebuilds the CDF from what is left, as numpy does.
@@ -122,10 +115,9 @@ def _distinct_parents(
                 found.append(q)
         if len(found) == size:
             return found
-        p = table.p[v].copy()
+        p = dist.probs[v] / dist.probs[v].sum()  # the weights choice was given
         p[found] = 0.0
-        rest = np.cumsum(p)
-        cdf = (rest / rest[-1]).tolist()
+        cdf = choice_cdf(p)
 
 
 def _fallback(g: Graph, v: int, method: str, stats: dict | None) -> int:
@@ -296,6 +288,5 @@ __all__ = [
     "extract",
     "greedy_extract",
     "random_extract",
-    "sample_predecessor",
     "upwards_sample",
 ]

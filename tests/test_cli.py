@@ -1,11 +1,18 @@
 """Command-line pipeline: gen -> dist -> sample -> check, studies, manifests,
 output redirection, exit codes, and job-count reproducibility."""
 
+import contextlib
+import copy
+import io
 import itertools
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesample import METHODS, enumerate_shortest_path_trees, graphs_from_json
 from treesample.cli import main
@@ -207,8 +214,10 @@ def test_validation_errors_exit_3(tmp_path, capsys):
                "--seed", "3", "-o", str(tmp_path / "s.json"))
     assert code == 3
     assert "error:" in capsys.readouterr().err
-    assert run("gen", "-n", "0", "--task", "bf", "--seed", "1",
-               "-o", str(tmp_path / "zero.json")) == 3
+    for n in ("0", str(10**20)):
+        assert run("gen", "-n", n, "--task", "bf", "--seed", "1",
+                   "-o", str(tmp_path / "zero.json")) == 3
+    assert not (tmp_path / "zero.json").exists()
     for count in ("0", "-3"):
         assert run("gen", "-n", "3", "--count", count, "--task", "bf", "--seed", "1",
                    "-o", str(tmp_path / "none.json")) == 3
@@ -290,6 +299,9 @@ GOOD_GRAPH = {"n": 3, "directed": False, "source": 0, "edges": [[0, 1, "1"], [1,
         (GOOD_GRAPH, [{"n": 3, "probs": [[1, 0, 0], [1, 0, {}], [0, 1, 0]]}]),
         (GOOD_GRAPH, [{"n": 3, "probs": [[1, 0, 0], [True, 0, 0], [0, 1, 0]]}]),
         ({"n": 1, "directed": False, "source": 0, "edges": []}, [{"n": True, "probs": [[1]]}]),
+        # Rejected before anything is allocated or expanded.
+        ([{**GOOD_GRAPH, "n": 10**20}], None),
+        ([{**GOOD_GRAPH, "edges": [[0, 1, "1e-10000000"]]}], None),
     ],
 )
 def test_malformed_graph_and_distribution_files_exit_3(tmp_path, capsys, graphs, dists):
@@ -340,6 +352,79 @@ def test_weights_beyond_float_range_run_through_the_pipeline(tmp_path):
         ]
         checked = [line.split(",")[1] == "true" for line in verdicts.read_text().splitlines()]
         assert checked == expected, (method, rows.name)
+
+
+# Valid inputs for the fuzz test below: an undirected and a directed graph,
+# distributions that match them, and a solutions file for both.
+FUZZ_FILES = {
+    "graphs": [GOOD_GRAPH, {"n": 4, "directed": True, "source": 0, "edges": [
+        [0, 1, "1"], [1, 2, "2/3"], [0, 3, "1e400"], [3, 2, 1]]}],
+    "dists": [
+        {"n": 3, "probs": [[1, 0, 0], [1, 0, 0], [0, 0.5, 0.5]]},
+        {"n": 4, "probs": [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0.5, 0, 0.5], [1, 0, 0, 0]]},
+    ],
+    "sols": {"task": "bf", "method": "beam", "k": 1, "entries": [
+        {"solutions": [[0, 0, 1]], "valid": [True], "graph_index": 0},
+        {"solutions": [[0, 0, 1, 0]], "valid": [True], "graph_index": 1},
+    ]},
+}
+# Replacement values. No int here may pass the vertex bound and still be large
+# enough to make an n x n matrix expensive.
+FUZZ_POOL = (10**20, True, 1.5, "1/0", [], {}, None, -1, "x")
+
+
+def json_slots(node):
+    """(container, key) of every value below a JSON node, depth first."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, value in items:
+        yield node, key
+        yield from json_slots(value)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_files_exit_0_3_or_4(data):
+    # Mutate the valid files (drop a key or item, retype a value, wrap a value
+    # in a list or unwrap it); every command must exit 0, 3 or 4 and print no
+    # traceback. An uncaught exception escapes main and fails the test.
+    files = copy.deepcopy(FUZZ_FILES)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        container, key = data.draw(st.sampled_from(list(json_slots(files))), label="slot")
+        op = data.draw(st.sampled_from(("drop", "retype", "wrap", "unwrap")), label="op")
+        value = container[key]
+        if op == "drop":
+            del container[key]
+        elif op == "retype":
+            container[key] = data.draw(st.sampled_from(FUZZ_POOL), label="value")
+        elif op == "wrap":
+            container[key] = [value]
+        elif isinstance(value, (list, dict)) and value:
+            container[key] = next(iter(value.values() if isinstance(value, dict) else value))
+    task = data.draw(st.sampled_from(("bf", "dfs")), label="task")
+    method = data.draw(st.sampled_from(METHODS), label="method")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {name: str(Path(tmp, f"{name}.json")) for name in ("graphs", "dists", "sols")}
+        for name, payload in files.items():
+            Path(path[name]).write_text(json.dumps(payload))  # a dropped file stays missing
+        out = str(Path(tmp, "out"))
+        commands = [
+            ("dist", "-i", path["graphs"], "--task", task, "--runs", "3", "--seed", "1",
+             "-o", out),
+            ("sample", "-i", path["graphs"], "-d", path["dists"], "--task", task,
+             "--method", method, "-k", "2", "--seed", "1", "-o", out),
+            ("check", "-i", path["graphs"], "-s", path["sols"], "-o", out),
+        ]
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(*argv)
+            assert code in (0, 3, 4), (argv[0], files, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 def test_io_errors_exit_4(tmp_path, capsys):

@@ -20,6 +20,7 @@ from treesample import (
     graphs_to_json,
     tree_edges,
 )
+from treesample.graphs import MAX_VERTICES, MAX_WEIGHT_EXPONENT
 
 from conftest import edge_list, fraction_graph, path_cost_from_source
 
@@ -52,6 +53,22 @@ def test_from_edges_rejects_malformed_fields():
         Graph.from_edges(2, [], directed="no")
     with pytest.raises(ValueError, match="source"):
         Graph.from_edges(2, [], directed=True, source="0")
+
+
+def test_size_and_weight_exponent_bounds():
+    # Refused before a matrix is allocated or an exponent expanded.
+    for n in (MAX_VERTICES + 1, 10**20):
+        with pytest.raises(ValueError, match="vertex count"):
+            Graph.from_edges(n, [(0, 1, 1)], directed=True)
+        with pytest.raises(ValueError, match="at most"):
+            generate_graph(GraphSpec(n=n))
+    for w in ("1e-10000000", "1E4301", " 3.5e+4_301 "):
+        with pytest.raises(ValueError, match="exponent"):
+            Graph.from_edges(2, [(0, 1, w)], directed=True)
+    edges = [(0, 1, f"1e{MAX_WEIGHT_EXPONENT}"), (1, 0, f"1e-{MAX_WEIGHT_EXPONENT}")]
+    g = Graph.from_edges(2, edges, directed=True)
+    assert g.denominator == 10**MAX_WEIGHT_EXPONENT
+    assert g.weights[0][1] == 10 ** (2 * MAX_WEIGHT_EXPONENT)
 
 
 def test_weights_are_ints_over_the_smallest_common_denominator():

@@ -1,6 +1,8 @@
 """Solution extraction from parent distributions: the six methods and their
 tie-break, fallback, and determinism contracts."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,9 @@ from treesample import (
     extract,
     greedy_extract,
     random_extract,
-    sample_predecessor,
     upwards_sample,
 )
-from treesample.samplers import _distinct_parents
+from treesample.samplers import _distinct_parents, _masked_draw
 
 
 def point_mass(pi: tuple[int, ...]) -> ParentDistribution:
@@ -232,16 +233,14 @@ def test_random_extract_is_nearly_uniform():
     assert abs(hits / 1000 - 0.5) < 0.05
 
 
-def test_sample_predecessor_fallback_branches():
+def test_masked_draw_fallback_branches():
     probs = np.array([[1.0, 0.0, 0.0], [0.7, 0.0, 0.3], [0.0, 1.0, 0.0]])
     dist = ParentDistribution(3, probs)
-    assert sample_predecessor(dist, 2, set(), rng(0)) == 1
+    # The mass left after masking decides the draw.
+    assert {_masked_draw(dist, 1, {2}, rng(s)) for s in range(30)} == {0}
     # Masking the whole support forces a uniform non-masked pick.
-    picks = {sample_predecessor(dist, 2, {1}, rng(s)) for s in range(30)}
+    picks = {_masked_draw(dist, 2, {1}, rng(s)) for s in range(30)}
     assert picks == {0, 2}
-    # Masking everything falls back to any vertex.
-    picks = {sample_predecessor(dist, 2, {0, 1, 2}, rng(s)) for s in range(60)}
-    assert picks == {0, 1, 2}
 
 
 def choice_cases():
@@ -260,12 +259,36 @@ def choice_cases():
         yield dist, int(meta.integers(n)), int(meta.integers(1, 6)), int(meta.integers(2**32))
 
 
+def choice_upwards(dist: ParentDistribution, r: np.random.Generator, mask_parents: bool):
+    """upwards (alt-upwards without masking) with every draw made by
+    Generator.choice, or by the uniform fallback when masking leaves no mass."""
+    pi = [None] * dist.n
+    mask = set()
+    for v in np.argsort(dist.probs.sum(axis=0), kind="stable").tolist():
+        cur = v
+        while pi[cur] is None:
+            row = dist.probs[cur].copy()
+            row[list(mask)] = 0.0
+            if row.sum() > 0.0:
+                pi[cur] = int(r.choice(dist.n, p=row / row.sum()))
+            else:
+                open_vertices = [u for u in range(dist.n) if u not in mask]
+                pi[cur] = open_vertices[r.integers(len(open_vertices))]
+            if mask_parents:
+                mask.add(cur)
+            cur = pi[cur]
+    return tuple(pi)
+
+
 def test_draws_reproduce_numpy_choice():
-    # The samplers bisect the cached CDFs instead of calling Generator.choice;
-    # each draw must return choice's parents and leave the generator where
-    # choice leaves it, including when a duplicate forces a second round.
-    seen = {"one-support": 0, "k above support": 0, "retry round": 0}
-    for dist, v, k, seed in choice_cases():
+    # The samplers bisect CDFs instead of calling Generator.choice; each draw
+    # must return choice's parents and leave the generator where choice
+    # leaves it, including when a duplicate forces a second round and when a
+    # mask zeroes part of the row (or all of its mass: the uniform fallback).
+    seen = {"one-support": 0, "k above support": 0, "retry round": 0,
+            "masked draw": 0, "masked fallback": 0}
+    masks = rng(7)
+    for case, (dist, v, k, seed) in enumerate(choice_cases()):
         row = dist.probs[v]
         p = row / row.sum()
         support = int(np.count_nonzero(row))
@@ -281,8 +304,31 @@ def test_draws_reproduce_numpy_choice():
         seen["k above support"] += k > support
 
         ours, oracle = rng(seed), rng(seed)
-        assert sample_predecessor(dist, v, set(), ours) == oracle.choice(dist.n, p=p)
+        assert bisect_right(dist.draw_table.cdf[v], ours.random()) == oracle.choice(dist.n, p=p)
         assert ours.random() == oracle.random()
+
+        if dist.n > 1:  # a non-empty mask that spares v, as upwards' masks do
+            others = [u for u in range(dist.n) if u != v]
+            mask = set(masks.choice(others, int(masks.integers(1, dist.n)), replace=False).tolist())
+            masked_row = row.copy()
+            masked_row[list(mask)] = 0.0
+            total = masked_row.sum()
+            ours, oracle = rng(seed), rng(seed)
+            got = _masked_draw(dist, v, mask, ours)
+            if total > 0.0:
+                assert got == oracle.choice(dist.n, p=masked_row / total)
+                seen["masked draw"] += 1
+            else:
+                open_vertices = [u for u in range(dist.n) if u not in mask]
+                assert got == open_vertices[oracle.integers(len(open_vertices))]
+                seen["masked fallback"] += 1
+            assert ours.random() == oracle.random()
+
+        if case % 3 == 0:  # whole samples over every row kind, every draw of the walk included
+            for sample, mask_parents in ((upwards_sample, True), (alt_upwards_sample, False)):
+                ours, oracle = rng(seed), rng(seed)
+                assert sample(dist, ours) == choice_upwards(dist, oracle, mask_parents)
+                assert ours.random() == oracle.random()
     assert min(seen.values()) > 0, seen
 
 
