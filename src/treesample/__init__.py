@@ -1,5 +1,5 @@
 """Parent distributions from randomized graph algorithms, and samplers that
-extract multiple candidate solutions from them.
+extract multiple candidate solutions from them; `evaluation` holds the studies.
 
 Each module's `__all__` declares its public names; the package re-exports
 them all, so its `__all__` is the union of those lists.
@@ -7,14 +7,13 @@ them all, so its `__all__` is the union of those lists.
 
 __version__ = "0.1.0"
 
-from . import algorithms, distributions, evaluation, graphs, samplers, tables, validity
+from . import algorithms, distributions, evaluation, graphs, samplers, validity
 from .algorithms import *
 from .distributions import *
 from .evaluation import *
 from .graphs import *
 from .samplers import *
-from .tables import *
 from .validity import *
 
-_MODULES = (algorithms, distributions, evaluation, graphs, samplers, tables, validity)
+_MODULES = (algorithms, distributions, evaluation, graphs, samplers, validity)
 __all__ = [name for module in _MODULES for name in module.__all__]

@@ -72,7 +72,7 @@ def randomized_dfs(
     """
     rng = np.random.default_rng(seed)
     if mode is TiebreakMode.PER_RUN_GLOBAL:
-        order = rng.permutation(np.arange(1, g.n)) if g.n > 1 else np.empty(0, dtype=int)
+        order = rng.permutation(np.arange(1, g.n))
         pick = _ranked_pick(g.n, order.tolist())
     else:
         pick = lambda u, eligible: eligible[rng.integers(len(eligible))]
@@ -114,7 +114,7 @@ def enumerate_dfs_trees(
     outcomes: dict[tuple[int, ...], Fraction] = {}
 
     if mode is TiebreakMode.PER_RUN_GLOBAL:
-        orders = list(itertools.permutations(range(1, n))) or [()]
+        orders = list(itertools.permutations(range(1, n)))
         total = len(orders)
         for order in orders:
             tree = _dfs_forest(n, adjacency, _ranked_pick(n, order))

@@ -20,14 +20,8 @@ from pathlib import Path
 
 from . import __version__, evaluation
 from .algorithms import TiebreakMode
-from .distributions import (
-    RerunStudyConfig,
-    build_empirical,
-    distributions_from_json,
-    distributions_to_json,
-    rerun_divergence_study,
-)
-from .evaluation import EvalConfig
+from .distributions import build_empirical, distributions_from_json, distributions_to_json
+from .evaluation import EvalConfig, RerunStudyConfig, rerun_divergence_study
 from .graphs import GraphSpec, Task, generate_graph, graphs_from_json, graphs_to_json
 from .parallel import parallel_map
 from .samplers import METHODS, SamplerConfig, draw_samples
@@ -302,6 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("-o", "--output", required=True)
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1)
+    graph_input = argparse.ArgumentParser(add_help=False)
+    graph_input.add_argument("-i", "--input", required=True, help="graph JSON file")
     task = _with_task(Task.BF)
     density = argparse.ArgumentParser(add_help=False)
     density.add_argument(
@@ -337,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser(
-        "dist", help="build empirical parent distributions", parents=[task, seeded, jobs]
+        "dist",
+        help="build empirical parent distributions",
+        parents=[task, seeded, jobs, graph_input],
     )
-    p.add_argument("-i", "--input", required=True, help="graph JSON file")
     p.add_argument("--runs", type=int, default=20)
     p.add_argument(
         "--mode", type=TiebreakMode, metavar="{per-run-global,per-node}",
@@ -348,16 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser(
-        "sample", help="extract candidate solutions", parents=[task, sampler, seeded, jobs]
+        "sample",
+        help="extract candidate solutions",
+        parents=[task, sampler, seeded, jobs, graph_input],
     )
-    p.add_argument("-i", "--input", required=True, help="graph JSON file")
     p.add_argument("-d", "--dists", required=True, help="distribution JSON file")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("-k", type=int, default=5, help="samples per graph")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("check", help="validate solutions against graphs")
-    p.add_argument("-i", "--input", required=True, help="graph JSON file")
+    p = sub.add_parser("check", help="validate solutions against graphs", parents=[graph_input])
     p.add_argument("-s", "--solutions", required=True, help="solutions JSON file")
     p.add_argument("-o", "--output", help="verdict CSV; stdout when omitted")
     p.set_defaults(func=cmd_check)

@@ -3,12 +3,12 @@
 A distribution is an n x n row-stochastic matrix: row v gives the probability
 of each vertex being v's parent. Empirical distributions count parents across
 repeated randomized runs; perturbation mixes rows toward random simplex points
-to emulate imperfect predictions of the same shape.
+to emulate imperfect predictions of the same shape. The study of how the rerun
+budget moves them (KL between budgets) lives in `evaluation`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,10 +18,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .algorithms import TiebreakMode, randomized_bellman_ford, randomized_dfs
-from .graphs import Graph, GraphSpec, Task, generate_graph
-from .parallel import parallel_map
+from .graphs import Graph, Task
 from .seeding import derive_seed
-from .tables import StudyTable
 
 ROW_SUM_TOLERANCE = 1e-9
 KL_EPSILON = 1e-8
@@ -154,70 +152,6 @@ def perturb(p: ParentDistribution, alpha: float, seed: int = 0) -> ParentDistrib
     return ParentDistribution(p.n, (1.0 - alpha) * p.probs + alpha * noise)
 
 
-@dataclass(frozen=True)
-class RerunStudyConfig:
-    """How distribution stability is measured as the rerun budget grows."""
-
-    sizes: tuple[int, ...] = tuple(range(5, 65))
-    graphs_per_size: int = 100
-    rerun_counts: tuple[int, ...] = (20, 50, 100)
-    task: Task = Task.DFS
-    edge_probability: float | None = None
-    seed: int = 0
-
-
-def _rerun_study_item(args) -> list[float]:
-    """KL values of one graph, one per rerun-count pair in combinations order."""
-    cfg, size, index = args
-    spec = GraphSpec(
-        n=size,
-        edge_probability=cfg.edge_probability,
-        task=cfg.task,
-        seed=derive_seed(cfg.seed, "graph", size, index),
-    )
-    g = generate_graph(spec)
-    dists = {
-        count: build_empirical(
-            g, cfg.task, runs=count, seed=derive_seed(cfg.seed, "dist", size, index, count)
-        )
-        for count in cfg.rerun_counts
-    }
-    return [kl_divergence(dists[lo], dists[hi]) for lo, hi in _count_pairs(cfg)]
-
-
-def _count_pairs(cfg: RerunStudyConfig) -> list[tuple[int, int]]:
-    return list(itertools.combinations(sorted(cfg.rerun_counts), 2))
-
-
-def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
-    """KL divergence between distributions built with different rerun budgets.
-
-    For every graph, one empirical distribution per rerun count (independent
-    sub-seeds); KL is recorded for each ordered low/high pair and aggregated
-    as mean and standard deviation across graphs per size.
-    """
-    if cfg.graphs_per_size < 1:
-        raise ValueError("graphs_per_size must be positive")
-    if len(cfg.rerun_counts) < 2:
-        raise ValueError("need at least two rerun counts to compare")
-    for name in ("sizes", "rerun_counts"):
-        values = getattr(cfg, name)
-        if not values or len(set(values)) != len(values):
-            raise ValueError(f"{name} must not repeat or be empty, got {list(values)}")
-    items = [(cfg, size, index) for size in cfg.sizes for index in range(cfg.graphs_per_size)]
-    pairs = _count_pairs(cfg)
-    kl = np.array(parallel_map(_rerun_study_item, items, jobs))
-    # sizes x graphs x pairs, copied to sizes x pairs x graphs: numpy sums a
-    # contiguous last axis pairwise, as it sums a 1-D array, so each mean and
-    # std is bit-identical to one taken over that pair's list of graphs.
-    kl = kl.reshape(len(cfg.sizes), cfg.graphs_per_size, len(pairs)).transpose(0, 2, 1).copy()
-    rows = itertools.product(cfg.sizes, pairs)
-    table = StudyTable(("size", "pair_lo", "pair_hi", "mean_kl", "std_kl"))
-    for (size, (lo, hi)), mean, std in zip(rows, kl.mean(axis=2).flat, kl.std(axis=2).flat):
-        table.append(size, lo, hi, float(mean), float(std))
-    return table
-
-
 def distributions_to_json(dists: Iterable[ParentDistribution], path: Path | str) -> None:
     payload = [d.to_dict() for d in dists]
     Path(path).write_text(json.dumps(payload) + "\n")
@@ -234,11 +168,9 @@ __all__ = [
     "DrawTable",
     "KL_EPSILON",
     "ParentDistribution",
-    "RerunStudyConfig",
     "build_empirical",
     "distributions_from_json",
     "distributions_to_json",
     "kl_divergence",
     "perturb",
-    "rerun_divergence_study",
 ]

@@ -1,26 +1,58 @@
-"""Evaluation studies: solution diversity, validity rates, and coverage.
+"""Evaluation studies and the CSV table they all return.
 
-All studies are pure functions of their configs. Graphs, distributions and
-sampler draws get sub-seeds derived from (config seed, run, graph index, ...),
-so results are independent of scheduling and job count.
+The sampler studies (diversity, validity rates, coverage, edge reuse) and the
+rerun-budget study are pure functions of their configs. Graphs, distributions
+and sampler draws get sub-seeds derived from (config seed, run, graph index,
+...), so results are independent of scheduling and job count.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 from .algorithms import randomized_bellman_ford, randomized_dfs
-from .distributions import ParentDistribution, build_empirical, perturb
+from .distributions import ParentDistribution, build_empirical, kl_divergence, perturb
 from .graphs import Graph, GraphSpec, Task, generate_graph, tree_edges
+from .parallel import parallel_map
 from .samplers import SamplerConfig, draw_samples, extract
 from .seeding import derive_rng, derive_seed
-from .tables import StudyTable
 from .validity import verdict
-from .parallel import parallel_map
+
+
+@dataclass
+class StudyTable:
+    """A study's rows as CSV: `csv.writer` writes a float with `repr`, so
+    parsing the file recovers it bit-for-bit."""
+
+    columns: tuple[str, ...]
+    rows: list[tuple] = field(default_factory=list)
+
+    def append(self, *values) -> None:
+        if len(values) != len(self.columns):
+            raise ValueError(f"row has {len(values)} cells, expected {len(self.columns)}")
+        self.rows.append(tuple(values))
+
+    def to_csv_text(self) -> str:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows(self.rows)
+        return buffer.getvalue()
+
+    def write_csv(self, path: Path | str) -> None:
+        Path(path).write_text(self.to_csv_text())
+
+
+def _check_distinct(name: str, values) -> None:
+    if not values or len(set(values)) != len(values):
+        raise ValueError(f"{name} must not repeat or be empty, got {list(values)}")
 
 
 @dataclass(frozen=True)
@@ -29,7 +61,8 @@ class EvalConfig:
 
     perturb_alpha 0 evaluates the empirical distribution; a value in (0, 1]
     mixes rows toward random simplex points before sampling, and any other
-    value (negative, above 1, NaN) is rejected.
+    value (negative, above 1, NaN) is rejected. Each graph's seed is derived
+    from seed, so graph_spec.seed must be left at 0.
     """
 
     graph_spec: GraphSpec
@@ -40,6 +73,10 @@ class EvalConfig:
     dist_runs: int = 20
     perturb_alpha: float = 0.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.graph_spec.seed != 0:
+            raise ValueError(f"graph_spec.seed must be 0, got {self.graph_spec.seed}")
 
     def distribution_label(self) -> str:
         if self.perturb_alpha == 0.0:
@@ -103,8 +140,7 @@ def _run_means(cfg: EvalConfig, methods: list[str], measures: tuple, jobs: int) 
     """Per method, a runs x values array: each value averaged over a run's graphs."""
     if cfg.graph_count < 1 or cfg.runs < 1:
         raise ValueError("graph_count and runs must be positive")
-    if not methods or len(set(methods)) != len(methods):
-        raise ValueError(f"methods must not repeat or be empty, got {list(methods)}")
+    _check_distinct("methods", methods)
     count, plan = cfg.graph_count, (tuple(methods), measures)
     items = [(cfg, plan, run, index) for run in range(cfg.runs) for index in range(count)]
     results = parallel_map(_suite_item, items, jobs)
@@ -244,13 +280,78 @@ def edge_reuse_evolution(
     return _curve_table(cfg, methods, measure, 2, "mean_edge_reuse", jobs)
 
 
+@dataclass(frozen=True)
+class RerunStudyConfig:
+    """How distribution stability is measured as the rerun budget grows."""
+
+    sizes: tuple[int, ...] = tuple(range(5, 65))
+    graphs_per_size: int = 100
+    rerun_counts: tuple[int, ...] = (20, 50, 100)
+    task: Task = Task.DFS
+    edge_probability: float | None = None
+    seed: int = 0
+
+
+def _rerun_study_item(args) -> list[float]:
+    """KL values of one graph, one per rerun-count pair in combinations order."""
+    cfg, size, index = args
+    spec = GraphSpec(
+        n=size,
+        edge_probability=cfg.edge_probability,
+        task=cfg.task,
+        seed=derive_seed(cfg.seed, "graph", size, index),
+    )
+    g = generate_graph(spec)
+    dists = {
+        count: build_empirical(
+            g, cfg.task, runs=count, seed=derive_seed(cfg.seed, "dist", size, index, count)
+        )
+        for count in cfg.rerun_counts
+    }
+    return [kl_divergence(dists[lo], dists[hi]) for lo, hi in _count_pairs(cfg)]
+
+
+def _count_pairs(cfg: RerunStudyConfig) -> list[tuple[int, int]]:
+    return list(itertools.combinations(sorted(cfg.rerun_counts), 2))
+
+
+def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
+    """KL divergence between distributions built with different rerun budgets.
+
+    For every graph, one empirical distribution per rerun count (independent
+    sub-seeds); KL is recorded for each ordered low/high pair and aggregated
+    as mean and standard deviation across graphs per size.
+    """
+    if cfg.graphs_per_size < 1:
+        raise ValueError("graphs_per_size must be positive")
+    if len(cfg.rerun_counts) < 2:
+        raise ValueError("need at least two rerun counts to compare")
+    _check_distinct("sizes", cfg.sizes)
+    _check_distinct("rerun_counts", cfg.rerun_counts)
+    items = [(cfg, size, index) for size in cfg.sizes for index in range(cfg.graphs_per_size)]
+    pairs = _count_pairs(cfg)
+    kl = np.array(parallel_map(_rerun_study_item, items, jobs))
+    # sizes x graphs x pairs, copied to sizes x pairs x graphs: numpy sums a
+    # contiguous last axis pairwise, as it sums a 1-D array, so each mean and
+    # std is bit-identical to one taken over that pair's list of graphs.
+    kl = kl.reshape(len(cfg.sizes), cfg.graphs_per_size, len(pairs)).transpose(0, 2, 1).copy()
+    rows = itertools.product(cfg.sizes, pairs)
+    table = StudyTable(("size", "pair_lo", "pair_hi", "mean_kl", "std_kl"))
+    for (size, (lo, hi)), mean, std in zip(rows, kl.mean(axis=2).flat, kl.std(axis=2).flat):
+        table.append(size, lo, hi, float(mean), float(std))
+    return table
+
+
 __all__ = [
     "EvalConfig",
     "MetricsRecord",
+    "RerunStudyConfig",
+    "StudyTable",
     "accuracy_table",
     "coverage_study",
     "diversity_table",
     "edge_reuse_evolution",
     "evaluate",
     "mean_edge_reuse",
+    "rerun_divergence_study",
 ]

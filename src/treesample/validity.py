@@ -24,8 +24,11 @@ class DfsCondition(Enum):
 
 @dataclass(frozen=True)
 class DfsVerdict:
-    valid: bool
     failed_conditions: frozenset[DfsCondition]
+
+    @property
+    def valid(self) -> bool:
+        return not self.failed_conditions
 
     def tags(self) -> list[str]:
         return sorted(c.value for c in self.failed_conditions)
@@ -80,7 +83,7 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
     forest = _depths_and_roots(pi)
     if forest is None:
         failed.add(DfsCondition.NO_CYCLE)
-        return DfsVerdict(False, frozenset(failed))
+        return DfsVerdict(frozenset(failed))
     depth, root = forest
 
     if any(root[v] > v for v in range(g.n)) or any(root[x] < root[y] for x, y, _ in g.arcs):
@@ -104,7 +107,7 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
     except CycleError:
         failed.add(DfsCondition.SIBLING_ORDER)
 
-    return DfsVerdict(not failed, frozenset(failed))
+    return DfsVerdict(frozenset(failed))
 
 
 def check_bf_valid(g: Graph, pi: tuple[int, ...]) -> bool:

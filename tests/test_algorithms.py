@@ -50,6 +50,19 @@ def test_mode_changes_tree_weights(tiebreak_sensitive_digraph):
     }
 
 
+@pytest.mark.parametrize(
+    "n, edges, tree",
+    [(1, [], (0,)), (2, [], (0, 1)), (2, [(0, 1, 1)], (0, 0)), (2, [(1, 0, 1)], (0, 1))],
+)
+def test_dfs_on_one_and_two_vertices(n, edges, tree):
+    # With at most one vertex besides the root there is no tie to break: the
+    # permutation of V \ {0} is empty or a single vertex.
+    g = Graph.from_edges(n, edges, directed=True)
+    for mode in TiebreakMode:
+        assert {randomized_dfs(g, seed, mode) for seed in range(5)} == {tree}
+        assert enumerate_dfs_trees(g, mode=mode) == {tree: Fraction(1)}
+
+
 def test_enumeration_weights_sum_to_one():
     for seed in range(8):
         g = generate_graph(GraphSpec(n=6, task=Task.DFS, seed=seed))

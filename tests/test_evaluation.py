@@ -71,6 +71,13 @@ def small_config(task: Task, **overrides) -> EvalConfig:
     return EvalConfig(**defaults)
 
 
+def test_graph_spec_seed_is_rejected():
+    # Every graph's seed is derived from cfg.seed, so a graph_spec seed would
+    # be silently ignored.
+    with pytest.raises(ValueError, match="graph_spec.seed must be 0"):
+        small_config(Task.DFS, graph_spec=GraphSpec(n=5, task=Task.DFS, seed=123))
+
+
 def test_evaluate_record_shape():
     records = evaluate(small_config(Task.BF), ["argmax"])
     assert list(records) == ["argmax"]

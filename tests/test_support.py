@@ -1,4 +1,4 @@
-"""Support layers: seed derivation, study tables, parallel map, package API."""
+"""Support layers: seed derivation, study tables, parallel map, package API and layering."""
 
 import ast
 import importlib
@@ -17,7 +17,6 @@ from treesample import (
     evaluation,
     graphs,
     samplers,
-    tables,
     validity,
 )
 from treesample.parallel import parallel_map
@@ -106,7 +105,7 @@ EARLIER_EXPORTS = (
 
 
 def test_package_exports_the_union_of_module_lists():
-    modules = (algorithms, distributions, evaluation, graphs, samplers, tables, validity)
+    modules = (algorithms, distributions, evaluation, graphs, samplers, validity)
     union = [name for module in modules for name in module.__all__]
     assert len(set(union)) == len(union)  # no name is public in two modules
     assert sorted(treesample.__all__) == sorted(union)
@@ -151,3 +150,33 @@ def test_no_module_reaches_into_another_modules_private_names():
             and _private(node.attr)
         ]
     assert offences == []
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules a source file imports, by bare name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:  # `from . import a, b`
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("treesample."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("treesample.")
+            )
+    return names
+
+
+def test_layering_keeps_studies_in_evaluation():
+    # Distributions are the model's output; the studies over them, their
+    # tables and the parallel map belong to evaluation.
+    package = Path(treesample.__file__).parent
+    assert _package_imports(package / "distributions.py") == {"algorithms", "graphs", "seeding"}
+    assert not (package / "tables.py").exists()
+    importers = [p.name for p in sorted(package.glob("*.py")) if "tables" in _package_imports(p)]
+    assert importers == []
