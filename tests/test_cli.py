@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesample import METHODS, enumerate_shortest_path_trees, graphs_from_json
+from treesample import METHODS, __version__, enumerate_shortest_path_trees, graphs_from_json
 from treesample.cli import main
 
 
@@ -95,6 +95,48 @@ def test_manifest_sidecar(tmp_path):
     assert manifest["config"]["task"] == "bf"
     assert manifest["tool_version"]
     assert "timestamp" in manifest
+
+
+def test_every_manifest_records_its_command_seed_and_config(tmp_path, capsys):
+    graphs, dists, sols = (str(tmp_path / name) for name in ("g.json", "d.json", "s.json"))
+    verdicts, reruns = str(tmp_path / "v.csv"), str(tmp_path / "r.csv")
+    pipeline = {
+        graphs: (("gen", "-n", "4", "--count", "2", "--task", "bf", "--seed", "9", "-o", graphs),
+                 "gen", 9, "count n no_normalize output p seed task weights"),
+        dists: (("dist", "-i", graphs, "--task", "bf", "--runs", "5", "--seed", "10", "-o", dists),
+                "dist", 10, "input jobs mode output runs seed task"),
+        sols: (("sample", "-i", graphs, "-d", dists, "--task", "bf", "--method", "beam", "-k", "3",
+                "--seed", "11", "-o", sols),
+               "sample", 11, "beam_branch beam_width dists greedy_resamples greedy_samples input "
+               "jobs k method output seed task"),
+        verdicts: (("check", "-i", graphs, "-s", sols, "-o", verdicts),
+                   "check", None, "input output solutions"),
+        reruns: (("study", "reruns", "--sizes", "4", "--graphs", "1", "--counts", "5,10",
+                  "--seed", "12", "-o", reruns),
+                 "study reruns", 12, "counts graphs jobs output p seed sizes task which"),
+    }
+    for out, (argv, command, seed, keys) in pipeline.items():
+        assert run(*argv) == 0
+        manifest = read_json(Path(out + ".manifest.json"))
+        assert manifest["command"] == command
+        assert manifest["seed"] == seed
+        assert manifest["tool_version"] == __version__
+        assert sorted(manifest["config"]) == keys.split()
+        assert manifest["config"]["output"] == out
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote 2 graphs to {graphs}",
+        f"wrote 2 distributions to {dists}",
+        f"wrote 2 x 3 solutions to {sols} (6 valid)",
+        f"checked 6 solutions; verdicts in {verdicts}",
+        f"wrote 1 rows to {reruns}",
+    ]
+    # Without -o, check prints its verdicts and nothing else, and writes no manifest.
+    before = sorted(tmp_path.iterdir())
+    assert run("check", "-i", graphs, "-s", sols) == 0
+    assert sorted(tmp_path.iterdir()) == before
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert lines == Path(verdicts).read_text().splitlines()
 
 
 def test_rerun_is_byte_identical(tmp_path):
