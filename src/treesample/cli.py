@@ -1,9 +1,10 @@
 """Command-line pipeline: gen -> dist -> sample -> check, plus studies.
 
-Every output file is accompanied by a .manifest.json recording the command,
-the resolved configuration, the seed, the tool version, and a timestamp; data
-files never embed timestamps, so reruns with the same seed are byte-identical
-(for any --jobs value).
+Each command computes its result, writes its data file and returns a summary
+line. `main` alone resolves -o, writes the .manifest.json beside every output
+file (the command, the resolved configuration, the seed, the tool version and
+a timestamp) and prints the summary. Data files never embed timestamps, so
+reruns with the same seed are byte-identical (for any --jobs value).
 
 Exit codes: 0 success, 2 usage, 3 validation, 4 I/O.
 """
@@ -63,7 +64,7 @@ def _resolve_output(raw: str) -> Path:
     return path
 
 
-def _write_manifest(out_path: Path, args: argparse.Namespace, command: str) -> None:
+def _write_manifest(out_path: Path, args: argparse.Namespace) -> None:
     """Write the provenance record that accompanies every output file."""
     config = {
         k: v.value if isinstance(v, Enum) else v  # no flag holds a list of Enums
@@ -71,7 +72,7 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, command: str) -> N
         if k not in ("func", "command") and not callable(v)
     }
     manifest = {
-        "command": command,
+        "command": f"{args.command} {args.which}" if "which" in args else args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
@@ -121,7 +122,7 @@ def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace, out: Path) -> str:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     graphs = []
@@ -135,11 +136,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             seed=derive_seed(args.seed, "graph", index),
         )
         graphs.append(generate_graph(spec))
-    out = _resolve_output(args.output)
     graphs_to_json(graphs, out)
-    _write_manifest(out, args, "gen")
-    print(f"wrote {len(graphs)} graphs to {out}")
-    return EXIT_OK
+    return f"wrote {len(graphs)} graphs to {out}"
 
 
 def _dist_item(args_tuple):
@@ -147,18 +145,15 @@ def _dist_item(args_tuple):
     return build_empirical(g, task, runs=runs, seed=seed, mode=mode)
 
 
-def cmd_dist(args: argparse.Namespace) -> int:
+def cmd_dist(args: argparse.Namespace, out: Path) -> str:
     graphs = graphs_from_json(args.input)
     items = [
         (g, args.task, args.runs, args.mode, derive_seed(args.seed, "dist", i))
         for i, g in enumerate(graphs)
     ]
     dists = parallel_map(_dist_item, items, args.jobs)
-    out = _resolve_output(args.output)
     distributions_to_json(dists, out)
-    _write_manifest(out, args, "dist")
-    print(f"wrote {len(dists)} distributions to {out}")
-    return EXIT_OK
+    return f"wrote {len(dists)} distributions to {out}"
 
 
 def _sample_item(args_tuple):
@@ -173,7 +168,7 @@ def _sample_item(args_tuple):
     return entry
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace, out: Path) -> str:
     graphs = graphs_from_json(args.input)
     dists = distributions_from_json(args.dists)
     if len(graphs) != len(dists):
@@ -198,15 +193,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "k": args.k,
         "entries": entries,
     }
-    out = _resolve_output(args.output)
     out.write_text(json.dumps(payload, indent=1) + "\n")
-    _write_manifest(out, args, "sample")
     valid_total = sum(sum(e["valid"]) for e in entries)
-    print(f"wrote {len(entries)} x {args.k} solutions to {out} ({valid_total} valid)")
-    return EXIT_OK
+    return f"wrote {len(entries)} x {args.k} solutions to {out} ({valid_total} valid)"
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace, out: Path | None) -> str:
     graphs = graphs_from_json(args.input)
     payload = json.loads(Path(args.solutions).read_text())
     if not isinstance(payload, dict):
@@ -229,25 +221,14 @@ def cmd_check(args: argparse.Namespace) -> int:
             lines.append(f"{index},{str(ok).lower()},{';'.join(tags)}")
             index += 1
     text = "\n".join(lines) + "\n"
-    if args.output:
-        out = _resolve_output(args.output)
-        out.write_text(text)
-        _write_manifest(out, args, "check")
-        print(f"checked {index} solutions; verdicts in {out}")
-    else:
+    if out is None:
         sys.stdout.write(text)
-    return EXIT_OK
+    else:
+        out.write_text(text)
+    return f"checked {index} solutions; verdicts in {out}"
 
 
-def _finish_table(table, args: argparse.Namespace, command: str) -> int:
-    out = _resolve_output(args.output)
-    table.write_csv(out)
-    _write_manifest(out, args, command)
-    print(f"wrote {len(table.rows)} rows to {out}")
-    return EXIT_OK
-
-
-def cmd_study_reruns(args: argparse.Namespace) -> int:
+def cmd_study_reruns(args: argparse.Namespace, out: Path) -> str:
     cfg = RerunStudyConfig(
         sizes=args.sizes,
         graphs_per_size=args.graphs,
@@ -257,10 +238,11 @@ def cmd_study_reruns(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     table = rerun_divergence_study(cfg, jobs=args.jobs)
-    return _finish_table(table, args, "study reruns")
+    table.write_csv(out)
+    return f"wrote {len(table.rows)} rows to {out}"
 
 
-def cmd_study(args: argparse.Namespace) -> int:
+def cmd_study(args: argparse.Namespace, out: Path) -> str:
     name, default_methods, options = STUDIES[args.which]
     cfg = EvalConfig(
         graph_spec=GraphSpec(n=args.n, edge_probability=args.p, task=args.task),
@@ -275,7 +257,8 @@ def cmd_study(args: argparse.Namespace) -> int:
     methods = list(default_methods[args.task] if args.methods is None else args.methods)
     keywords = {option: getattr(args, option) for option in options}
     table = getattr(evaluation, name)(cfg, methods, jobs=args.jobs, **keywords)
-    return _finish_table(table, args, f"study {args.which}")
+    table.write_csv(out)
+    return f"wrote {len(table.rows)} rows to {out}"
 
 
 # ---------------------------------------------------------------- parser
@@ -390,7 +373,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # Only check may omit -o; it then prints its verdicts instead.
+        out = None if args.output is None else _resolve_output(args.output)
+        summary = args.func(args, out)
+        if out is not None:
+            _write_manifest(out, args)
+            print(summary)
     # JSONDecodeError subclasses ValueError, so the I/O arm must come first.
     except (OSError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
@@ -401,6 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algorithms import randomized_bellman_ford, randomized_dfs
 from .distributions import ParentDistribution, build_empirical, kl_divergence, perturb
-from .graphs import Graph, GraphSpec, Task, generate_graph, tree_edges
+from .graphs import MAX_VERTICES, Graph, GraphSpec, Task, generate_graph, tree_edges
 from .parallel import parallel_map
 from .samplers import SamplerConfig, draw_samples, extract
 from .seeding import derive_rng, derive_seed
@@ -62,7 +62,8 @@ class EvalConfig:
     perturb_alpha 0 evaluates the empirical distribution; a value in (0, 1]
     mixes rows toward random simplex points before sampling, and any other
     value (negative, above 1, NaN) is rejected. Each graph's seed is derived
-    from seed, so graph_spec.seed must be left at 0.
+    from seed, so graph_spec.seed must be left at 0. The counts must be
+    positive, even where a study does not read them.
     """
 
     graph_spec: GraphSpec
@@ -75,6 +76,10 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.graph_count < 1 or self.runs < 1:
+            raise ValueError("graph_count and runs must be positive")
+        if self.samples_per_graph < 1:
+            raise ValueError(f"samples_per_graph must be positive, got {self.samples_per_graph}")
         if self.graph_spec.seed != 0:
             raise ValueError(f"graph_spec.seed must be 0, got {self.graph_spec.seed}")
 
@@ -138,8 +143,6 @@ def _suite_item(args) -> dict[str, list[float]]:
 
 def _run_means(cfg: EvalConfig, methods: list[str], measures: tuple, jobs: int) -> dict:
     """Per method, a runs x values array: each value averaged over a run's graphs."""
-    if cfg.graph_count < 1 or cfg.runs < 1:
-        raise ValueError("graph_count and runs must be positive")
     _check_distinct("methods", methods)
     count, plan = cfg.graph_count, (tuple(methods), measures)
     items = [(cfg, plan, run, index) for run in range(cfg.runs) for index in range(count)]
@@ -328,6 +331,9 @@ def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
         raise ValueError("need at least two rerun counts to compare")
     _check_distinct("sizes", cfg.sizes)
     _check_distinct("rerun_counts", cfg.rerun_counts)
+    for size in cfg.sizes:  # before derive_seed, whose message would name a seed key
+        if not 1 <= size <= MAX_VERTICES:
+            raise ValueError(f"graph size must be positive and at most {MAX_VERTICES}, got {size}")
     items = [(cfg, size, index) for size in cfg.sizes for index in range(cfg.graphs_per_size)]
     pairs = _count_pairs(cfg)
     kl = np.array(parallel_map(_rerun_study_item, items, jobs))

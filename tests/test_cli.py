@@ -241,6 +241,8 @@ def test_usage_errors_exit_2(capsys):
                "-o", "c") == 2
     # The curve studies always average one run's graphs; they take no --runs.
     assert run("study", "coverage", "--runs", "2", "--seed", "1", "-o", "x.csv") == 2
+    assert run("study", "table1", "--methods", "bogus", "--seed", "1", "-o", "x.csv") == 2
+    assert run("study", "reruns", "--sizes", "a", "--seed", "1", "-o", "x.csv") == 2
     capsys.readouterr()
 
 
@@ -274,6 +276,18 @@ def test_validation_errors_exit_3(tmp_path, capsys):
                "--seed", "1", "-o", str(tmp_path / "reruns.csv")) == 3
     assert run("study", "reruns", "--sizes", "", "--graphs", "1",
                "--seed", "1", "-o", str(tmp_path / "reruns.csv")) == 3
+    capsys.readouterr()
+    for size in ("0", "-2"):
+        assert run("study", "reruns", "--sizes", f"4,{size}", "--graphs", "1",
+                   "--seed", "1", "-o", str(tmp_path / "reruns.csv")) == 3
+        assert f"graph size must be positive and at most 1024, got {size}" in (
+            capsys.readouterr().err
+        )
+    # table2 draws one sample per graph, but a count below 1 is still refused.
+    for flag in ("--samples", "--runs", "--graphs"):
+        assert run("study", "table2", "--task", "bf", "-n", "4", flag, "0", "--seed", "1",
+                   "-o", str(tmp_path / "zero.csv")) == 3
+    assert not (tmp_path / "zero.csv").exists()
     # A repeated or an empty --methods list is an error, not duplicate rows
     # or the defaults.
     for methods in ("upwards,upwards", ","):
@@ -344,6 +358,9 @@ GOOD_GRAPH = {"n": 3, "directed": False, "source": 0, "edges": [[0, 1, "1"], [1,
         # Rejected before anything is allocated or expanded.
         ([{**GOOD_GRAPH, "n": 10**20}], None),
         ([{**GOOD_GRAPH, "edges": [[0, 1, "1e-10000000"]]}], None),
+        # An exponent that is no int passes the bound check; Fraction refuses it.
+        ([{**GOOD_GRAPH, "edges": [[0, 1, "1e1.5"]]}], None),
+        (GOOD_GRAPH, [1]),  # a distribution that is not an object
     ],
 )
 def test_malformed_graph_and_distribution_files_exit_3(tmp_path, capsys, graphs, dists):

@@ -202,6 +202,9 @@ def test_rerun_study_config_validation():
         rerun_divergence_study(RerunStudyConfig(sizes=(4, 5, 4), rerun_counts=(5, 10)))
     with pytest.raises(ValueError, match="sizes must not repeat or be empty"):
         rerun_divergence_study(RerunStudyConfig(sizes=(), rerun_counts=(5, 10)))
+    for size in (0, -2, 1025):  # refused before any graph is built or seeded
+        with pytest.raises(ValueError, match=f"graph size must be positive .* got {size}"):
+            rerun_divergence_study(RerunStudyConfig(sizes=(4, size), rerun_counts=(5, 10)))
 
 
 def test_distribution_json_round_trip(tmp_path, two_tree_digraph):

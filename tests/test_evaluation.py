@@ -78,6 +78,15 @@ def test_graph_spec_seed_is_rejected():
         small_config(Task.DFS, graph_spec=GraphSpec(n=5, task=Task.DFS, seed=123))
 
 
+def test_counts_are_rejected_when_the_config_is_built():
+    # accuracy_table never reads samples_per_graph, so only the config can refuse it.
+    for field in ("graph_count", "runs"):
+        with pytest.raises(ValueError, match="graph_count and runs must be positive"):
+            small_config(Task.BF, **{field: 0})
+    with pytest.raises(ValueError, match="samples_per_graph must be positive, got 0"):
+        small_config(Task.BF, samples_per_graph=0)
+
+
 def test_evaluate_record_shape():
     records = evaluate(small_config(Task.BF), ["argmax"])
     assert list(records) == ["argmax"]

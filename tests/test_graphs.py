@@ -88,6 +88,9 @@ def test_weights_are_ints_over_the_smallest_common_denominator():
 def test_graph_shape_and_source_validation():
     with pytest.raises(ValueError, match="at least one vertex"):
         Graph(0, True, ())
+    for rows in (((0, 1),), ((0, 1), (0,)), ((0, 1, 0), (0, 0, 0))):
+        with pytest.raises(ValueError, match="shape does not match n"):
+            Graph(2, True, rows)
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(2, [], directed=False, source=5)
     with pytest.raises(ValueError, match="symmetric"):
