@@ -1,10 +1,11 @@
 """Command-line pipeline: gen -> dist -> sample -> check, plus studies.
 
 Each command computes its result, writes its data file and returns a summary
-line. `main` alone resolves -o, writes the .manifest.json beside every output
-file (the command, the resolved configuration, the seed, the tool version and
-a timestamp) and prints the summary. Data files never embed timestamps, so
-reruns with the same seed are byte-identical (for any --jobs value).
+line. Every path flag is resolved by `_path` while the arguments are parsed.
+`main` alone writes the .manifest.json beside every output file (the command,
+the resolved configuration, the seed, the tool version and a timestamp) and
+prints the summary. Data files never embed timestamps, so reruns with the
+same seed are byte-identical (for any --jobs value).
 
 Exit codes: 0 success, 2 usage, 3 validation, 4 I/O.
 """
@@ -56,12 +57,13 @@ STUDIES = {
 }
 
 
-def _resolve_output(raw: str) -> Path:
-    path = Path(raw)
+def _path(raw: str) -> str:
+    """A path flag's value: relative paths lie under $TREESAMPLE_OUT when it
+    is set. Parsing applies it, so the manifest records the resolved path."""
     base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    return path
+    if base and not Path(raw).is_absolute():
+        return str(Path(base) / raw)
+    return raw
 
 
 def _write_manifest(out_path: Path, args: argparse.Namespace) -> None:
@@ -203,7 +205,11 @@ def cmd_check(args: argparse.Namespace, out: Path | None) -> str:
     payload = json.loads(Path(args.solutions).read_text())
     if not isinstance(payload, dict):
         raise ValueError("solutions file must hold a JSON object")
-    task = Task(payload["task"])
+    task, method, k = Task(payload["task"]), payload["method"], payload["k"]
+    if method not in METHODS:
+        raise ValueError(f"solutions file 'method' must be one of {METHODS}, got {method!r}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"solutions file 'k' must be a positive integer, got {k!r}")
     if not isinstance(payload["entries"], list):
         raise ValueError("solutions file 'entries' must be a list")
     lines = []
@@ -211,6 +217,8 @@ def cmd_check(args: argparse.Namespace, out: Path | None) -> str:
     for entry in payload["entries"]:
         if not isinstance(entry, dict) or not isinstance(entry["solutions"], list):
             raise ValueError(f"entry {entry!r} is not an object with a 'solutions' list")
+        if len(entry["solutions"]) != k:
+            raise ValueError(f"entry has {len(entry['solutions'])} solutions but k is {k}")
         gi = entry["graph_index"]
         if type(gi) is not int or not 0 <= gi < len(graphs):
             raise ValueError(f"graph_index {gi!r} out of range for {len(graphs)} graphs")
@@ -276,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags shared by several subcommands, declared once and passed as parents.
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, required=True)
-    seeded.add_argument("-o", "--output", required=True)
+    seeded.add_argument("-o", "--output", type=_path, required=True)
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1)
     graph_input = argparse.ArgumentParser(add_help=False)
-    graph_input.add_argument("-i", "--input", required=True, help="graph JSON file")
+    graph_input.add_argument("-i", "--input", type=_path, required=True, help="graph JSON file")
     task = _with_task(Task.BF)
     density = argparse.ArgumentParser(add_help=False)
     density.add_argument(
@@ -332,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="extract candidate solutions",
         parents=[task, sampler, seeded, jobs, graph_input],
     )
-    p.add_argument("-d", "--dists", required=True, help="distribution JSON file")
+    p.add_argument("-d", "--dists", type=_path, required=True, help="distribution JSON file")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("-k", type=int, default=5, help="samples per graph")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("check", help="validate solutions against graphs", parents=[graph_input])
-    p.add_argument("-s", "--solutions", required=True, help="solutions JSON file")
-    p.add_argument("-o", "--output", help="verdict CSV; stdout when omitted")
+    p.add_argument("-s", "--solutions", type=_path, required=True, help="solutions JSON file")
+    p.add_argument("-o", "--output", type=_path, help="verdict CSV; stdout when omitted")
     p.set_defaults(func=cmd_check)
 
     study = sub.add_parser("study", help="run an evaluation study")
@@ -374,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         # Only check may omit -o; it then prints its verdicts instead.
-        out = None if args.output is None else _resolve_output(args.output)
+        out = None if args.output is None else Path(args.output)
         summary = args.func(args, out)
         if out is not None:
             _write_manifest(out, args)

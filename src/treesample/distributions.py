@@ -165,7 +165,6 @@ def distributions_from_json(path: Path | str) -> list[ParentDistribution]:
 
 
 __all__ = [
-    "DrawTable",
     "KL_EPSILON",
     "ParentDistribution",
     "build_empirical",

@@ -59,7 +59,7 @@ def _check_distinct(name: str, values) -> None:
 class EvalConfig:
     """Shared recipe for the sampler evaluation studies.
 
-    perturb_alpha 0 evaluates the empirical distribution; a value in (0, 1]
+    perturb_alpha 0 samples the empirical distribution; a value in (0, 1]
     mixes rows toward random simplex points before sampling, and any other
     value (negative, above 1, NaN) is rejected. Each graph's seed is derived
     from seed, so graph_spec.seed must be left at 0. The counts must be
@@ -89,17 +89,6 @@ class EvalConfig:
         return f"perturbed-{self.perturb_alpha:g}"
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    method: str
-    accuracy_mean: float
-    accuracy_std: float
-    uniques_mean: float
-    uniques_std: float
-    valids_mean: float
-    valids_std: float
-
-
 def _graph_distribution(cfg: EvalConfig, run: int, index: int) -> tuple[Graph, ParentDistribution]:
     spec = replace(cfg.graph_spec, seed=derive_seed(cfg.seed, "graph", run, index))
     g = generate_graph(spec)
@@ -112,8 +101,7 @@ def _graph_distribution(cfg: EvalConfig, run: int, index: int) -> tuple[Graph, P
 
 
 # A measure maps (cfg: EvalConfig, g: Graph, dist: ParentDistribution, method,
-# run, index) to a list of floats. Each draws from its own named rng stream, so
-# a table that asks for fewer measures still gets the same numbers.
+# run, index) to a list of floats, drawn from its own named rng stream.
 
 
 def _single(cfg, g, dist, method, run, index) -> list[float]:
@@ -132,19 +120,19 @@ def _batch(cfg, g, dist, method, run, index) -> list[float]:
 
 def _suite_item(args) -> dict[str, list[float]]:
     """Per-(run, graph) work: build the graph and distribution once, then list
-    every measure's values for each method."""
-    cfg, (methods, measures), run, index = args
+    the measure's values for each method."""
+    cfg, (methods, measure), run, index = args
     g, dist = _graph_distribution(cfg, run, index)
-    return {
-        method: [v for measure in measures for v in measure(cfg, g, dist, method, run, index)]
-        for method in methods
-    }
+    return {method: measure(cfg, g, dist, method, run, index) for method in methods}
 
 
-def _run_means(cfg: EvalConfig, methods: list[str], measures: tuple, jobs: int) -> dict:
-    """Per method, a runs x values array: each value averaged over a run's graphs."""
+def _run_means(cfg: EvalConfig, methods: list[str], measure, jobs: int) -> dict:
+    """Per method, a runs x values array: each value averaged over a run's graphs.
+
+    Graph and distribution seeds do not depend on the method, so a method's
+    values are the same whatever it is measured with."""
     _check_distinct("methods", methods)
-    count, plan = cfg.graph_count, (tuple(methods), measures)
+    count, plan = cfg.graph_count, (tuple(methods), measure)
     items = [(cfg, plan, run, index) for run in range(cfg.runs) for index in range(count)]
     results = parallel_map(_suite_item, items, jobs)
     runs = [results[run * count : (run + 1) * count] for run in range(cfg.runs)]
@@ -154,48 +142,27 @@ def _run_means(cfg: EvalConfig, methods: list[str], measures: tuple, jobs: int) 
     }
 
 
-def _summary(cfg: EvalConfig, methods: list[str], measures: tuple, jobs: int) -> dict:
-    """Per method, the mean and std across runs of each value, in turn."""
-    return {
-        method: [f(column).item() for column in values.T for f in (np.mean, np.std)]
-        for method, values in _run_means(cfg, methods, measures, jobs).items()
-    }
-
-
-def evaluate(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> dict[str, MetricsRecord]:
-    """Metrics per method on shared graphs and distributions.
-
-    Per run, fresh graphs are generated and each gets one distribution, which
-    every method samples from. Accuracy is the valid fraction of one draw per
-    graph; uniques and valids come from a separate k-sample batch. Mean and
-    std are taken across runs. Graph and distribution seeds do not depend on
-    the method, so a method's record is the same whatever it is evaluated with.
-    """
-    summary = _summary(cfg, methods, (_single, _batch), jobs)
-    return {method: MetricsRecord(method, *summary[method]) for method in methods}
-
-
 def _summary_table(
     cfg: EvalConfig, methods: list[str], measure, names: tuple[str, ...], jobs: int
 ) -> StudyTable:
-    """One row per method: mean and std of each value the measure names."""
-    summary = _summary(cfg, methods, (measure,), jobs)
+    """One row per method: mean and std across runs of each value the measure names."""
     stats = [f"{name}_{stat}" for name in names for stat in ("mean", "std")]
     table = StudyTable(("method", "n", "dist", *stats))
-    for method in methods:
-        table.append(method, cfg.graph_spec.n, cfg.distribution_label(), *summary[method])
+    for method, values in _run_means(cfg, methods, measure, jobs).items():
+        summary = [f(column).item() for column in values.T for f in (np.mean, np.std)]
+        table.append(method, cfg.graph_spec.n, cfg.distribution_label(), *summary)
     return table
 
 
 def diversity_table(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> StudyTable:
-    """Unique/valid counts per k samples for several methods on shared graphs;
-    the same numbers as evaluate's, without drawing the single samples."""
+    """Distinct arrays and valid draws per k-sample batch for several methods
+    on shared graphs and distributions."""
     return _summary_table(cfg, methods, _batch, ("uniques", "valids"), jobs)
 
 
 def accuracy_table(cfg: EvalConfig, methods: list[str], jobs: int = 1) -> StudyTable:
-    """Single-draw validity rates for several methods on shared graphs; the
-    same numbers as evaluate's, without drawing the k-sample batches."""
+    """Single-draw validity rates for several methods on shared graphs and
+    distributions."""
     return _summary_table(cfg, methods, _single, ("acc",), jobs)
 
 
@@ -256,7 +223,7 @@ def _curve_table(
     if cfg.runs != 1:
         raise ValueError(f"curve studies average one run's graphs; got runs={cfg.runs}")
     methods = [*methods, "reference"]
-    curves = _run_means(cfg, methods, (measure,), jobs)
+    curves = _run_means(cfg, methods, measure, jobs)
     table = StudyTable(("method", "n", "dist", "sample_index", column))
     for method in methods:
         for i, value in enumerate(curves[method][0], first_index):
@@ -350,14 +317,12 @@ def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
 
 __all__ = [
     "EvalConfig",
-    "MetricsRecord",
     "RerunStudyConfig",
     "StudyTable",
     "accuracy_table",
     "coverage_study",
     "diversity_table",
     "edge_reuse_evolution",
-    "evaluate",
     "mean_edge_reuse",
     "rerun_divergence_study",
 ]

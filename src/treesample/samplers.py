@@ -13,8 +13,10 @@ Six strategies with different diversity/validity trade-offs:
   whose edge exists.
 * random: uniform baseline.
 
-Beam and greedy consult the graph (weights, source); the others only need the
-distribution. All samplers return a full predecessor array for any input.
+Beam and greedy read both the graph (weights, source) and the distribution;
+random reads only the graph (n, source); argmax and the two upward walks read
+only the distribution. All samplers return a full predecessor array for any
+input.
 Every draw, masked or not, bisects a `choice_cdf` CDF as numpy's
 `Generator.choice` does, so the streams match choice's exactly.
 """

@@ -63,7 +63,7 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
     - StartNode: vertex 0 is its own parent.
     - Edges: every parent edge exists in g.
     - NoCycle: every parent chain ends at a self-parent. A looping array is
-      no forest, so the conditions below are not evaluated for it.
+      no forest, so the conditions below are not checked for it.
     - RootUnreachableFromLower: every tree's root is its lowest vertex, and
       no arc enters a tree with a higher root (the earlier search would have).
     - SiblingOrder: an arc x -> y between unrelated vertices of one tree

@@ -15,18 +15,19 @@ from treesample import (
     EvalConfig,
     Graph,
     GraphSpec,
-    MetricsRecord,
     ParentDistribution,
     RerunStudyConfig,
+    StudyTable,
     Task,
     TiebreakMode,
+    accuracy_table,
     build_empirical,
     check_bf_valid,
     check_dfs_valid,
     coverage_study,
+    diversity_table,
     enumerate_dfs_trees,
     enumerate_shortest_path_trees,
-    evaluate,
     generate_graph,
     kl_divergence,
     randomized_bellman_ford,
@@ -39,8 +40,17 @@ from treesample.seeding import derive_seed
 _suite_cache: dict = {}
 
 
-def suite_records(task: Task, n: int, graph_count: int, methods: tuple[str, ...]) -> tuple[dict[str, MetricsRecord], float]:
-    """Accuracy/uniques/valids per method, computed once per configuration."""
+def table_row(table: StudyTable, method: str) -> dict:
+    """A method's row of a study table, by column name."""
+    return next(dict(zip(table.columns, row)) for row in table.rows if row[0] == method)
+
+
+def suite_records(
+    task: Task, n: int, graph_count: int, methods: tuple[str, ...]
+) -> tuple[dict[str, dict], float]:
+    """Per method, both tables' columns by name (acc_mean, uniques_mean,
+    valids_mean, ...), computed once per configuration. The elapsed time
+    covers both tables."""
     key = (task, n, graph_count, methods)
     if key not in _suite_cache:
         cfg = EvalConfig(
@@ -52,61 +62,63 @@ def suite_records(task: Task, n: int, graph_count: int, methods: tuple[str, ...]
             seed=0,
         )
         t0 = time.monotonic()
-        records = evaluate(cfg, list(methods))
-        _suite_cache[key] = (records, time.monotonic() - t0)
+        acc, div = accuracy_table(cfg, list(methods)), diversity_table(cfg, list(methods))
+        elapsed = time.monotonic() - t0
+        records = {m: {**table_row(acc, m), **table_row(div, m)} for m in methods}
+        _suite_cache[key] = (records, elapsed)
     return _suite_cache[key]
 
 
 def test_01_bf_small_graphs_cheap_methods_are_exact():
     """Size-5 shortest-path trees: argmax, beam, greedy all exact; random near zero."""
     records, elapsed = suite_records(Task.BF, 5, 50, ("argmax", "beam", "greedy", "random"))
-    line = " ".join(f"{m}={r.accuracy_mean:.4f}" for m, r in records.items())
+    line = " ".join(f"{m}={r['acc_mean']:.4f}" for m, r in records.items())
     print(f"bf n=5 accuracy: {line} elapsed={elapsed:.1f}s")
     for method in ("argmax", "beam", "greedy"):
-        assert records[method].accuracy_mean == 1.0
-    assert records["random"].accuracy_mean <= 0.02
+        assert records[method]["acc_mean"] == 1.0
+    assert records["random"]["acc_mean"] <= 0.02
     assert elapsed < 30.0
 
 
 def test_02_bf_large_graphs_stay_exact():
     """Size-64 shortest-path trees: the structure-aware methods never miss."""
     records, elapsed = suite_records(Task.BF, 64, 20, ("argmax", "beam", "greedy"))
-    line = " ".join(f"{m}={r.accuracy_mean:.4f}" for m, r in records.items())
+    line = " ".join(f"{m}={r['acc_mean']:.4f}" for m, r in records.items())
     print(f"bf n=64 accuracy: {line} elapsed={elapsed:.1f}s")
     for method in ("argmax", "beam", "greedy"):
-        assert records[method].accuracy_mean == 1.0
+        assert records[method]["acc_mean"] == 1.0
     assert elapsed < 300.0
 
 
 def test_03_dfs_small_graph_accuracy_bands():
     """Size-5 forests: single-draw validity per method inside its band."""
     records, _ = suite_records(Task.DFS, 5, 50, ("alt-upwards", "argmax", "upwards", "random"))
-    line = " ".join(f"{m}={r.accuracy_mean:.4f}" for m, r in records.items())
+    line = " ".join(f"{m}={r['acc_mean']:.4f}" for m, r in records.items())
     print(f"dfs n=5 accuracy: {line}")
-    assert 0.75 <= records["alt-upwards"].accuracy_mean <= 1.00
-    assert 0.65 <= records["argmax"].accuracy_mean <= 0.95
-    assert 0.14 <= records["upwards"].accuracy_mean <= 0.54
-    assert records["random"].accuracy_mean <= 0.02
+    assert 0.75 <= records["alt-upwards"]["acc_mean"] <= 1.00
+    assert 0.65 <= records["argmax"]["acc_mean"] <= 0.95
+    assert 0.14 <= records["upwards"]["acc_mean"] <= 0.54
+    assert records["random"]["acc_mean"] <= 0.02
 
 
 def test_04_bf_small_graphs_single_solution_regime():
     """Size-5 graphs rarely tie, so 5 draws give ~1 unique and 5 valid."""
     records, _ = suite_records(Task.BF, 5, 50, ("argmax", "beam", "greedy", "random"))
     for method in ("greedy", "beam"):
-        r = records[method]
-        print(f"bf n=5 diversity: {method} uniques={r.uniques_mean:.3f} valids={r.valids_mean:.3f}")
-        assert abs(r.uniques_mean - 1.0) <= 0.10
-        assert abs(r.valids_mean - 5.0) <= 0.10
+        uniques, valids = records[method]["uniques_mean"], records[method]["valids_mean"]
+        print(f"bf n=5 diversity: {method} uniques={uniques:.3f} valids={valids:.3f}")
+        assert abs(uniques - 1.0) <= 0.10
+        assert abs(valids - 5.0) <= 0.10
 
 
 def test_05_bf_large_graphs_diverse_and_valid():
     """Size-64 graphs carry cost ties: 5 draws give ~5 distinct valid trees."""
     records, _ = suite_records(Task.BF, 64, 20, ("argmax", "beam", "greedy"))
     for method in ("greedy", "beam"):
-        r = records[method]
-        print(f"bf n=64 diversity: {method} uniques={r.uniques_mean:.3f} valids={r.valids_mean:.3f}")
-        assert r.uniques_mean >= 4.5
-        assert abs(r.valids_mean - 5.0) <= 0.10
+        uniques, valids = records[method]["uniques_mean"], records[method]["valids_mean"]
+        print(f"bf n=64 diversity: {method} uniques={uniques:.3f} valids={valids:.3f}")
+        assert uniques >= 4.5
+        assert abs(valids - 5.0) <= 0.10
 
 
 def test_06_reference_outputs_always_pass_validity():
@@ -283,7 +295,7 @@ def test_12_accuracy_degrades_monotonically_under_perturbation():
             perturb_alpha=alpha,
             seed=0,
         )
-        accuracies.append(evaluate(cfg, ["beam"])["beam"].accuracy_mean)
+        accuracies.append(table_row(accuracy_table(cfg, ["beam"]), "beam")["acc_mean"])
     print(f"perturbation: accuracies={accuracies}")
     assert all(a >= b for a, b in zip(accuracies, accuracies[1:]))
     assert accuracies[0] == 1.0

@@ -169,12 +169,32 @@ def test_jobs_do_not_change_output_bytes(tmp_path):
 
 
 def test_output_env_var_redirects_relative_paths(tmp_path, monkeypatch):
+    # Every relative path flag (-i, -d, -s, -o) lies under $TREESAMPLE_OUT, so
+    # a chain of relative names runs end to end, and each manifest records the
+    # resolved paths.
     workdir = tmp_path / "out"
     workdir.mkdir()
     monkeypatch.setenv("TREESAMPLE_OUT", str(workdir))
-    assert run("gen", "-n", "4", "--task", "bf", "--seed", "1", "-o", "graphs.json") == 0
-    assert (workdir / "graphs.json").exists()
-    assert (workdir / "graphs.json.manifest.json").exists()
+    monkeypatch.chdir(tmp_path)
+    chain = (
+        ("gen", "-n", "4", "--task", "bf", "--seed", "1", "-o", "graphs.json"),
+        ("dist", "-i", "graphs.json", "--task", "bf", "--runs", "5", "--seed", "2",
+         "-o", "dists.json"),
+        ("sample", "-i", "graphs.json", "-d", "dists.json", "--task", "bf", "--method", "beam",
+         "-k", "2", "--seed", "3", "-o", "sols.json"),
+        ("check", "-i", "graphs.json", "-s", "sols.json", "-o", "verdicts.csv"),
+    )
+    for argv in chain:
+        assert run(*argv) == 0, argv[0]
+        out = workdir / argv[-1]
+        assert out.exists()
+        config = read_json(out.with_name(out.name + ".manifest.json"))["config"]
+        assert config["output"] == str(out)
+        for flag in ("input", "dists", "solutions"):
+            if flag in config:
+                assert Path(config[flag]).parent == workdir
+    assert len((workdir / "verdicts.csv").read_text().splitlines()) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
     # Absolute paths are left alone.
     absolute = tmp_path / "abs.json"
     assert run("gen", "-n", "4", "--task", "bf", "--seed", "1", "-o", str(absolute)) == 0
@@ -306,7 +326,8 @@ def test_validation_errors_exit_3(tmp_path, capsys):
         assert run("dist", "-i", str(bad_graphs), "--task", "bf", "--seed", "2",
                    "-o", str(tmp_path / "never.json")) == 3
     def one_entry(index, solutions):
-        return {"task": "bf", "entries": [{"graph_index": index, "solutions": solutions}]}
+        return {"task": "bf", "method": "argmax", "k": 1,
+                "entries": [{"graph_index": index, "solutions": solutions}]}
 
     bad_payloads = [
         one_entry(index, [solution])
@@ -316,8 +337,8 @@ def test_validation_errors_exit_3(tmp_path, capsys):
         )
     ] + [
         [one_entry(0, [[0, 0, 0]])],  # not an object
-        {"task": "bf", "entries": {"graph_index": 0, "solutions": [[0, 0, 0]]}},
-        {"task": "bf", "entries": [[0, [0, 0, 0]]]},
+        {**one_entry(0, []), "entries": {"graph_index": 0, "solutions": [[0, 0, 0]]}},
+        {**one_entry(0, []), "entries": [[0, [0, 0, 0]]]},
         one_entry(0, 5),
     ]
     for payload in bad_payloads:
@@ -378,6 +399,30 @@ def test_malformed_graph_and_distribution_files_exit_3(tmp_path, capsys, graphs,
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ({"method": 7}, "'method' must be one of"),
+        ({"method": "x"}, "'method' must be one of"),
+        ({"k": "x"}, "'k' must be a positive integer, got 'x'"),
+        ({"k": True}, "'k' must be a positive integer, got True"),
+        ({"k": 0}, "'k' must be a positive integer, got 0"),
+        ({"k": 2}, "entry has 1 solutions but k is 2"),
+    ],
+)
+def test_check_refuses_a_malformed_method_or_k(tmp_path, capsys, header, message):
+    graphs, sols = tmp_path / "g.json", tmp_path / "s.json"
+    graphs.write_text(json.dumps([GOOD_GRAPH]))
+    payload = {"task": "bf", "method": "argmax", "k": 1,
+               "entries": [{"graph_index": 0, "solutions": [[0, 0, 1]]}]}
+    sols.write_text(json.dumps(payload))
+    assert run("check", "-i", str(graphs), "-s", str(sols)) == 0
+    capsys.readouterr()
+    sols.write_text(json.dumps({**payload, **header}))
+    assert run("check", "-i", str(graphs), "-s", str(sols)) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_weights_beyond_float_range_run_through_the_pipeline(tmp_path):
     # Integer weights above 1e308 must never meet the float infinity of an
     # unreachable or missing-edge cost: relax, the tight-parent table and beam
@@ -429,7 +474,7 @@ FUZZ_FILES = {
 }
 # Replacement values. No int here may pass the vertex bound and still be large
 # enough to make an n x n matrix expensive.
-FUZZ_POOL = (10**20, True, 1.5, "1/0", [], {}, None, -1, "x")
+FUZZ_POOL = (10**20, True, 1.5, "1/0", [], {}, None, -1, 7, "x")
 
 
 def json_slots(node):
@@ -445,15 +490,36 @@ def json_slots(node):
         yield from json_slots(value)
 
 
+def malformed_header(sols) -> bool:
+    """Whether a solutions payload's method or k is one check must refuse: a
+    method outside METHODS, a k that is not a positive int, or a k unequal to
+    an entry's number of solutions."""
+    if not isinstance(sols, dict):
+        return False
+    method, k = sols.get("method"), sols.get("k")
+    if method not in METHODS or type(k) is not int or k < 1:
+        return True
+    entries = sols.get("entries")
+    return isinstance(entries, list) and any(
+        isinstance(e, dict) and isinstance(e.get("solutions"), list) and len(e["solutions"]) != k
+        for e in entries
+    )
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_mutated_files_exit_0_3_or_4(data):
     # Mutate the valid files (drop a key or item, retype a value, wrap a value
     # in a list or unwrap it); every command must exit 0, 3 or 4 and print no
-    # traceback. An uncaught exception escapes main and fails the test.
+    # traceback. An uncaught exception escapes main and fails the test. Half
+    # the mutations land in the solutions file, so that its method, k and
+    # solution counts are often hit, and check must refuse a malformed one.
     files = copy.deepcopy(FUZZ_FILES)
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
-        container, key = data.draw(st.sampled_from(list(json_slots(files))), label="slot")
+        slots = list(json_slots(files))
+        sols_slots = list(json_slots(files.get("sols"))) or slots
+        choices = st.sampled_from(slots) | st.sampled_from(sols_slots)
+        container, key = data.draw(choices, label="slot")
         op = data.draw(st.sampled_from(("drop", "retype", "wrap", "unwrap")), label="op")
         value = container[key]
         if op == "drop":
@@ -484,6 +550,8 @@ def test_mutated_files_exit_0_3_or_4(data):
                 code = run(*argv)
             assert code in (0, 3, 4), (argv[0], files, err.getvalue())
             assert "Traceback" not in err.getvalue()
+            if argv[0] == "check" and malformed_header(files.get("sols")):
+                assert code != 0, files["sols"]
 
 
 def test_io_errors_exit_4(tmp_path, capsys):

@@ -15,7 +15,6 @@ from treesample import (
     draw_samples,
     edge_reuse_evolution,
     enumerate_shortest_path_trees,
-    evaluate,
     mean_edge_reuse,
 )
 from treesample.validity import verdict
@@ -87,24 +86,25 @@ def test_counts_are_rejected_when_the_config_is_built():
         small_config(Task.BF, samples_per_graph=0)
 
 
-def test_evaluate_record_shape():
-    records = evaluate(small_config(Task.BF), ["argmax"])
-    assert list(records) == ["argmax"]
-    record = records["argmax"]
-    assert record.method == "argmax"
-    assert 0.0 <= record.accuracy_mean <= 1.0
-    assert record.accuracy_std >= 0.0
-    assert 1.0 <= record.uniques_mean <= 5.0
-    assert 0.0 <= record.valids_mean <= 5.0
+def test_table_rows_lie_in_their_ranges():
+    cfg = small_config(Task.BF)
+    [(_, _, _, acc_mean, acc_std)] = accuracy_table(cfg, ["argmax"]).rows
+    assert 0.0 <= acc_mean <= 1.0
+    assert acc_std >= 0.0
+    [(_, _, _, uniques_mean, uniques_std, valids_mean, valids_std)] = diversity_table(
+        cfg, ["argmax"]
+    ).rows
+    assert 1.0 <= uniques_mean <= 5.0
+    assert 0.0 <= valids_mean <= 5.0
+    assert uniques_std >= 0.0 and valids_std >= 0.0
 
 
 def test_method_lists_must_be_non_empty_and_distinct():
     cfg = small_config(Task.BF, runs=1)
     for methods in (["argmax", "argmax"], []):
-        with pytest.raises(ValueError, match="must not repeat or be empty"):
-            evaluate(cfg, methods)
-        with pytest.raises(ValueError, match="must not repeat or be empty"):
-            accuracy_table(cfg, methods)
+        for table in (diversity_table, accuracy_table):
+            with pytest.raises(ValueError, match="must not repeat or be empty"):
+                table(cfg, methods)
     for study in (coverage_study, edge_reuse_evolution):
         with pytest.raises(ValueError, match="must not repeat or be empty"):
             study(cfg, ["beam", "beam"])
@@ -118,31 +118,13 @@ def test_method_lists_must_be_non_empty_and_distinct():
 )
 def test_evaluate_methods_together_equal_methods_alone(task, methods, jobs):
     # Graph and distribution seeds ignore the method, so one call serves every
-    # method with the records it would get on its own.
+    # method with the rows it would get on its own.
     cfg = small_config(task)
     a, b = methods
-    together = evaluate(cfg, methods, jobs=jobs)
-    assert list(together) == methods
-    assert together == {**evaluate(cfg, [a], jobs=jobs), **evaluate(cfg, [b], jobs=jobs)}
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("alpha", [0.0, 0.3])
-@pytest.mark.parametrize(
-    "task, methods", [(Task.BF, ["argmax", "beam", "greedy"]), (Task.DFS, ["upwards", "random"])]
-)
-def test_tables_print_evaluate_numbers(task, methods, alpha, jobs):
-    # Each table draws only what it prints, from the same streams as evaluate.
-    cfg = small_config(task, perturb_alpha=alpha, runs=3)
-    records = evaluate(cfg, methods, jobs=jobs)
-    label = cfg.distribution_label()
-    assert diversity_table(cfg, methods, jobs=jobs).rows == [
-        (m, 5, label, r.uniques_mean, r.uniques_std, r.valids_mean, r.valids_std)
-        for m, r in records.items()
-    ]
-    assert accuracy_table(cfg, methods, jobs=jobs).rows == [
-        (m, 5, label, r.accuracy_mean, r.accuracy_std) for m, r in records.items()
-    ]
+    for table in (diversity_table, accuracy_table):
+        together = table(cfg, methods, jobs=jobs).rows
+        assert [row[0] for row in together] == methods
+        assert together == table(cfg, [a], jobs=jobs).rows + table(cfg, [b], jobs=jobs).rows
 
 
 def test_diversity_table_shape():

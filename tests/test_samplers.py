@@ -332,6 +332,22 @@ def test_draws_reproduce_numpy_choice():
     assert min(seen.values()) > 0, seen
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_batched_draws_equal_scalar_draws(n):
+    # A draw primitive may batch its uniforms and indices without moving any
+    # stream: k floats or n bounded integers drawn at once equal the same
+    # number of scalar draws and leave the generator in the same state.
+    for seed in range(20):
+        batched, scalar = rng(seed), rng(seed)
+        assert batched.random(n).tolist() == [scalar.random() for _ in range(n)]
+        assert batched.random() == scalar.random()
+        batched, scalar = rng(seed), rng(seed)
+        assert batched.integers(0, n, size=n).tolist() == [
+            int(scalar.integers(n)) for _ in range(n)
+        ]
+        assert batched.random() == scalar.random()
+
+
 def test_draw_samples_streams_sequentially(unit_square):
     dist = build_empirical(unit_square, Task.BF, runs=200, seed=0)
     cfg = SamplerConfig(beam_branch=1)
