@@ -127,17 +127,8 @@ def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
 def cmd_gen(args: argparse.Namespace, out: Path) -> str:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    graphs = []
-    for index in range(args.count):
-        spec = GraphSpec(
-            n=args.n,
-            edge_probability=args.p,
-            task=args.task,
-            weight_set=args.weights,
-            normalize=not args.no_normalize,
-            seed=derive_seed(args.seed, "graph", index),
-        )
-        graphs.append(generate_graph(spec))
+    spec = GraphSpec(args.n, args.p, args.task, args.weights, not args.no_normalize)
+    graphs = [generate_graph(spec, derive_seed(args.seed, "graph", i)) for i in range(args.count)]
     graphs_to_json(graphs, out)
     return f"wrote {len(graphs)} graphs to {out}"
 
@@ -213,7 +204,6 @@ def cmd_check(args: argparse.Namespace, out: Path | None) -> str:
     if not isinstance(payload["entries"], list):
         raise ValueError("solutions file 'entries' must be a list")
     lines = []
-    index = 0
     for entry in payload["entries"]:
         if not isinstance(entry, dict) or not isinstance(entry["solutions"], list):
             raise ValueError(f"entry {entry!r} is not an object with a 'solutions' list")
@@ -224,16 +214,15 @@ def cmd_check(args: argparse.Namespace, out: Path | None) -> str:
             raise ValueError(f"graph_index {gi!r} out of range for {len(graphs)} graphs")
         for solution in entry["solutions"]:
             if not isinstance(solution, list):
-                raise ValueError(f"solution {index} is not a list: {solution!r}")
+                raise ValueError(f"solution {len(lines)} is not a list: {solution!r}")
             ok, tags = verdict(graphs[gi], task, tuple(solution))
-            lines.append(f"{index},{str(ok).lower()},{';'.join(tags)}")
-            index += 1
-    text = "\n".join(lines) + "\n"
+            lines.append(f"{len(lines)},{str(ok).lower()},{';'.join(tags)}")
+    text = "".join(line + "\n" for line in lines)
     if out is None:
         sys.stdout.write(text)
     else:
         out.write_text(text)
-    return f"checked {index} solutions; verdicts in {out}"
+    return f"checked {len(lines)} solutions; verdicts in {out}"
 
 
 def cmd_study_reruns(args: argparse.Namespace, out: Path) -> str:

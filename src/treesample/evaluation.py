@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .algorithms import randomized_bellman_ford, randomized_dfs
 from .distributions import ParentDistribution, build_empirical, kl_divergence, perturb
-from .graphs import MAX_VERTICES, Graph, GraphSpec, Task, generate_graph, tree_edges
+from .graphs import Graph, GraphSpec, Task, generate_graph, tree_edges
 from .parallel import parallel_map
 from .samplers import SamplerConfig, draw_samples, extract
 from .seeding import derive_rng, derive_seed
@@ -60,10 +60,10 @@ class EvalConfig:
     """Shared recipe for the sampler evaluation studies.
 
     perturb_alpha 0 samples the empirical distribution; a value in (0, 1]
-    mixes rows toward random simplex points before sampling, and any other
-    value (negative, above 1, NaN) is rejected. Each graph's seed is derived
-    from seed, so graph_spec.seed must be left at 0. The counts must be
-    positive, even where a study does not read them.
+    mixes rows toward random simplex points before sampling. Each graph's
+    seed is derived from seed. The config is checked when it is made: the
+    counts must be positive, even where a study does not read them, and any
+    other perturb_alpha (negative, above 1, NaN) is rejected.
     """
 
     graph_spec: GraphSpec
@@ -80,8 +80,10 @@ class EvalConfig:
             raise ValueError("graph_count and runs must be positive")
         if self.samples_per_graph < 1:
             raise ValueError(f"samples_per_graph must be positive, got {self.samples_per_graph}")
-        if self.graph_spec.seed != 0:
-            raise ValueError(f"graph_spec.seed must be 0, got {self.graph_spec.seed}")
+        if self.dist_runs < 1:
+            raise ValueError(f"dist_runs must be positive, got {self.dist_runs}")
+        if not 0.0 <= self.perturb_alpha <= 1.0:
+            raise ValueError(f"perturb_alpha must lie in [0, 1], got {self.perturb_alpha}")
 
     def distribution_label(self) -> str:
         if self.perturb_alpha == 0.0:
@@ -90,10 +92,9 @@ class EvalConfig:
 
 
 def _graph_distribution(cfg: EvalConfig, run: int, index: int) -> tuple[Graph, ParentDistribution]:
-    spec = replace(cfg.graph_spec, seed=derive_seed(cfg.seed, "graph", run, index))
-    g = generate_graph(spec)
+    g = generate_graph(cfg.graph_spec, derive_seed(cfg.seed, "graph", run, index))
     dist = build_empirical(
-        g, spec.task, runs=cfg.dist_runs, seed=derive_seed(cfg.seed, "dist", run, index)
+        g, cfg.graph_spec.task, runs=cfg.dist_runs, seed=derive_seed(cfg.seed, "dist", run, index)
     )
     if cfg.perturb_alpha != 0.0:
         dist = perturb(dist, cfg.perturb_alpha, seed=derive_seed(cfg.seed, "perturb", run, index))
@@ -252,7 +253,11 @@ def edge_reuse_evolution(
 
 @dataclass(frozen=True)
 class RerunStudyConfig:
-    """How distribution stability is measured as the rerun budget grows."""
+    """How distribution stability is measured as the rerun budget grows.
+
+    Checked when it is made, but for the size range: the study builds each
+    size's GraphSpec, which checks it, before any graph is seeded.
+    """
 
     sizes: tuple[int, ...] = tuple(range(5, 65))
     graphs_per_size: int = 100
@@ -261,20 +266,24 @@ class RerunStudyConfig:
     edge_probability: float | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.graphs_per_size < 1:
+            raise ValueError("graphs_per_size must be positive")
+        if len(self.rerun_counts) < 2:
+            raise ValueError("need at least two rerun counts to compare")
+        _check_distinct("sizes", self.sizes)
+        _check_distinct("rerun_counts", self.rerun_counts)
+        if min(self.rerun_counts) < 1:
+            raise ValueError(f"rerun_counts must be at least 1, got {list(self.rerun_counts)}")
+
 
 def _rerun_study_item(args) -> list[float]:
     """KL values of one graph, one per rerun-count pair in combinations order."""
-    cfg, size, index = args
-    spec = GraphSpec(
-        n=size,
-        edge_probability=cfg.edge_probability,
-        task=cfg.task,
-        seed=derive_seed(cfg.seed, "graph", size, index),
-    )
-    g = generate_graph(spec)
+    cfg, spec, index = args
+    g = generate_graph(spec, derive_seed(cfg.seed, "graph", spec.n, index))
     dists = {
         count: build_empirical(
-            g, cfg.task, runs=count, seed=derive_seed(cfg.seed, "dist", size, index, count)
+            g, cfg.task, runs=count, seed=derive_seed(cfg.seed, "dist", spec.n, index, count)
         )
         for count in cfg.rerun_counts
     }
@@ -292,16 +301,8 @@ def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
     sub-seeds); KL is recorded for each ordered low/high pair and aggregated
     as mean and standard deviation across graphs per size.
     """
-    if cfg.graphs_per_size < 1:
-        raise ValueError("graphs_per_size must be positive")
-    if len(cfg.rerun_counts) < 2:
-        raise ValueError("need at least two rerun counts to compare")
-    _check_distinct("sizes", cfg.sizes)
-    _check_distinct("rerun_counts", cfg.rerun_counts)
-    for size in cfg.sizes:  # before derive_seed, whose message would name a seed key
-        if not 1 <= size <= MAX_VERTICES:
-            raise ValueError(f"graph size must be positive and at most {MAX_VERTICES}, got {size}")
-    items = [(cfg, size, index) for size in cfg.sizes for index in range(cfg.graphs_per_size)]
+    specs = [GraphSpec(size, cfg.edge_probability, cfg.task) for size in cfg.sizes]
+    items = [(cfg, spec, index) for spec in specs for index in range(cfg.graphs_per_size)]
     pairs = _count_pairs(cfg)
     kl = np.array(parallel_map(_rerun_study_item, items, jobs))
     # sizes x graphs x pairs, copied to sizes x pairs x graphs: numpy sums a

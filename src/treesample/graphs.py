@@ -84,6 +84,7 @@ class Graph:
     ) -> "Graph":
         """Graph from (u, v, weight) edges: distinct int endpoints in 0..n-1, and
         a positive int, Fraction or string weight ("2/3"; never a bool or float).
+        No edge may be listed twice; an undirected graph's (v, u) repeats (u, v).
         """
         if type(n) is not int or n > MAX_VERTICES:
             raise ValueError(f"graph needs an int vertex count up to {MAX_VERTICES}, got n={n!r}")
@@ -103,6 +104,8 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) weight {w!r} has a zero denominator") from None
             if w <= 0:
                 raise ValueError(f"edge ({u},{v}) must have positive weight, got {w}")
+            if (u, v) in arcs:
+                raise ValueError(f"edge ({u},{v}) is listed twice")
             arcs[u, v] = w
             if not directed:
                 arcs[v, u] = w
@@ -223,11 +226,13 @@ BF_EDGE_PROBABILITY = 0.3
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Recipe for one random graph.
+    """Recipe for random graphs; the seed is generate_graph's argument.
 
     Task conventions: DFS graphs are directed and unweighted (weight 1), BF
     graphs are undirected, weighted from weight_set, source 0. edge_probability
-    None picks the per-task default density.
+    None picks the per-task default density. A spec is checked when it is
+    made: 1 <= n <= MAX_VERTICES, 0 < probability <= 1, and weight_set is a
+    non-empty tuple of positive ints.
     """
 
     n: int
@@ -235,7 +240,17 @@ class GraphSpec:
     task: Task = Task.BF
     weight_set: tuple[int, ...] = (1, 2, 3)
     normalize: bool = True
-    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n <= MAX_VERTICES:
+            raise ValueError(
+                f"graph size must be positive and at most {MAX_VERTICES}, got {self.n}"
+            )
+        probability = self.resolved_edge_probability()
+        if not 0 < probability <= 1:
+            raise ValueError(f"edge probability must lie in (0, 1], got {probability}")
+        if not self.weight_set or not all(type(w) is int and w > 0 for w in self.weight_set):
+            raise ValueError("weight_set must be non-empty positive ints")
 
     def resolved_edge_probability(self) -> float:
         if self.edge_probability is not None:
@@ -243,7 +258,7 @@ class GraphSpec:
         return DFS_EDGE_PROBABILITY if self.task is Task.DFS else BF_EDGE_PROBABILITY
 
 
-def generate_graph(spec: GraphSpec) -> Graph:
+def generate_graph(spec: GraphSpec, seed: int) -> Graph:
     """Sample an Erdos-Renyi graph according to spec, deterministically in seed.
 
     Each vertex pair gets an edge independently with the resolved edge
@@ -252,15 +267,8 @@ def generate_graph(spec: GraphSpec) -> Graph:
     (every present edge 1). A BF weight c/m, m being max(weight_set) or 1, is
     stored as c/g over the denominator m/g, g = gcd(m, every chosen c).
     """
-    if not 1 <= spec.n <= MAX_VERTICES:
-        raise ValueError(f"graph size must be positive and at most {MAX_VERTICES}, got {spec.n}")
+    rng = np.random.default_rng(seed)
     probability = spec.resolved_edge_probability()
-    if not 0 < probability <= 1:
-        raise ValueError(f"edge probability must lie in (0, 1], got {probability}")
-    if not spec.weight_set or not all(type(w) is int and w > 0 for w in spec.weight_set):
-        raise ValueError("weight_set must be non-empty positive ints")
-
-    rng = np.random.default_rng(spec.seed)
     n = spec.n
     directed = spec.task is Task.DFS
     choices = sorted(spec.weight_set)

@@ -90,10 +90,10 @@ def path_cost_from_source(g: Graph, pi: tuple[int, ...], v: int) -> Fraction | f
     return None  # walked n steps without terminating: pointer cycle
 
 
-def fraction_graph(spec: GraphSpec) -> Graph:
+def fraction_graph(spec: GraphSpec, seed: int) -> Graph:
     """generate_graph's reference build: the same rng calls in the same order,
     each edge a Fraction, then Graph.from_edges."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     probability = spec.resolved_edge_probability()
     directed = spec.task is Task.DFS
     choices = sorted(spec.weight_set)

@@ -129,7 +129,7 @@ def test_06_reference_outputs_always_pass_validity():
         for n in range(3, 17):
             for gi in range(143):
                 g = generate_graph(
-                    GraphSpec(n=n, task=task, seed=derive_seed(0, "nec", task.value, n, gi))
+                    GraphSpec(n=n, task=task), derive_seed(0, "nec", task.value, n, gi)
                 )
                 for run in range(5):
                     mode = TiebreakMode.PER_NODE if run % 2 else TiebreakMode.PER_RUN_GLOBAL
@@ -154,7 +154,7 @@ def test_07_checker_equals_enumeration_on_small_graphs():
     for n in (3, 4, 5, 6):
         for gi in range(graphs_per_size):
             g = generate_graph(
-                GraphSpec(n=n, task=Task.BF, seed=derive_seed(1, "oracle", n, gi))
+                GraphSpec(n=n, task=Task.BF), derive_seed(1, "oracle", n, gi)
             )
             accepted = {
                 pi for pi in itertools.product(range(n), repeat=n) if check_bf_valid(g, pi)
@@ -166,7 +166,7 @@ def test_07_checker_equals_enumeration_on_small_graphs():
     for n in (3, 4, 5, 6):
         for gi in range(graphs_per_size):
             g = generate_graph(
-                GraphSpec(n=n, task=Task.DFS, seed=derive_seed(1, "oracle-dfs", n, gi))
+                GraphSpec(n=n, task=Task.DFS), derive_seed(1, "oracle-dfs", n, gi)
             )
             # Every array up to n=5. At n=6 only arrays whose parents are the
             # vertex itself or an in-neighbour: the rest fail on a missing

@@ -65,7 +65,7 @@ def test_dfs_on_one_and_two_vertices(n, edges, tree):
 
 def test_enumeration_weights_sum_to_one():
     for seed in range(8):
-        g = generate_graph(GraphSpec(n=6, task=Task.DFS, seed=seed))
+        g = generate_graph(GraphSpec(n=6, task=Task.DFS), seed)
         supports = []
         for mode in TiebreakMode:
             trees = enumerate_dfs_trees(g, mode=mode)
@@ -77,10 +77,10 @@ def test_enumeration_weights_sum_to_one():
 
 
 def test_enumeration_rejects_large_graphs():
-    g = generate_graph(GraphSpec(n=9, task=Task.DFS, seed=0))
+    g = generate_graph(GraphSpec(n=9, task=Task.DFS), 0)
     with pytest.raises(ValueError, match="n <= 8"):
         enumerate_dfs_trees(g)
-    gb = generate_graph(GraphSpec(n=9, task=Task.BF, seed=0))
+    gb = generate_graph(GraphSpec(n=9, task=Task.BF), 0)
     with pytest.raises(ValueError, match="n <= 8"):
         enumerate_shortest_path_trees(gb)
 
@@ -150,7 +150,7 @@ def test_randomized_bf_deterministic_and_covers_both_trees(unit_square):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 6))
 def test_random_dfs_output_is_always_enumerated(seed, n):
-    g = generate_graph(GraphSpec(n=n, task=Task.DFS, seed=seed))
+    g = generate_graph(GraphSpec(n=n, task=Task.DFS), seed)
     for mode in TiebreakMode:
         support = set(enumerate_dfs_trees(g, mode=mode))
         pi = randomized_dfs(g, seed, mode)
@@ -160,7 +160,7 @@ def test_random_dfs_output_is_always_enumerated(seed, n):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 6))
 def test_random_bf_output_is_always_enumerated(seed, n):
-    g = generate_graph(GraphSpec(n=n, task=Task.BF, seed=seed))
+    g = generate_graph(GraphSpec(n=n, task=Task.BF), seed)
     pi = randomized_bellman_ford(g, seed)
     assert pi in enumerate_shortest_path_trees(g)
 
@@ -169,7 +169,7 @@ def test_random_bf_output_is_always_enumerated(seed, n):
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 7))
 def test_bf_chain_costs_telescope_to_true_costs(seed, n):
     """Walking any output's parent chain reproduces the true cost per vertex."""
-    g = generate_graph(GraphSpec(n=n, task=Task.BF, seed=seed))
+    g = generate_graph(GraphSpec(n=n, task=Task.BF), seed)
     pi = randomized_bellman_ford(g, seed + 1)
     costs = bellman_ford_costs(g)
     for v in range(n):

@@ -303,6 +303,13 @@ def test_validation_errors_exit_3(tmp_path, capsys):
         assert f"graph size must be positive and at most 1024, got {size}" in (
             capsys.readouterr().err
         )
+    # A bad graph spec is refused when it is made, before any file is written.
+    spec_out = str(tmp_path / "spec.csv")
+    assert run("study", "table2", "-n", "0", "--seed", "1", "-o", spec_out) == 3
+    assert "graph size must be positive and at most 1024, got 0" in capsys.readouterr().err
+    assert run("study", "reruns", "--sizes", "4", "--p", "1.5", "--seed", "1", "-o", spec_out) == 3
+    assert "edge probability must lie in (0, 1], got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "spec.csv").exists()
     # table2 draws one sample per graph, but a count below 1 is still refused.
     for flag in ("--samples", "--runs", "--graphs"):
         assert run("study", "table2", "--task", "bf", "-n", "4", flag, "0", "--seed", "1",
@@ -382,6 +389,10 @@ GOOD_GRAPH = {"n": 3, "directed": False, "source": 0, "edges": [[0, 1, "1"], [1,
         # An exponent that is no int passes the bound check; Fraction refuses it.
         ([{**GOOD_GRAPH, "edges": [[0, 1, "1e1.5"]]}], None),
         (GOOD_GRAPH, [1]),  # a distribution that is not an object
+        # An edge listed twice, never the last weight silently kept; undirected
+        # in either direction.
+        ([{**GOOD_GRAPH, "edges": [[0, 1, "1"], [1, 0, "2"], [1, 2, "1"]]}], None),
+        ([{**GOOD_GRAPH, "directed": True, "edges": [[0, 1, "1"], [0, 1, "5"]]}], None),
     ],
 )
 def test_malformed_graph_and_distribution_files_exit_3(tmp_path, capsys, graphs, dists):
@@ -397,6 +408,20 @@ def test_malformed_graph_and_distribution_files_exit_3(tmp_path, capsys, graphs,
     err = capsys.readouterr().err
     assert code == 3, err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_check_of_no_solutions_writes_no_verdict_line(tmp_path, capsys):
+    graphs, dists, sols = tmp_path / "g.json", tmp_path / "d.json", tmp_path / "s.json"
+    verdicts = tmp_path / "v.csv"
+    graphs.write_text("[]")
+    assert run("dist", "-i", str(graphs), "--seed", "1", "-o", str(dists)) == 0
+    assert run("sample", "-i", str(graphs), "-d", str(dists), "--method", "argmax",
+               "--seed", "1", "-o", str(sols)) == 0
+    assert run("check", "-i", str(graphs), "-s", str(sols), "-o", str(verdicts)) == 0
+    assert verdicts.read_bytes() == b""
+    capsys.readouterr()
+    assert run("check", "-i", str(graphs), "-s", str(sols)) == 0
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

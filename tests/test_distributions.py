@@ -171,7 +171,7 @@ def test_rerun_study_rows_equal_per_pair_reference():
         kls = {pair: [] for pair in ((2, 4), (2, 6), (4, 6))}
         for index in range(cfg.graphs_per_size):
             seed = derive_seed(cfg.seed, "graph", size, index)
-            g = generate_graph(GraphSpec(n=size, task=cfg.task, seed=seed))
+            g = generate_graph(GraphSpec(n=size, task=cfg.task), seed)
             dists = {
                 c: build_empirical(
                     g, cfg.task, runs=c, seed=derive_seed(cfg.seed, "dist", size, index, c)
@@ -202,6 +202,13 @@ def test_rerun_study_config_validation():
         rerun_divergence_study(RerunStudyConfig(sizes=(4, 5, 4), rerun_counts=(5, 10)))
     with pytest.raises(ValueError, match="sizes must not repeat or be empty"):
         rerun_divergence_study(RerunStudyConfig(sizes=(), rerun_counts=(5, 10)))
+    # Each count refused when the config is built, before any study runs.
+    with pytest.raises(ValueError, match=r"rerun_counts must be at least 1, got \[0, 5\]"):
+        RerunStudyConfig(rerun_counts=(0, 5))
+    with pytest.raises(ValueError, match="graphs_per_size"):
+        RerunStudyConfig(graphs_per_size=0)
+    with pytest.raises(ValueError, match="two rerun counts"):
+        RerunStudyConfig(rerun_counts=(5,))
     for size in (0, -2, 1025):  # refused before any graph is built or seeded
         with pytest.raises(ValueError, match=f"graph size must be positive .* got {size}"):
             rerun_divergence_study(RerunStudyConfig(sizes=(4, size), rerun_counts=(5, 10)))

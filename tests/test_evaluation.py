@@ -70,13 +70,6 @@ def small_config(task: Task, **overrides) -> EvalConfig:
     return EvalConfig(**defaults)
 
 
-def test_graph_spec_seed_is_rejected():
-    # Every graph's seed is derived from cfg.seed, so a graph_spec seed would
-    # be silently ignored.
-    with pytest.raises(ValueError, match="graph_spec.seed must be 0"):
-        small_config(Task.DFS, graph_spec=GraphSpec(n=5, task=Task.DFS, seed=123))
-
-
 def test_counts_are_rejected_when_the_config_is_built():
     # accuracy_table never reads samples_per_graph, so only the config can refuse it.
     for field in ("graph_count", "runs"):
@@ -84,6 +77,14 @@ def test_counts_are_rejected_when_the_config_is_built():
             small_config(Task.BF, **{field: 0})
     with pytest.raises(ValueError, match="samples_per_graph must be positive, got 0"):
         small_config(Task.BF, samples_per_graph=0)
+    # Refused here, not by the first work item, which may run in a worker.
+    with pytest.raises(ValueError, match="dist_runs must be positive, got 0"):
+        small_config(Task.BF, dist_runs=0)
+    for alpha in (-0.5, 2.0, float("nan")):
+        with pytest.raises(ValueError, match=r"perturb_alpha must lie in \[0, 1\]"):
+            small_config(Task.BF, perturb_alpha=alpha)
+    with pytest.raises(ValueError, match="graph size must be positive"):
+        small_config(Task.BF, graph_spec=GraphSpec(n=0))
 
 
 def test_table_rows_lie_in_their_ranges():

@@ -38,6 +38,14 @@ def test_from_edges_rejects_out_of_range_endpoints():
             Graph.from_edges(4, [(*bad, 1)], directed=False)
 
 
+def test_from_edges_rejects_an_edge_listed_twice():
+    # Never the last weight silently kept; undirected, either direction repeats.
+    for directed, edges in ((True, [(0, 1, 1), (0, 1, 5)]), (False, [(0, 1, 1), (1, 0, 2)])):
+        with pytest.raises(ValueError, match=r"edge \(\d,\d\) is listed twice"):
+            Graph.from_edges(3, [*edges, (1, 2, 1)], directed=directed)
+    assert Graph.from_edges(2, [(0, 1, 1), (1, 0, 5)], directed=True).weights == ((0, 1), (5, 0))
+
+
 def test_from_edges_rejects_malformed_fields():
     bad_edges = (
         ((1, 1, 1), "self-loop"),
@@ -110,21 +118,21 @@ def test_adjacency_is_ascending():
 
 
 def test_generate_graph_deterministic_in_seed():
-    spec = GraphSpec(n=8, task=Task.BF, seed=17)
-    assert generate_graph(spec) == generate_graph(spec)
-    other = generate_graph(GraphSpec(n=8, task=Task.BF, seed=18))
-    assert generate_graph(spec) != other
+    spec = GraphSpec(n=8, task=Task.BF)
+    assert generate_graph(spec, 17) == generate_graph(spec, 17)
+    other = generate_graph(spec, 18)
+    assert generate_graph(spec, 17) != other
 
 
 def test_dfs_task_convention_directed_unweighted_no_source():
-    g = generate_graph(GraphSpec(n=10, task=Task.DFS, seed=3))
+    g = generate_graph(GraphSpec(n=10, task=Task.DFS), 3)
     assert g.directed
     assert g.source is None
     assert all(w == 1 for _, _, w in edge_list(g))
 
 
 def test_bf_task_convention_undirected_weighted_source_zero():
-    g = generate_graph(GraphSpec(n=10, task=Task.BF, seed=3))
+    g = generate_graph(GraphSpec(n=10, task=Task.BF), 3)
     assert not g.directed
     assert g.source == 0
     allowed = {Fraction(1, 3), Fraction(2, 3), Fraction(1)}
@@ -134,7 +142,7 @@ def test_bf_task_convention_undirected_weighted_source_zero():
 
 
 def test_unnormalized_weights_stay_integral():
-    g = generate_graph(GraphSpec(n=10, task=Task.BF, seed=3, normalize=False))
+    g = generate_graph(GraphSpec(n=10, task=Task.BF, normalize=False), 3)
     assert {w for _, _, w in edge_list(g)} <= {Fraction(1), Fraction(2), Fraction(3)}
 
 
@@ -142,22 +150,24 @@ def test_generate_graph_equals_the_fraction_build():
     # Integer rows built directly must equal Fraction edges through from_edges,
     # including n=1, empty graphs, single-weight sets and common factors.
     weight_sets = ((1, 2, 3), (2, 5, 7), (1, 4, 6), (4, 6), (3,), (6, 10, 15))
-    specs = [
-        GraphSpec(n, p, Task.BF, weights, normalize, seed=17 * n + i)
+    cases = [
+        (GraphSpec(n, p, Task.BF, weights, normalize), 17 * n + i)
         for n in (1, 2, 3, 5, 8, 20, 64)
         for i, (weights, normalize, p) in enumerate(
             itertools.product(weight_sets, (True, False), (None, 0.05, 0.5, 1))
         )
     ] + [
-        GraphSpec(n, p, Task.DFS, seed=seed)
+        (GraphSpec(n, p, Task.DFS), seed)
         for n in (1, 2, 3, 5, 8, 20, 64)
         for p in (None, 0.05, 0.5, 1)
         for seed in range(3)
     ]
-    graphs = [generate_graph(spec) for spec in specs]
-    assert graphs == [fraction_graph(spec) for spec in specs]
+    graphs = [generate_graph(spec, seed) for spec, seed in cases]
+    assert graphs == [fraction_graph(spec, seed) for spec, seed in cases]
     assert any(not g.arcs for g in graphs if g.n > 1)
-    assert any(1 < g.denominator < max(s.weight_set) for g, s in zip(graphs, specs) if s.normalize)
+    assert any(
+        1 < g.denominator < max(s.weight_set) for g, (s, _) in zip(graphs, cases) if s.normalize
+    )
 
 
 def test_density_defaults_resolve_per_task():
@@ -167,7 +177,7 @@ def test_density_defaults_resolve_per_task():
 
 
 def test_full_density_gives_complete_graph():
-    g = generate_graph(GraphSpec(n=6, edge_probability=1.0, task=Task.DFS, seed=0))
+    g = generate_graph(GraphSpec(n=6, edge_probability=1.0, task=Task.DFS), 0)
     assert all(g.has_edge(u, v) for u in range(6) for v in range(6) if u != v)
 
 
@@ -187,7 +197,7 @@ def test_generate_graph_rejects_bad_parameters():
 def test_edge_count_matches_density():
     # Undirected n=5 has 10 candidate pairs; at p=0.5 the mean count is 5.
     counts = [
-        len(generate_graph(GraphSpec(n=5, edge_probability=0.5, task=Task.BF, seed=s)).arcs) / 2
+        len(generate_graph(GraphSpec(n=5, edge_probability=0.5, task=Task.BF), s).arcs) / 2
         for s in range(1000)
     ]
     assert abs(float(np.mean(counts)) - 5.0) < 0.25
@@ -243,7 +253,7 @@ def test_path_cost_unreachable_and_undefined_cases(third_weight_line):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12), task=st.sampled_from(list(Task)))
 def test_generated_graphs_are_well_formed(seed, n, task):
-    g = generate_graph(GraphSpec(n=n, task=task, seed=seed))
+    g = generate_graph(GraphSpec(n=n, task=task), seed)
     assert g.n == n
     assert not any(g.has_edge(v, v) for v in range(n))
     for u, v, w in edge_list(g):

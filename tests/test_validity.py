@@ -117,7 +117,7 @@ def test_dfs_check_accepts_exactly_the_enumerated_forests(
 def test_every_enumerated_dfs_tree_passes_screen():
     for seed in range(25):
         for n in (3, 4, 5, 6):
-            g = generate_graph(GraphSpec(n=n, task=Task.DFS, seed=seed * 31 + n))
+            g = generate_graph(GraphSpec(n=n, task=Task.DFS), seed * 31 + n)
             for mode in TiebreakMode:
                 for pi in enumerate_dfs_trees(g, mode=mode):
                     verdict = check_dfs_valid(g, pi)
@@ -127,7 +127,7 @@ def test_every_enumerated_dfs_tree_passes_screen():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 5))
 def test_dfs_screen_never_rejects_true_forests(seed, n):
-    g = generate_graph(GraphSpec(n=n, task=Task.DFS, seed=seed))
+    g = generate_graph(GraphSpec(n=n, task=Task.DFS), seed)
     for pi in enumerate_dfs_trees(g):
         assert check_dfs_valid(g, pi).valid
 
@@ -177,7 +177,7 @@ def test_bf_check_source_must_self_parent(third_weight_line):
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 5), dense=st.booleans())
 def test_bf_check_equals_enumeration_everywhere(seed, n, dense):
     p = 0.7 if dense else None
-    g = generate_graph(GraphSpec(n=n, task=Task.BF, seed=seed, edge_probability=p))
+    g = generate_graph(GraphSpec(n=n, task=Task.BF, edge_probability=p), seed)
     assert brute_force_shortest_path_trees(g) == enumerate_shortest_path_trees(g)
 
 
