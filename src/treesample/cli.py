@@ -284,31 +284,42 @@ def build_parser() -> argparse.ArgumentParser:
         "--p", type=float, default=None, help="edge probability (default: per-task density)"
     )
     sampler = argparse.ArgumentParser(add_help=False)
-    sampler.add_argument("--beam-width", type=int, default=3)
-    sampler.add_argument("--beam-branch", type=int, default=3)
-    sampler.add_argument("--greedy-samples", type=int, default=3)
-    sampler.add_argument("--greedy-resamples", type=int, default=10)
+    sampler.add_argument("--beam-width", type=int, default=SamplerConfig.beam_width)
+    sampler.add_argument("--beam-branch", type=int, default=SamplerConfig.beam_branch)
+    sampler.add_argument("--greedy-samples", type=int, default=SamplerConfig.greedy_parent_samples)
+    sampler.add_argument("--greedy-resamples", type=int, default=SamplerConfig.greedy_max_resamples)
     eval_flags = argparse.ArgumentParser(
         add_help=False, parents=[task, density, sampler, seeded, jobs]
     )
     eval_flags.add_argument("-n", type=int, default=5, help="graph size")
-    eval_flags.add_argument("--graphs", type=int, default=50, help="graphs per run")
-    eval_flags.add_argument("--dist-runs", type=int, default=20, help="reruns per distribution")
-    eval_flags.add_argument("--alpha", type=float, default=0.0, help="row perturbation strength")
+    eval_flags.add_argument(
+        "--graphs", type=int, default=EvalConfig.graph_count, help="graphs per run"
+    )
+    eval_flags.add_argument(
+        "--dist-runs", type=int, default=EvalConfig.dist_runs, help="reruns per distribution"
+    )
+    eval_flags.add_argument(
+        "--alpha", type=float, default=EvalConfig.perturb_alpha, help="row perturbation strength"
+    )
     eval_flags.add_argument("--methods", type=_method_list, default=None)
     # The sampler studies: curves average one run's graphs, tables several runs.
     curve = argparse.ArgumentParser(add_help=False, parents=[eval_flags])
     curve.add_argument("--samples", type=int, default=25)
     curve.set_defaults(runs=1, func=cmd_study)
     table = argparse.ArgumentParser(add_help=False, parents=[eval_flags])
-    table.add_argument("--runs", type=int, default=5, help="evaluation runs")
-    table.add_argument("--samples", type=int, default=5, help="batch size; table2 draws one")
+    table.add_argument("--runs", type=int, default=EvalConfig.runs, help="evaluation runs")
+    table.add_argument(
+        "--samples", type=int, default=EvalConfig.samples_per_graph,
+        help="batch size; table2 draws one",
+    )
     table.set_defaults(func=cmd_study)
 
     p = sub.add_parser("gen", help="generate random graphs", parents=[task, density, seeded])
     p.add_argument("-n", type=int, required=True, help="graph size")
     p.add_argument("--count", type=int, default=1, help="number of graphs")
-    p.add_argument("--weights", type=_int_list, default=(1, 2, 3), help="weight set, e.g. 1,2,3")
+    p.add_argument(
+        "--weights", type=_int_list, default=GraphSpec.weight_set, help="weight set, e.g. 1,2,3"
+    )
     p.add_argument("--no-normalize", action="store_true", help="keep raw integer weights")
     p.set_defaults(func=cmd_gen)
 
@@ -349,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sizes", type=_int_list, default=(5, 10, 16, 32))
     p.add_argument("--graphs", type=int, default=20, help="graphs per size")
-    p.add_argument("--counts", type=_int_list, default=(20, 50, 100), help="rerun budgets")
+    p.add_argument(
+        "--counts", type=_int_list, default=RerunStudyConfig.rerun_counts, help="rerun budgets"
+    )
     p.set_defaults(func=cmd_study_reruns)
 
     which.add_parser("coverage", help="cumulative unique valid solutions", parents=[curve])
@@ -376,8 +389,8 @@ def main(argv: list[str] | None = None) -> int:
         if out is not None:
             _write_manifest(out, args)
             print(summary)
-    # JSONDecodeError subclasses ValueError, so the I/O arm must come first.
-    except (OSError, json.JSONDecodeError) as exc:
+    # Decode errors are ValueErrors, so this arm comes first; only json.loads recurses.
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except KeyError as exc:

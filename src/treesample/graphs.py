@@ -119,11 +119,6 @@ class Graph:
         return self.weights[u][v] != 0
 
     @cached_property
-    def vertices(self) -> frozenset[int]:
-        """The vertex set {0, ..., n-1}."""
-        return frozenset(range(self.n))
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Ascending out-neighbor lists."""
         return tuple(
@@ -305,7 +300,7 @@ def validate_predecessors(g: Graph, pi: tuple[int, ...]) -> None:
         raise ValueError(f"predecessor array has length {len(pi)}, expected {g.n}")
     if {*map(type, pi)} != {int}:
         raise ValueError(f"predecessor array entries must be ints, got {list(pi)!r}")
-    if not g.vertices.issuperset(pi):
+    if min(pi) < 0 or max(pi) >= g.n:
         raise ValueError(f"predecessor array mentions out-of-range vertices for n={g.n}")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 
@@ -13,10 +14,12 @@ def parallel_map(fn, items: list, jobs: int = 1) -> list:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    if jobs == 1 or len(items) <= 1:
+    # The pool forks all its workers at once: start no more than items or CPUs.
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    chunk = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(items) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
 
 

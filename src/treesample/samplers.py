@@ -13,10 +13,11 @@ Six strategies with different diversity/validity trade-offs:
   whose edge exists.
 * random: uniform baseline.
 
-Beam and greedy read both the graph (weights, source) and the distribution;
-random reads only the graph (n, source); argmax and the two upward walks read
-only the distribution. All samplers return a full predecessor array for any
-input.
+Beam and greedy read both the graph (weights, source) and the distribution,
+and share one per-vertex loop that alone applies their fallback (lightest
+in-edge, else the vertex itself); random reads only the graph (n, source);
+argmax and the two upward walks read only the distribution. All samplers
+return a full predecessor array for any input.
 Every draw, masked or not, bisects a `choice_cdf` CDF as numpy's
 `Generator.choice` does, so the streams match choice's exactly.
 """
@@ -122,19 +123,23 @@ def _distinct_parents(
         cdf = choice_cdf(p)
 
 
-def _fallback(g: Graph, v: int, method: str, stats: dict | None) -> int:
-    """v's parent over its lightest in-edge (lowest index on ties), or v itself
-    without an in-edge. stats counts each under f"{method}_{kind}_fallback",
-    kind being parent or self."""
-    parents = [(g.weights[u][v], u) for u in range(g.n) if g.weights[u][v] > 0]
-    if parents:
-        kind, parent = "parent", min(parents)[1]
-    else:
-        kind, parent = "self", v
-    if stats is not None:
-        key = f"{method}_{kind}_fallback"
-        stats[key] = stats.get(key, 0) + 1
-    return parent
+def _per_vertex(g: Graph, method: str, stats: dict | None, search) -> tuple[int, ...]:
+    """The source keeps itself; each other v, in index order, takes search(v) or,
+    when that is None, its lightest in-edge (lowest index on ties), else itself,
+    counted in stats under f"{method}_{kind}_fallback", kind parent or self."""
+    if g.source is None:
+        raise ValueError(f"{method} extraction needs a graph with a source")
+    pi = [0] * g.n
+    for v in range(g.n):
+        parent = v if v == g.source else search(v)
+        if parent is None:
+            parents = [(g.weights[u][v], u) for u in range(g.n) if g.weights[u][v] > 0]
+            kind, parent = ("parent", min(parents)[1]) if parents else ("self", v)
+            if stats is not None:
+                key = f"{method}_{kind}_fallback"
+                stats[key] = stats.get(key, 0) + 1
+        pi[v] = parent
+    return tuple(pi)
 
 
 def beam_extract(
@@ -152,23 +157,14 @@ def beam_extract(
     adopts its immediate predecessor on the cheapest completed path (cost ties
     resolve to the lowest parent index). A first-step self-sample counts as a
     completed root claim at infinite cost, so unreachable vertices can keep
-    themselves. Without any completion the vertex falls back to its lightest
-    graph parent, or to itself when no in-edge exists.
+    themselves; with no completion it takes its lightest in-edge, else itself.
     """
-    if g.source is None:
-        raise ValueError("beam extraction needs a graph with a source")
-    n = dist.n
-    source = g.source
     weight = g.weights
-    pi = [0] * n
-    pi[source] = source
-    for v in range(n):
-        if v == source:
-            continue
+    def search(v: int) -> int | None:
         completed: list[tuple[float | int, int]] = []
         # A path is (cost, first hop, last vertex); first hop None means it is still at v.
         frontier: list[tuple[float | int, int | None, int]] = [(0, None, v)]
-        for _ in range(n):
+        for _ in range(dist.n):
             candidates: list[tuple[float | int, int | None, int]] = []
             for cost, first_hop, last in frontier:
                 for q in _distinct_parents(dist, last, cfg.beam_branch, rng):
@@ -179,7 +175,7 @@ def beam_extract(
                     w = weight[q][last]
                     extended = cost + w if w and cost != math.inf else math.inf
                     hop = q if first_hop is None else first_hop
-                    if q == source:
+                    if q == g.source:
                         completed.append((extended, hop))
                     else:
                         candidates.append((extended, hop, q))
@@ -187,8 +183,9 @@ def beam_extract(
                 break
             candidates.sort(key=lambda item: item[0])
             frontier = candidates[: cfg.beam_width]
-        pi[v] = min(completed)[1] if completed else _fallback(g, v, "beam", stats)
-    return tuple(pi)
+        return min(completed)[1] if completed else None
+
+    return _per_vertex(g, "beam", stats, search)
 
 
 def greedy_extract(
@@ -204,20 +201,11 @@ def greedy_extract(
     parents, weighted by the row. A sampled parent q is plausible when edge
     (q, v) exists, or when q == v (a root claim, ranked below every real
     edge). The cheapest plausible parent wins (cost ties resolve to the lowest
-    index). Rounds without any plausible sample are retried up to
-    greedy_max_resamples times; after that the vertex takes its lightest graph
-    parent, or itself when no in-edge exists.
+    index). A round without a plausible sample is retried up to
+    greedy_max_resamples times, then v takes its lightest in-edge, else itself.
     """
-    if g.source is None:
-        raise ValueError("greedy extraction needs a graph with a source")
-    n = dist.n
-    source = g.source
     weight = g.weights
-    pi = [0] * n
-    pi[source] = source
-    for v in range(n):
-        if v == source:
-            continue
+    def search(v: int) -> int | None:
         for _ in range(cfg.greedy_max_resamples):
             picks = _distinct_parents(dist, v, cfg.greedy_parent_samples, rng)
             plausible = [
@@ -226,11 +214,10 @@ def greedy_extract(
                 if q == v or weight[q][v] > 0
             ]
             if plausible:
-                pi[v] = min(plausible)[1]
-                break
-        else:
-            pi[v] = _fallback(g, v, "greedy", stats)
-    return tuple(pi)
+                return min(plausible)[1]
+        return None
+
+    return _per_vertex(g, "greedy", stats, search)
 
 
 def random_extract(g: Graph, rng: np.random.Generator) -> tuple[int, ...]:

@@ -266,6 +266,26 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_flag_defaults_are_the_config_defaults():
+    from treesample import EvalConfig, GraphSpec, RerunStudyConfig, SamplerConfig
+    from treesample.cli import _sampler_config, build_parser
+
+    parse = build_parser().parse_args
+    sample = parse(["sample", "-i", "g", "-d", "d", "--method", "beam", "--seed", "1", "-o", "s"])
+    assert _sampler_config(sample) == SamplerConfig()
+    table = parse(["study", "table1", "--seed", "1", "-o", "t.csv"])
+    assert _sampler_config(table) == SamplerConfig()
+    defaults = EvalConfig(GraphSpec(n=5))
+    assert (table.graphs, table.dist_runs, table.alpha, table.runs, table.samples) == (
+        defaults.graph_count, defaults.dist_runs, defaults.perturb_alpha,
+        defaults.runs, defaults.samples_per_graph,
+    )
+    gen = parse(["gen", "-n", "4", "--seed", "1", "-o", "g"])
+    assert gen.weights == GraphSpec(n=4).weight_set
+    reruns = parse(["study", "reruns", "--seed", "1", "-o", "r.csv"])
+    assert reruns.counts == RerunStudyConfig().rerun_counts
+
+
 def test_validation_errors_exit_3(tmp_path, capsys):
     g3 = tmp_path / "g3.json"
     g4 = tmp_path / "g4.json"
@@ -588,6 +608,28 @@ def test_io_errors_exit_4(tmp_path, capsys):
     bad.write_text("{not json")
     assert run("dist", "-i", str(bad), "--task", "bf", "--seed", "1",
                "-o", str(tmp_path / "d.json")) == 4
+
+    # Input nested beyond the decoder's limit, or not UTF-8, is an i/o error
+    # for every reader flag, not a traceback or a validation error.
+    graphs, dists = tmp_path / "graphs.json", tmp_path / "dists.json"
+    assert run("gen", "-n", "4", "--task", "bf", "--seed", "1", "-o", str(graphs)) == 0
+    assert run("dist", "-i", str(graphs), "--task", "bf", "--seed", "2", "-o", str(dists)) == 0
+    deep, binary = tmp_path / "deep.json", tmp_path / "binary.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    binary.write_bytes(b"\xff[]")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for bad in (deep, binary):
+        for argv in (
+            ("dist", "-i", str(bad), "--task", "bf", "--seed", "1", "-o", str(out)),
+            ("sample", "-i", str(graphs), "-d", str(bad), "--task", "bf", "--method", "beam",
+             "--seed", "1", "-o", str(out)),
+            ("check", "-i", str(graphs), "-s", str(bad), "-o", str(out)),
+        ):
+            assert run(*argv) == 4, argv
+            err = capsys.readouterr().err
+            assert "i/o error" in err and "Traceback" not in err, argv
+            assert not out.exists(), argv
 
 
 def test_version_flag(capsys):

@@ -207,6 +207,16 @@ def test_greedy_requires_source(two_tree_digraph):
         greedy_extract(point_mass((0, 0, 1)), two_tree_digraph, SamplerConfig(), rng())
 
 
+@pytest.mark.parametrize("extractor", [beam_extract, greedy_extract])
+def test_beam_and_greedy_root_at_a_source_other_than_0(extractor):
+    # Path 0-1-2 rooted at 2: the source keeps itself and vertex 0 reaches it via 1.
+    g = Graph.from_edges(3, [(0, 1, 1), (1, 2, 1)], directed=False, source=2)
+    pi = (1, 2, 2)
+    for s in range(10):
+        assert extractor(point_mass(pi), g, SamplerConfig(), rng(s)) == pi
+    assert check_bf_valid(g, pi)
+
+
 def test_empirical_extraction_never_hits_fallbacks(unit_square, third_weight_line):
     for g in (unit_square, third_weight_line):
         dist = build_empirical(g, Task.BF, runs=100, seed=3)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import os
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,29 @@ def test_parallel_map_matches_serial():
     assert parallel_map(_square, [], jobs=4) == []
     with pytest.raises(ValueError, match="jobs"):
         parallel_map(_square, items, jobs=0)
+
+
+def test_parallel_map_starts_no_more_workers_than_items_or_cpus(monkeypatch):
+    # The fake records the pool size and maps serially, so no process starts.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr("treesample.parallel.ProcessPoolExecutor", SerialPool)
+    assert parallel_map(_square, list(range(5)), jobs=10**6) == [x * x for x in range(5)]
+    assert all(w <= min(5, os.cpu_count() or 1) for w in started), started
+    assert parallel_map(_square, [], jobs=10**6) == []
 
 
 def _square(x: int) -> int:
