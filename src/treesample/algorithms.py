@@ -82,12 +82,49 @@ def randomized_dfs(
 def randomized_bellman_ford(g: Graph, seed: int) -> tuple[int, ...]:
     """One shortest-path tree with randomized relaxation order.
 
-    Graph.relax with the arc order reshuffled before each pass: updates only
-    on strictly smaller cost, and an early stop once a pass changes nothing
-    (the state is a fixed point, so the output is unaffected). Unreachable
-    vertices keep themselves as parents.
+    The tree Bellman-Ford builds when each pass relaxes every arc in a fresh
+    `rng.permutation(len(g.arcs))` and updates only on a strictly smaller
+    cost, computed without replaying the passes. v reaches its final cost,
+    and keeps its parent, at the first firing of a tight arc (u, v) after u
+    reached its own, so v's parent is the tight parent with the earliest such
+    firing. Walking `g.sp_arcs` in order settles every u before the arcs out
+    of it. Only the tight arcs' positions in each permutation are read, and a
+    pass's permutation is drawn only once some arc has to wait for that
+    pass: the same permutations as the replay's first passes, so the same
+    tree. Unreachable vertices keep themselves as parents.
     """
-    return tuple(g.relax(np.random.default_rng(seed))[1])
+    dag = g.sp_arcs
+    pi = list(range(g.n))
+    if not dag:
+        return tuple(pi)
+    arcs, m = g.arcs, len(g.arcs)
+    rng = np.random.default_rng(seed)
+    index = np.array(dag)
+    # fires[p][k]: the time tight arc k is relaxed in pass p, p * (m + 1) +
+    # its position + 1; time 0, before every firing, is when the source settles.
+    fires: list[list[int]] = []
+
+    def draw_pass() -> None:
+        start = len(fires) * (m + 1) + 1
+        when = np.empty(m, dtype=np.int64)
+        when[rng.permutation(m)] = np.arange(start, start + m)
+        fires.append(when[index].tolist())
+
+    draw_pass()
+    settled = [math.inf] * g.n
+    settled[g.source] = 0
+    for k, arc in enumerate(dag):
+        u, v, _ = arcs[arc]
+        after = settled[u]
+        p = after // (m + 1)
+        fire = fires[p][k]
+        if fire < after:  # already relaxed in u's pass: it fires in the next one
+            if p + 1 == len(fires):
+                draw_pass()
+            fire = fires[p + 1][k]
+        if fire < settled[v]:
+            settled[v], pi[v] = fire, u
+    return tuple(pi)
 
 
 def bellman_ford_costs(g: Graph) -> list[Fraction | float]:

@@ -25,13 +25,13 @@ ROW_SUM_TOLERANCE = 1e-9
 KL_EPSILON = 1e-8
 
 
-def choice_cdf(p: np.ndarray) -> list:
-    """The CDF `Generator.choice` bisects for weights p, as a list: cumsum
-    along the last axis divided by its last entry. A 2-D p gives one CDF per
-    row. A right bisection of it with one `rng.random()` is choice's draw."""
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF `Generator.choice` bisects for weights p: cumsum along the last
+    axis divided by its last entry. A 2-D p gives one CDF per row. A right
+    bisection of it with one `rng.random()` is choice's draw."""
     cdf = np.cumsum(p, axis=-1)
     cdf /= cdf[..., -1:]
-    return cdf.tolist()
+    return cdf
 
 
 class DrawTable(NamedTuple):
@@ -73,7 +73,7 @@ class ParentDistribution:
         """The sampling table, built on first use in the process that draws."""
         p = self.probs / self.probs.sum(axis=1, keepdims=True)
         return DrawTable(
-            cdf=choice_cdf(p),
+            cdf=choice_cdf(p).tolist(),
             support=np.count_nonzero(p, axis=1).tolist(),
             order=np.argsort(self.probs.sum(axis=0), kind="stable").tolist(),
         )

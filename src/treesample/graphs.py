@@ -141,16 +141,15 @@ class Graph:
         """relax's cost for a vertex not yet reached: above every path cost."""
         return 1 + sum(map(sum, self.weights))
 
-    def relax(self, rng: np.random.Generator | None = None) -> tuple[list, list[int]]:
-        """Bellman-Ford from the source: (integer costs, parents).
+    def relax(self) -> tuple[list, list[int]]:
+        """Bellman-Ford from the source, relaxing arcs in arcs order: (integer
+        costs, parents).
 
-        Each pass relaxes every arc, in arcs order or, given rng, in a fresh
-        rng.permutation drawn at the start of the pass; a vertex is updated
-        only on a strictly smaller cost. Stops after a pass that changes
-        nothing (at most n-1 passes). Unreachable vertices keep infinite cost
-        and themselves as parents. Inside the loop they hold the int
-        `_unreached`, so no int is ever added to a float infinity (a sum that
-        overflows for weights beyond float range).
+        A vertex is updated only on a strictly smaller cost. Stops after a
+        pass that changes nothing (at most n-1 passes). Unreachable vertices
+        keep infinite cost and themselves as parents. Inside the loop they
+        hold the int `_unreached`, so no int is ever added to a float infinity
+        (a sum that overflows for weights beyond float range).
         """
         if self.source is None:
             raise ValueError("bellman-ford needs a graph with a source")
@@ -161,8 +160,7 @@ class Graph:
         pi = list(range(self.n))
         for _ in range(self.n - 1):
             changed = False
-            for idx in range(len(arcs)) if rng is None else rng.permutation(len(arcs)).tolist():
-                u, v, w = arcs[idx]
+            for u, v, w in arcs:
                 cand = dist[u] + w
                 if cand < dist[v]:
                     dist[v] = cand
@@ -178,23 +176,33 @@ class Graph:
         return tuple(self.relax()[0])
 
     @cached_property
-    def sp_parents(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, its ascending tight parents: u with cost[v] - w(u, v) == cost[u].
+    def sp_arcs(self) -> tuple[int, ...]:
+        """Indices into arcs of the tight arcs (u, v), cost[v] - w(u, v) == cost[u]:
+        the arcs of the shortest-path DAG, by ascending cost of v (stable).
 
-        The source and every unreachable vertex have only themselves; the
-        guard matters, since infinity - w == infinity between unreachables.
-        The test subtracts from the finite cost[v], so an unreachable u's
-        infinite cost is only compared, never added to.
+        Weights are positive, so no arc into the source is tight and every arc
+        into u comes before every arc out of u. The guard on v's finite cost
+        matters, since infinity - w == infinity between unreachables; the test
+        subtracts from the finite cost[v], so an unreachable u's infinite cost
+        is only compared, never added to.
         """
-        costs, weights = self.sp_costs, self.weights
-        return tuple(
-            (v,)
-            if v == self.source or costs[v] == INFINITE_COST
-            else tuple(
-                u for u in range(self.n) if weights[u][v] and costs[v] - weights[u][v] == costs[u]
-            )
-            for v in range(self.n)
-        )
+        costs = self.sp_costs
+        tight = [
+            k
+            for k, (u, v, w) in enumerate(self.arcs)
+            if costs[v] != INFINITE_COST and costs[v] - w == costs[u]
+        ]
+        return tuple(sorted(tight, key=lambda k: costs[self.arcs[k][1]]))
+
+    @cached_property
+    def sp_parents(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, its ascending tight parents (the tails of its sp_arcs);
+        the source and every unreachable vertex have only themselves."""
+        parents: list[list[int]] = [[] for _ in range(self.n)]
+        for k in self.sp_arcs:
+            u, v, _ = self.arcs[k]
+            parents[v].append(u)
+        return tuple(tuple(p) if p else (v,) for v, p in enumerate(parents))
 
     def to_dict(self) -> dict:
         d = self.denominator

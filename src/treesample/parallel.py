@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def parallel_map(fn, items: list, jobs: int = 1) -> list:
@@ -18,6 +17,10 @@ def parallel_map(fn, items: list, jobs: int = 1) -> list:
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
+    # Imported here: a serial run (and every command at start-up) loads no
+    # concurrent.futures or multiprocessing modules.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

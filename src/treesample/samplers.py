@@ -56,28 +56,30 @@ def argmax_extract(dist: ParentDistribution) -> tuple[int, ...]:
     return tuple(int(j) for j in np.argmax(dist.probs, axis=1))
 
 
-def _masked_draw(dist: ParentDistribution, v: int, mask: set[int], rng: np.random.Generator) -> int:
-    """v's parent drawn by choice's rule from its row with the masked columns
-    zeroed, or a uniform unmasked vertex when no mass is left (v itself is
-    never masked, so there is always one)."""
-    row = dist.probs[v].copy()
-    row[list(mask)] = 0.0
+def _masked_draw(dist: ParentDistribution, v: int, keep: np.ndarray, rng: np.random.Generator) -> int:
+    """v's parent drawn by choice's rule from its row times keep (0.0 at the
+    masked columns, else 1.0), or a uniform kept vertex when no mass is left
+    (v itself is never masked, so there is always one). The product holds the
+    row's own values, so its sum, and the draw, are choice's to the bit."""
+    row = dist.probs[v] * keep
     total = row.sum()
     if total > 0.0:
-        return bisect_right(choice_cdf(row / total), rng.random())
-    open_vertices = [u for u in range(dist.n) if u not in mask]
-    return open_vertices[rng.integers(len(open_vertices))]
+        return int(choice_cdf(row / total).searchsorted(rng.random(), side="right"))
+    open_vertices = np.flatnonzero(keep)
+    return int(open_vertices[rng.integers(len(open_vertices))])
 
 
 def _upwards(dist: ParentDistribution, rng: np.random.Generator, mask_parents: bool) -> tuple[int, ...]:
     cdf = dist.draw_table.cdf
     pi: list[int | None] = [None] * dist.n
-    mask: set[int] = set()
+    keep = np.ones(dist.n)
+    masked = False
     for v in dist.draw_table.order:
         while pi[v] is None:  # walk v's chain up to an assigned vertex
-            pi[v] = _masked_draw(dist, v, mask, rng) if mask else bisect_right(cdf[v], rng.random())
+            pi[v] = _masked_draw(dist, v, keep, rng) if masked else bisect_right(cdf[v], rng.random())
             if mask_parents:
-                mask.add(v)
+                keep[v] = 0.0
+                masked = True
             v = pi[v]
     return tuple(pi)
 
@@ -120,7 +122,7 @@ def _distinct_parents(
             return found
         p = dist.probs[v] / dist.probs[v].sum()  # the weights choice was given
         p[found] = 0.0
-        cdf = choice_cdf(p)
+        cdf = choice_cdf(p).tolist()
 
 
 def _per_vertex(g: Graph, method: str, stats: dict | None, search) -> tuple[int, ...]:

@@ -108,3 +108,36 @@ def fraction_graph(spec: GraphSpec, seed: int) -> Graph:
             w = Fraction(1) if directed else Fraction(choices[rng.integers(len(choices))]) * scale
             edges.append((u, v, w))
     return Graph.from_edges(spec.n, edges, directed, None if directed else 0)
+
+
+def relax(g: Graph, rng: np.random.Generator | None = None) -> tuple[list, list[int]]:
+    """Bellman-Ford from the source, the oracle of randomized_bellman_ford:
+    (integer costs, parents).
+
+    Each pass relaxes every arc, in arcs order or, given rng, in a fresh
+    rng.permutation drawn at the start of the pass; a vertex is updated
+    only on a strictly smaller cost. Stops after a pass that changes
+    nothing (at most n-1 passes). Unreachable vertices keep infinite cost
+    and themselves as parents. Inside the loop they hold an int above every
+    path cost, so no int is ever added to a float infinity (a sum that
+    overflows for weights beyond float range).
+    """
+    if g.source is None:
+        raise ValueError("bellman-ford needs a graph with a source")
+    arcs = g.arcs
+    unreached = 1 + sum(map(sum, g.weights))
+    dist = [unreached] * g.n
+    dist[g.source] = 0
+    pi = list(range(g.n))
+    for _ in range(g.n - 1):
+        changed = False
+        for idx in range(len(arcs)) if rng is None else rng.permutation(len(arcs)).tolist():
+            u, v, w = arcs[idx]
+            cand = dist[u] + w
+            if cand < dist[v]:
+                dist[v] = cand
+                pi[v] = u
+                changed = True
+        if not changed:
+            break
+    return [INFINITE_COST if d == unreached else d for d in dist], pi

@@ -21,7 +21,9 @@ from treesample import (
     randomized_dfs,
 )
 
-from conftest import path_cost_from_source
+import numpy as np
+
+from conftest import path_cost_from_source, relax
 
 
 def test_two_tree_digraph_enumeration(two_tree_digraph):
@@ -145,6 +147,37 @@ def test_randomized_bf_deterministic_and_covers_both_trees(unit_square):
         assert pi in trees
         seen.add(pi)
     assert seen == trees
+
+
+def test_randomized_bf_equals_the_relaxation_replay():
+    # The event-time runner must give the tree of the pass-by-pass loop it
+    # replaces (conftest.relax) for the same seed, on every kind of graph.
+    graphs = [generate_graph(GraphSpec(n), seed) for n in (1, 2, 3, 5, 8, 16, 64) for seed in range(3)]
+    sparse = [generate_graph(GraphSpec(16, 0.08), seed) for seed in range(6)]
+    assert any(INFINITE_COST in g.sp_costs for g in sparse)  # some are disconnected
+    directed = Graph.from_edges(
+        6, [(3, 0, 1), (3, 1, 1), (0, 2, 1), (1, 2, 1), (2, 4, 1), (0, 4, 2), (5, 0, 1)],
+        directed=True, source=3,
+    )
+    huge = Graph.from_edges(
+        5, [(0, 1, "1/3"), (1, 2, "2/3"), (0, 2, 1), (0, 4, "1e400"), (4, 3, 1), (2, 3, "1e400")],
+        directed=False, source=0,
+    )
+    arcless = Graph.from_edges(3, [], directed=False, source=1)
+
+    def trees(g: Graph) -> set[tuple[int, ...]]:
+        out = set()
+        for seed in range(100 if g.n <= 6 else 20):  # small graphs: see every tree
+            pi = randomized_bellman_ford(g, seed)
+            assert pi == tuple(relax(g, np.random.default_rng(seed))[1]), (g, seed)
+            out.add(pi)
+        return out
+
+    for g in [*graphs, *sparse]:
+        trees(g)
+    assert trees(directed) == {(3, 3, p2, 3, p4, 5) for p2 in (0, 1) for p4 in (0, 2)}
+    assert len(trees(huge)) == 4  # 2 ties 0 and 1, 3 ties 4 and 2
+    assert trees(arcless) == {(0, 1, 2)}
 
 
 @settings(max_examples=30, deadline=None)

@@ -243,13 +243,20 @@ def test_random_extract_is_nearly_uniform():
     assert abs(hits / 1000 - 0.5) < 0.05
 
 
+def keep_vector(n: int, mask: set[int]) -> np.ndarray:
+    """The 0/1 float vector upwards keeps: 0.0 at the masked vertices."""
+    keep = np.ones(n)
+    keep[list(mask)] = 0.0
+    return keep
+
+
 def test_masked_draw_fallback_branches():
     probs = np.array([[1.0, 0.0, 0.0], [0.7, 0.0, 0.3], [0.0, 1.0, 0.0]])
     dist = ParentDistribution(3, probs)
     # The mass left after masking decides the draw.
-    assert {_masked_draw(dist, 1, {2}, rng(s)) for s in range(30)} == {0}
+    assert {_masked_draw(dist, 1, keep_vector(3, {2}), rng(s)) for s in range(30)} == {0}
     # Masking the whole support forces a uniform non-masked pick.
-    picks = {_masked_draw(dist, 2, {1}, rng(s)) for s in range(30)}
+    picks = {_masked_draw(dist, 2, keep_vector(3, {1}), rng(s)) for s in range(30)}
     assert picks == {0, 2}
 
 
@@ -324,7 +331,7 @@ def test_draws_reproduce_numpy_choice():
             masked_row[list(mask)] = 0.0
             total = masked_row.sum()
             ours, oracle = rng(seed), rng(seed)
-            got = _masked_draw(dist, v, mask, ours)
+            got = _masked_draw(dist, v, keep_vector(dist.n, mask), ours)
             if total > 0.0:
                 assert got == oracle.choice(dist.n, p=masked_row / total)
                 seen["masked draw"] += 1

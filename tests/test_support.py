@@ -4,6 +4,8 @@ import ast
 import importlib
 import inspect
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,7 +101,7 @@ def test_parallel_map_starts_no_more_workers_than_items_or_cpus(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr("treesample.parallel.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     assert parallel_map(_square, list(range(5)), jobs=10**6) == [x * x for x in range(5)]
     assert all(w <= min(5, os.cpu_count() or 1) for w in started), started
     assert parallel_map(_square, [], jobs=10**6) == []
@@ -107,6 +109,20 @@ def test_parallel_map_starts_no_more_workers_than_items_or_cpus(monkeypatch):
 
 def _square(x: int) -> int:
     return x * x
+
+
+def test_cli_import_loads_no_process_pool():
+    # The pool is imported only when a map needs more than one worker, so
+    # every command starts without the concurrent/multiprocessing modules.
+    src = str(Path(treesample.__file__).parents[1])
+    code = (
+        "import sys, treesample.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # Every name the package exported before its `__all__` became the union of
