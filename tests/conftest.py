@@ -110,12 +110,12 @@ def fraction_graph(spec: GraphSpec, seed: int) -> Graph:
     return Graph.from_edges(spec.n, edges, directed, None if directed else 0)
 
 
-def relax(g: Graph, rng: np.random.Generator | None = None) -> tuple[list, list[int]]:
-    """Bellman-Ford from the source, the oracle of randomized_bellman_ford:
-    (integer costs, parents).
+def relax(g: Graph, rng: np.random.Generator) -> tuple[list, list[int]]:
+    """Randomized Bellman-Ford from the source, the oracle of
+    randomized_bellman_ford: (integer costs, parents).
 
-    Each pass relaxes every arc, in arcs order or, given rng, in a fresh
-    rng.permutation drawn at the start of the pass; a vertex is updated
+    Each pass relaxes every arc in a fresh rng.permutation of the arc
+    indices, drawn at the start of the pass; a vertex is updated
     only on a strictly smaller cost. Stops after a pass that changes
     nothing (at most n-1 passes). Unreachable vertices keep infinite cost
     and themselves as parents. Inside the loop they hold an int above every
@@ -131,7 +131,7 @@ def relax(g: Graph, rng: np.random.Generator | None = None) -> tuple[list, list[
     pi = list(range(g.n))
     for _ in range(g.n - 1):
         changed = False
-        for idx in range(len(arcs)) if rng is None else rng.permutation(len(arcs)).tolist():
+        for idx in rng.permutation(len(arcs)).tolist():
             u, v, w = arcs[idx]
             cand = dist[u] + w
             if cand < dist[v]:

@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,6 @@ from treesample import (
     randomized_bellman_ford,
     randomized_dfs,
 )
-
-import numpy as np
 
 from conftest import path_cost_from_source, relax
 
