@@ -186,13 +186,13 @@ class Graph:
         subtracts from the finite cost[v], so an unreachable u's infinite cost
         is only compared, never added to.
         """
-        costs = self.sp_costs
+        costs, arcs = self.sp_costs, self.arcs
         tight = [
             k
-            for k, (u, v, w) in enumerate(self.arcs)
+            for k, (u, v, w) in enumerate(arcs)
             if costs[v] != INFINITE_COST and costs[v] - w == costs[u]
         ]
-        return tuple(sorted(tight, key=lambda k: costs[self.arcs[k][1]]))
+        return tuple(sorted(tight, key=lambda k: costs[arcs[k][1]]))
 
     @cached_property
     def sp_parents(self) -> tuple[tuple[int, ...], ...]:
