@@ -8,11 +8,12 @@ compare equal exactly when they have the same edges and rational weights.
 Undirected graphs keep the matrix symmetric. Path costs are integer sums, so
 shortest-path cost comparisons are exact and never need a floating tolerance;
 Fractions appear only where edges come in (`Graph.from_edges`) and go out
-(`Graph.to_dict`).
+(`Graph.to_dict` and `algorithms.bellman_ford_costs`).
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -137,43 +138,30 @@ class Graph:
         )
 
     @cached_property
-    def _unreached(self) -> int:
-        """relax's cost for a vertex not yet reached: above every path cost."""
-        return 1 + sum(map(sum, self.weights))
+    def sp_costs(self) -> tuple[int | float, ...]:
+        """Integer shortest-path costs from the source; unreachable -> infinity.
 
-    def relax(self) -> tuple[list, list[int]]:
-        """Bellman-Ford from the source, relaxing arcs in arcs order: (integer
-        costs, parents).
-
-        A vertex is updated only on a strictly smaller cost. Stops after a
-        pass that changes nothing (at most n-1 passes). Unreachable vertices
-        keep infinite cost and themselves as parents. Inside the loop they
-        hold the int `_unreached`, so no int is ever added to a float infinity
-        (a sum that overflows for weights beyond float range).
+        Dijkstra over arcs: weights are positive, so a vertex popped at its
+        current cost is settled. Only a settled, finite cost ever has a weight
+        added to it, so an unreached vertex can hold INFINITE_COST; comparing
+        an int with a float infinity is exact even beyond float range.
         """
         if self.source is None:
             raise ValueError("bellman-ford needs a graph with a source")
-        arcs = self.arcs
-        unreached = self._unreached
-        dist = [unreached] * self.n
-        dist[self.source] = 0
-        pi = list(range(self.n))
-        for _ in range(self.n - 1):
-            changed = False
-            for u, v, w in arcs:
-                cand = dist[u] + w
-                if cand < dist[v]:
-                    dist[v] = cand
-                    pi[v] = u
-                    changed = True
-            if not changed:
-                break
-        return [INFINITE_COST if d == unreached else d for d in dist], pi
-
-    @cached_property
-    def sp_costs(self) -> tuple[int | float, ...]:
-        """Integer shortest-path costs from the source; unreachable -> infinity."""
-        return tuple(self.relax()[0])
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
+        for arc in self.arcs:
+            out[arc[0]].append(arc)
+        cost: list[int | float] = [INFINITE_COST] * self.n
+        cost[self.source] = 0
+        heap = [(0, self.source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d == cost[u]:
+                for _, v, w in out[u]:
+                    if d + w < cost[v]:
+                        cost[v] = d + w
+                        heapq.heappush(heap, (cost[v], v))
+        return tuple(cost)
 
     @cached_property
     def sp_arcs(self) -> tuple[int, ...]:

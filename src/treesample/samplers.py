@@ -236,7 +236,6 @@ def extract(
     g: Graph,
     cfg: SamplerConfig,
     rng: np.random.Generator,
-    stats: dict | None = None,
 ) -> tuple[int, ...]:
     """Dispatch one sample through the named method."""
     if method == "argmax":
@@ -246,9 +245,9 @@ def extract(
     if method == "alt-upwards":
         return alt_upwards_sample(dist, rng)
     if method == "beam":
-        return beam_extract(dist, g, cfg, rng, stats)
+        return beam_extract(dist, g, cfg, rng)
     if method == "greedy":
-        return greedy_extract(dist, g, cfg, rng, stats)
+        return greedy_extract(dist, g, cfg, rng)
     if method == "random":
         return random_extract(g, rng)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -261,12 +260,11 @@ def draw_samples(
     cfg: SamplerConfig,
     k: int,
     rng: np.random.Generator,
-    stats: dict | None = None,
 ) -> list[tuple[int, ...]]:
     """k samples from one method, drawn sequentially from a single stream."""
     if k < 1:
         raise ValueError(f"need at least one sample, got {k}")
-    return [extract(method, dist, g, cfg, rng, stats) for _ in range(k)]
+    return [extract(method, dist, g, cfg, rng) for _ in range(k)]
 
 
 __all__ = [

@@ -112,7 +112,8 @@ def fraction_graph(spec: GraphSpec, seed: int) -> Graph:
 
 def relax(g: Graph, rng: np.random.Generator) -> tuple[list, list[int]]:
     """Randomized Bellman-Ford from the source, the oracle of
-    randomized_bellman_ford: (integer costs, parents).
+    randomized_bellman_ford's parents and of Graph.sp_costs: (integer costs,
+    parents).
 
     Each pass relaxes every arc in a fresh rng.permutation of the arc
     indices, drawn at the start of the pass; a vertex is updated

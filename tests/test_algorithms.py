@@ -149,8 +149,8 @@ def test_randomized_bf_deterministic_and_covers_both_trees(unit_square):
 
 
 def test_randomized_bf_equals_the_relaxation_replay():
-    # The event-time runner must give the tree of the pass-by-pass loop it
-    # replaces (conftest.relax) for the same seed, on every kind of graph.
+    # The event-time runner must give the tree, and sp_costs the costs, of the
+    # pass-by-pass loop (conftest.relax) for the same seed, on every kind of graph.
     graphs = [generate_graph(GraphSpec(n), seed) for n in (1, 2, 3, 5, 8, 16, 64) for seed in range(3)]
     sparse = [generate_graph(GraphSpec(16, 0.08), seed) for seed in range(6)]
     assert any(INFINITE_COST in g.sp_costs for g in sparse)  # some are disconnected
@@ -163,12 +163,16 @@ def test_randomized_bf_equals_the_relaxation_replay():
         directed=False, source=0,
     )
     arcless = Graph.from_edges(3, [], directed=False, source=1)
+    # Costs settle one hop per pass from 63 down to 0: the pass loop's worst case.
+    path = Graph.from_edges(64, [(v, v + 1, 1) for v in range(63)], directed=False, source=63)
 
     def trees(g: Graph) -> set[tuple[int, ...]]:
         out = set()
         for seed in range(100 if g.n <= 6 else 20):  # small graphs: see every tree
             pi = randomized_bellman_ford(g, seed)
-            assert pi == tuple(relax(g, np.random.default_rng(seed))[1]), (g, seed)
+            costs, parents = relax(g, np.random.default_rng(seed))
+            assert pi == tuple(parents), (g, seed)
+            assert g.sp_costs == tuple(costs), g
             out.add(pi)
         return out
 
@@ -177,6 +181,7 @@ def test_randomized_bf_equals_the_relaxation_replay():
     assert trees(directed) == {(3, 3, p2, 3, p4, 5) for p2 in (0, 1) for p4 in (0, 2)}
     assert len(trees(huge)) == 4  # 2 ties 0 and 1, 3 ties 4 and 2
     assert trees(arcless) == {(0, 1, 2)}
+    assert trees(path) == {(*range(1, 64), 63)}
 
 
 @settings(max_examples=30, deadline=None)

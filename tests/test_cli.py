@@ -468,10 +468,27 @@ def test_check_refuses_a_malformed_method_or_k(tmp_path, capsys, header, message
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("dist", "--task", "bf", "--seed", "1"), ("check", "-s", "{sols}")])
+def test_bf_on_a_sourceless_graph_exits_3(tmp_path, capsys, argv):
+    # A DFS graph has no source, so Graph.sp_costs refuses it; dist and check
+    # must report that as a validation error and write no file.
+    graphs, sols, out = tmp_path / "g.json", tmp_path / "s.json", tmp_path / "out"
+    graphs.write_text(json.dumps([{"n": 3, "directed": True, "source": None,
+                                   "edges": [[0, 1, "1"], [1, 2, "1"]]}]))
+    sols.write_text(json.dumps({"task": "bf", "method": "argmax", "k": 1,
+                                "entries": [{"graph_index": 0, "solutions": [[0, 0, 1]]}]}))
+    command, *rest = argv
+    assert run(command, "-i", str(graphs), *(a.format(sols=sols) for a in rest),
+               "-o", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "needs a graph with a source" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "s.json"]
+
+
 def test_weights_beyond_float_range_run_through_the_pipeline(tmp_path):
     # Integer weights above 1e308 must never meet the float infinity of an
-    # unreachable or missing-edge cost: relax, the tight-parent table and beam
-    # each used to add the two, which overflows.
+    # unreachable or missing-edge cost: the cost fill, the tight-parent table
+    # and beam each used to add the two, which overflows.
     tie = str(Fraction(1, 3) + Fraction(1, 10**400))  # 0->2 ties 0->1->2
     graphs = [
         # 3 and 4 are unreachable tails of arcs into the reachable part.

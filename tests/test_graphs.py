@@ -222,7 +222,6 @@ def test_sp_parents_pin_the_tight_parents(unit_square, third_weight_line):
     g = Graph.from_edges(4, [(0, 1, 1), (2, 3, 1)], directed=False, source=0)
     assert g.sp_costs == (0, 1, INFINITE_COST, INFINITE_COST)
     assert g.sp_parents == ((0,), (0,), (2,), (3,))
-    assert g.relax() == ([0, 1, INFINITE_COST, INFINITE_COST], [0, 0, 2, 3])
 
 
 def test_tree_edges_drops_self_parents():
