@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 
@@ -95,11 +96,9 @@ def randomized_bellman_ford(g: Graph, seed: int) -> tuple[int, ...]:
     """
     dag = g.sp_arcs
     pi = list(range(g.n))
-    if not dag:
-        return tuple(pi)
     arcs, m = g.arcs, len(g.arcs)
     rng = np.random.default_rng(seed)
-    index = np.array(dag)
+    index = np.array(dag, dtype=np.intp)
     # fires[p][k]: the time tight arc k is relaxed in pass p, p * (m + 1) +
     # its position + 1; time 0, before every firing, is when the source settles.
     fires: list[list[int]] = []
@@ -148,20 +147,17 @@ def enumerate_dfs_trees(
     _check_enumerable(g.n)
     n = g.n
     adjacency = g.adjacency
-    outcomes: dict[tuple[int, ...], Fraction] = {}
 
     if mode is TiebreakMode.PER_RUN_GLOBAL:
-        orders = list(itertools.permutations(range(1, n)))
-        total = len(orders)
-        for order in orders:
-            tree = _dfs_forest(n, adjacency, _ranked_pick(n, order))
-            outcomes[tree] = outcomes.get(tree, Fraction(0)) + Fraction(1, total)
-        return outcomes
+        orders = itertools.permutations(range(1, n))
+        counts = Counter(_dfs_forest(n, adjacency, _ranked_pick(n, order)) for order in orders)
+        return {tree: Fraction(count, math.factorial(n - 1)) for tree, count in counts.items()}
 
     # Replay the search once per leaf of the choice tree. A script lists the
     # eligible-list index of each pick; a pick past its end takes index 0 and
     # queues one script per other child, lowest index on top, so leaves come
     # in depth-first order.
+    outcomes: dict[tuple[int, ...], Fraction] = {}
     scripts: list[tuple[int, ...]] = [()]
     while scripts:
         choices = list(scripts.pop())

@@ -62,7 +62,7 @@ class EvalConfig:
     perturb_alpha 0 samples the empirical distribution; a value in (0, 1]
     mixes rows toward random simplex points before sampling. Each graph's
     seed is derived from seed. The config is checked when it is made: the
-    counts must be positive, even where a study does not read them, and any
+    counts must be positive ints, even where a study does not read them, and any
     other perturb_alpha (negative, above 1, NaN) is rejected.
     """
 
@@ -76,6 +76,9 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        counts = (self.graph_count, self.runs, self.samples_per_graph, self.dist_runs)
+        if {*map(type, counts)} != {int}:
+            raise ValueError(f"the counts must be ints, got {counts}")
         if self.graph_count < 1 or self.runs < 1:
             raise ValueError("graph_count and runs must be positive")
         if self.samples_per_graph < 1:
@@ -267,12 +270,14 @@ class RerunStudyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.graphs_per_size < 1:
-            raise ValueError("graphs_per_size must be positive")
+        if type(self.graphs_per_size) is not int or self.graphs_per_size < 1:
+            raise ValueError(f"graphs_per_size must be a positive int, got {self.graphs_per_size}")
         if len(self.rerun_counts) < 2:
             raise ValueError("need at least two rerun counts to compare")
         _check_distinct("sizes", self.sizes)
         _check_distinct("rerun_counts", self.rerun_counts)
+        if {*map(type, self.rerun_counts)} != {int}:
+            raise ValueError(f"rerun_counts must be ints, got {list(self.rerun_counts)}")
         if min(self.rerun_counts) < 1:
             raise ValueError(f"rerun_counts must be at least 1, got {list(self.rerun_counts)}")
 
@@ -303,16 +308,13 @@ def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
     """
     specs = [GraphSpec(size, cfg.edge_probability, cfg.task) for size in cfg.sizes]
     items = [(cfg, spec, index) for spec in specs for index in range(cfg.graphs_per_size)]
-    pairs = _count_pairs(cfg)
-    kl = np.array(parallel_map(_rerun_study_item, items, jobs))
-    # sizes x graphs x pairs, copied to sizes x pairs x graphs: numpy sums a
-    # contiguous last axis pairwise, as it sums a 1-D array, so each mean and
-    # std is bit-identical to one taken over that pair's list of graphs.
-    kl = kl.reshape(len(cfg.sizes), cfg.graphs_per_size, len(pairs)).transpose(0, 2, 1).copy()
-    rows = itertools.product(cfg.sizes, pairs)
+    kl = parallel_map(_rerun_study_item, items, jobs)
+    per_size = cfg.graphs_per_size
     table = StudyTable(("size", "pair_lo", "pair_hi", "mean_kl", "std_kl"))
-    for (size, (lo, hi)), mean, std in zip(rows, kl.mean(axis=2).flat, kl.std(axis=2).flat):
-        table.append(size, lo, hi, float(mean), float(std))
+    for s, size in enumerate(cfg.sizes):
+        graphs = kl[s * per_size : (s + 1) * per_size]
+        for (lo, hi), values in zip(_count_pairs(cfg), zip(*graphs)):
+            table.append(size, lo, hi, float(np.mean(values)), float(np.std(values)))
     return table
 
 

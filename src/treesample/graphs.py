@@ -47,7 +47,7 @@ class Graph:
     Attributes:
         n: vertex count; vertices are 0..n-1.
         directed: whether the weight matrix is interpreted as directed.
-        weights: n x n tuple-of-tuples of non-negative ints, 0 = absent edge.
+        weights: n x n tuple-of-tuples of non-negative ints, 0 = absent edge, 0 diagonal.
         source: distinguished source vertex for shortest-path tasks, or None.
         denominator: every weight is weights[u][v] / denominator.
     """
@@ -72,6 +72,8 @@ class Graph:
         flat = [w for row in self.weights for w in row]
         if not all(type(w) is int and w >= 0 for w in flat):
             raise ValueError("weights must be non-negative ints")
+        if any(self.weights[v][v] for v in range(self.n)):
+            raise ValueError("weight matrix diagonal must be zero (no self-loops)")
         if self.denominator < 1 or math.gcd(self.denominator, *flat) != 1:
             raise ValueError("denominator must be the smallest positive common denominator")
 
@@ -222,8 +224,8 @@ class GraphSpec:
     Task conventions: DFS graphs are directed and unweighted (weight 1), BF
     graphs are undirected, weighted from weight_set, source 0. edge_probability
     None picks the per-task default density. A spec is checked when it is
-    made: 1 <= n <= MAX_VERTICES, 0 < probability <= 1, and weight_set is a
-    non-empty tuple of positive ints.
+    made: n is an int in 1..MAX_VERTICES, 0 < probability <= 1, and weight_set
+    is a non-empty tuple of positive ints.
     """
 
     n: int
@@ -233,7 +235,7 @@ class GraphSpec:
     normalize: bool = True
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
+        if type(self.n) is not int or not 1 <= self.n <= MAX_VERTICES:
             raise ValueError(
                 f"graph size must be positive and at most {MAX_VERTICES}, got {self.n}"
             )

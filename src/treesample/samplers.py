@@ -38,7 +38,7 @@ METHODS = ("argmax", "upwards", "alt-upwards", "beam", "greedy", "random")
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Tuning knobs for the beam and greedy samplers."""
+    """Tuning knobs for the beam and greedy samplers; each a positive int."""
 
     beam_width: int = 3
     beam_branch: int = 3
@@ -47,8 +47,8 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         for name in ("beam_width", "beam_branch", "greedy_parent_samples", "greedy_max_resamples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive int, got {getattr(self, name)!r}")
 
 
 def argmax_extract(dist: ParentDistribution) -> tuple[int, ...]:
@@ -57,10 +57,10 @@ def argmax_extract(dist: ParentDistribution) -> tuple[int, ...]:
 
 
 def _masked_draw(dist: ParentDistribution, v: int, keep: np.ndarray, rng: np.random.Generator) -> int:
-    """v's parent drawn by choice's rule from its row times keep (0.0 at the
+    """upwards' draw of v's parent: choice's rule on v's row times keep (0.0 at
     masked columns, else 1.0), or a uniform kept vertex when no mass is left
-    (v itself is never masked, so there is always one). The product holds the
-    row's own values, so its sum, and the draw, are choice's to the bit."""
+    (v itself is never masked). The product holds the row's own values, so its
+    CDF is choice's to the bit, and with keep all ones it is draw_table.cdf[v]."""
     row = dist.probs[v] * keep
     total = row.sum()
     if total > 0.0:
@@ -73,13 +73,13 @@ def _upwards(dist: ParentDistribution, rng: np.random.Generator, mask_parents: b
     cdf = dist.draw_table.cdf
     pi: list[int | None] = [None] * dist.n
     keep = np.ones(dist.n)
-    masked = False
     for v in dist.draw_table.order:
         while pi[v] is None:  # walk v's chain up to an assigned vertex
-            pi[v] = _masked_draw(dist, v, keep, rng) if masked else bisect_right(cdf[v], rng.random())
             if mask_parents:
+                pi[v] = _masked_draw(dist, v, keep, rng)
                 keep[v] = 0.0
-                masked = True
+            else:
+                pi[v] = bisect_right(cdf[v], rng.random())
             v = pi[v]
     return tuple(pi)
 

@@ -38,17 +38,15 @@ def _depths_and_roots(pi: tuple[int, ...]) -> tuple[list[int], list[int]] | None
     """Each vertex's depth and tree root in the forest pi, or None when some
     parent chain loops instead of ending at a self-parent."""
     n = len(pi)
-    depth: list[int | None] = [None] * n
+    depth: list[int | None] = [0 if p == v else None for v, p in enumerate(pi)]
     root = list(range(n))
     for v in range(n):
-        chain, u = [], v
-        while depth[u] is None and pi[u] != u:
+        chain = []
+        while depth[v] is None:
             if len(chain) == n:  # n steps without a root or a known vertex
                 return None
-            chain.append(u)
-            u = pi[u]
-        if depth[u] is None:
-            depth[u] = 0
+            chain.append(v)
+            v = pi[v]
         for w in reversed(chain):
             depth[w], root[w] = depth[pi[w]] + 1, root[pi[w]]
     return depth, root

@@ -142,3 +142,20 @@ def relax(g: Graph, rng: np.random.Generator) -> tuple[list, list[int]]:
         if not changed:
             break
     return [INFINITE_COST if d == unreached else d for d in dist], pi
+
+
+def tight_parent_trees(g: Graph) -> set[tuple[int, ...]]:
+    """Every shortest-path tree of g, from relax()'s costs and no Graph.sp_*
+    table: the product over v of {u : cost[u] + w(u, v) == cost[v]}, with the
+    source and the unreachable vertices as their own parents."""
+    cost, _ = relax(g, np.random.default_rng(0))
+    choices = []
+    for v in range(g.n):
+        if v == g.source or cost[v] == INFINITE_COST:
+            choices.append([v])
+        else:
+            choices.append([
+                u for u, row in enumerate(g.weights)
+                if row[v] and cost[u] != INFINITE_COST and cost[u] + row[v] == cost[v]
+            ])
+    return set(product(*choices))

@@ -37,6 +37,8 @@ from treesample import (
 from treesample.cli import main as cli_main
 from treesample.seeding import derive_seed
 
+from conftest import tight_parent_trees
+
 _suite_cache: dict = {}
 
 
@@ -159,7 +161,7 @@ def test_07_checker_equals_enumeration_on_small_graphs():
             accepted = {
                 pi for pi in itertools.product(range(n), repeat=n) if check_bf_valid(g, pi)
             }
-            assert accepted == enumerate_shortest_path_trees(g), (n, gi)
+            assert accepted == enumerate_shortest_path_trees(g) == tight_parent_trees(g), (n, gi)
             checked += 1
     dfs_checked = 0
     dfs_arrays = 0

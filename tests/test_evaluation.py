@@ -6,6 +6,7 @@ import pytest
 from treesample import (
     EvalConfig,
     GraphSpec,
+    RerunStudyConfig,
     SamplerConfig,
     Task,
     accuracy_table,
@@ -85,6 +86,29 @@ def test_counts_are_rejected_when_the_config_is_built():
             small_config(Task.BF, perturb_alpha=alpha)
     with pytest.raises(ValueError, match="graph size must be positive"):
         small_config(Task.BF, graph_spec=GraphSpec(n=0))
+
+
+@pytest.mark.parametrize(
+    "config, overrides, message",
+    [
+        (GraphSpec, {"n": 5.0}, "graph size"),
+        (GraphSpec, {"n": True}, "graph size"),
+        (EvalConfig, {"graph_count": 2.5}, "counts must be ints"),
+        (EvalConfig, {"runs": True}, "counts must be ints"),
+        (EvalConfig, {"samples_per_graph": 5.0}, "counts must be ints"),
+        (EvalConfig, {"dist_runs": np.int64(20)}, "counts must be ints"),
+        (RerunStudyConfig, {"graphs_per_size": 1.5}, "graphs_per_size must be a positive int"),
+        (RerunStudyConfig, {"rerun_counts": (5, 7.5)}, "rerun_counts must be ints"),
+        (RerunStudyConfig, {"rerun_counts": (True, 5)}, "rerun_counts must be ints"),
+        (SamplerConfig, {"beam_width": 2.5}, "beam_width must be a positive int"),
+        (SamplerConfig, {"greedy_max_resamples": False}, "greedy_max_resamples"),
+    ],
+)
+def test_configs_refuse_non_int_counts_when_built(config, overrides, message):
+    # A Python int, not a bool, float or numpy int, as Graph requires for n.
+    required = {GraphSpec: {"n": 5}, EvalConfig: {"graph_spec": GraphSpec(n=5)}}
+    with pytest.raises(ValueError, match=message):
+        config(**{**required.get(config, {}), **overrides})
 
 
 def test_table_rows_lie_in_their_ranges():

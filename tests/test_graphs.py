@@ -105,6 +105,17 @@ def test_graph_shape_and_source_validation():
         Graph(2, False, ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))))
 
 
+def test_graph_rejects_a_nonzero_diagonal(tmp_path):
+    # graphs_from_json refuses a self-loop edge, so a matrix may not hold one:
+    # it would be written to a file that cannot be read back.
+    for directed, rows in ((True, ((1, 1), (0, 0))), (False, ((0, 2), (2, 2)))):
+        with pytest.raises(ValueError, match="diagonal must be zero"):
+            Graph(2, directed, rows)
+    g = Graph(2, True, ((0, 1), (0, 0)))
+    graphs_to_json([g], tmp_path / "g.json")
+    assert graphs_from_json(tmp_path / "g.json") == [g]
+
+
 def test_undirected_edges_are_symmetric():
     g = Graph.from_edges(3, [(0, 1, Fraction(1, 3))], directed=False)
     assert g.has_edge(0, 1) and g.has_edge(1, 0)

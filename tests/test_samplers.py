@@ -8,6 +8,7 @@ import pytest
 
 from treesample import (
     Graph,
+    GraphSpec,
     ParentDistribution,
     SamplerConfig,
     Task,
@@ -20,7 +21,9 @@ from treesample import (
     draw_samples,
     enumerate_shortest_path_trees,
     extract,
+    generate_graph,
     greedy_extract,
+    perturb,
     random_extract,
     upwards_sample,
 )
@@ -258,6 +261,31 @@ def test_masked_draw_fallback_branches():
     # Masking the whole support forces a uniform non-masked pick.
     picks = {_masked_draw(dist, 2, keep_vector(3, {1}), rng(s)) for s in range(30)}
     assert picks == {0, 2}
+
+
+class FixedUniform:
+    """An rng whose random() always returns x."""
+
+    def __init__(self, x: float):
+        self.x = x
+
+    def random(self) -> float:
+        return self.x
+
+
+def test_unmasked_draw_bisects_the_draw_table():
+    # upwards draws every parent through _masked_draw, alt-upwards bisects
+    # draw_table.cdf: with nothing masked, both give the same parent for the
+    # same uniform, checked at every CDF entry and the float just below it.
+    for task, n in ((Task.BF, 5), (Task.DFS, 8), (Task.BF, 64), (Task.DFS, 64)):
+        g = generate_graph(GraphSpec(n=n, task=task), n)
+        empirical = build_empirical(g, task, runs=20, seed=n)
+        for dist in (empirical, perturb(empirical, 0.3, seed=n), perturb(empirical, 1.0, seed=n)):
+            keep = np.ones(n)
+            for v, cdf in enumerate(dist.draw_table.cdf):
+                uniforms = {x for c in cdf for x in (c, float(np.nextafter(c, 0.0))) if x < 1.0}
+                for x in sorted(uniforms | {0.0}):
+                    assert _masked_draw(dist, v, keep, FixedUniform(x)) == bisect_right(cdf, x)
 
 
 def choice_cases():

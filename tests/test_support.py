@@ -195,6 +195,26 @@ def test_no_module_reaches_into_another_modules_private_names():
     assert offences == []
 
 
+def test_package_imports_only_the_stdlib_and_numpy():
+    # numpy is the one declared dependency; everything else is the stdlib.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "treesample"}
+    offences = []
+    for path in sorted(Path(treesample.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offences += [
+                f"{path.name}:{node.lineno} imports {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert offences == []
+
+
 def _package_imports(path: Path) -> set[str]:
     """The package modules a source file imports, by bare name."""
     names = set()

@@ -23,7 +23,7 @@ from treesample import (
     generate_graph,
 )
 
-from conftest import brute_force_shortest_path_trees, path_cost_from_source
+from conftest import brute_force_shortest_path_trees, path_cost_from_source, tight_parent_trees
 
 
 def test_two_tree_graph_verdicts(two_tree_digraph):
@@ -178,7 +178,8 @@ def test_bf_check_source_must_self_parent(third_weight_line):
 def test_bf_check_equals_enumeration_everywhere(seed, n, dense):
     p = 0.7 if dense else None
     g = generate_graph(GraphSpec(n=n, task=Task.BF, edge_probability=p), seed)
-    assert brute_force_shortest_path_trees(g) == enumerate_shortest_path_trees(g)
+    accepted = brute_force_shortest_path_trees(g)
+    assert accepted == enumerate_shortest_path_trees(g) == tight_parent_trees(g)
 
 
 def _split_graph(n: int, directed: bool, rng: random.Random) -> Graph:
