@@ -107,8 +107,8 @@ def build_empirical(
     division rounding. `mode` only affects DFS: the Bellman-Ford runner reads
     just the seed, so both modes give the same BF distribution.
     """
-    if runs < 1:
-        raise ValueError(f"need at least one run, got {runs}")
+    if type(runs) is not int or runs < 1:
+        raise ValueError(f"need at least one run, got {runs!r}")
     counts = np.zeros((g.n, g.n), dtype=np.int64)
     rows = np.arange(g.n)
     for r in range(runs):

@@ -270,6 +270,8 @@ class RerunStudyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sizes", tuple(self.sizes))
+        object.__setattr__(self, "rerun_counts", tuple(self.rerun_counts))
         if type(self.graphs_per_size) is not int or self.graphs_per_size < 1:
             raise ValueError(f"graphs_per_size must be a positive int, got {self.graphs_per_size}")
         if len(self.rerun_counts) < 2:

@@ -47,9 +47,9 @@ class Graph:
     Attributes:
         n: vertex count; vertices are 0..n-1.
         directed: whether the weight matrix is interpreted as directed.
-        weights: n x n tuple-of-tuples of non-negative ints, 0 = absent edge, 0 diagonal.
+        weights: n x n non-negative ints (0 = no edge, 0 diagonal), stored as tuple rows.
         source: distinguished source vertex for shortest-path tasks, or None.
-        denominator: every weight is weights[u][v] / denominator.
+        denominator: a Python int; every weight is weights[u][v] / denominator.
     """
 
     n: int
@@ -63,18 +63,20 @@ class Graph:
             raise ValueError(f"graph needs at least one vertex, got n={self.n!r}")
         if type(self.directed) is not bool:
             raise ValueError(f"directed must be true or false, got {self.directed!r}")
-        if len(self.weights) != self.n or any(len(row) != self.n for row in self.weights):
+        object.__setattr__(self, "weights", weights := tuple(map(tuple, self.weights)))
+        if len(weights) != self.n or any(len(row) != self.n for row in weights):
             raise ValueError("weight matrix shape does not match n")
         if self.source is not None and not (type(self.source) is int and 0 <= self.source < self.n):
             raise ValueError(f"source {self.source!r} out of range for n={self.n}")
-        if not self.directed and tuple(map(tuple, self.weights)) != tuple(zip(*self.weights)):
+        if not self.directed and weights != tuple(zip(*weights)):
             raise ValueError("undirected graph requires a symmetric matrix")
-        flat = [w for row in self.weights for w in row]
+        flat = [w for row in weights for w in row]
         if not all(type(w) is int and w >= 0 for w in flat):
             raise ValueError("weights must be non-negative ints")
-        if any(self.weights[v][v] for v in range(self.n)):
+        if any(weights[v][v] for v in range(self.n)):
             raise ValueError("weight matrix diagonal must be zero (no self-loops)")
-        if self.denominator < 1 or math.gcd(self.denominator, *flat) != 1:
+        d = self.denominator
+        if type(d) is not int or d < 1 or math.gcd(d, *flat) != 1:
             raise ValueError("denominator must be the smallest positive common denominator")
 
     @classmethod
@@ -116,7 +118,7 @@ class Graph:
         rows = [[0] * n for _ in range(n)]
         for (u, v), w in arcs.items():
             rows[u][v] = w.numerator * (denominator // w.denominator)
-        return cls(n, directed, tuple(map(tuple, rows)), source, denominator)
+        return cls(n, directed, rows, source, denominator)
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.weights[u][v] != 0
@@ -222,10 +224,11 @@ class GraphSpec:
     """Recipe for random graphs; the seed is generate_graph's argument.
 
     Task conventions: DFS graphs are directed and unweighted (weight 1), BF
-    graphs are undirected, weighted from weight_set, source 0. edge_probability
-    None picks the per-task default density. A spec is checked when it is
-    made: n is an int in 1..MAX_VERTICES, 0 < probability <= 1, and weight_set
-    is a non-empty tuple of positive ints.
+    graphs are undirected, weighted from weight_set, source 0. A spec is
+    checked and settled when it is made: n is an int in 1..MAX_VERTICES,
+    edge_probability None is stored as the task's default density, 0 <
+    probability <= 1, and weight_set (non-empty positive ints) is stored as a
+    sorted tuple, so two spellings of one recipe compare equal.
     """
 
     n: int
@@ -239,32 +242,28 @@ class GraphSpec:
             raise ValueError(
                 f"graph size must be positive and at most {MAX_VERTICES}, got {self.n}"
             )
-        probability = self.resolved_edge_probability()
-        if not 0 < probability <= 1:
-            raise ValueError(f"edge probability must lie in (0, 1], got {probability}")
+        if self.edge_probability is None:
+            default = DFS_EDGE_PROBABILITY if self.task is Task.DFS else BF_EDGE_PROBABILITY
+            object.__setattr__(self, "edge_probability", default)
+        if not 0 < self.edge_probability <= 1:
+            raise ValueError(f"edge probability must lie in (0, 1], got {self.edge_probability}")
         if not self.weight_set or not all(type(w) is int and w > 0 for w in self.weight_set):
             raise ValueError("weight_set must be non-empty positive ints")
-
-    def resolved_edge_probability(self) -> float:
-        if self.edge_probability is not None:
-            return self.edge_probability
-        return DFS_EDGE_PROBABILITY if self.task is Task.DFS else BF_EDGE_PROBABILITY
+        object.__setattr__(self, "weight_set", tuple(sorted(self.weight_set)))
 
 
 def generate_graph(spec: GraphSpec, seed: int) -> Graph:
     """Sample an Erdos-Renyi graph according to spec, deterministically in seed.
 
-    Each vertex pair gets an edge independently with the resolved edge
+    Each vertex pair gets an edge independently with the spec's edge
     probability; weights are uniform over weight_set, divided by
     max(weight_set) when normalize is set. DFS-task graphs are unweighted
     (every present edge 1). A BF weight c/m, m being max(weight_set) or 1, is
     stored as c/g over the denominator m/g, g = gcd(m, every chosen c).
     """
     rng = np.random.default_rng(seed)
-    probability = spec.resolved_edge_probability()
-    n = spec.n
+    n, probability, choices = spec.n, spec.edge_probability, spec.weight_set
     directed = spec.task is Task.DFS
-    choices = sorted(spec.weight_set)
     scale = choices[-1] if spec.normalize and not directed else 1
     rows = [[0] * n for _ in range(n)]
     for u in range(n):

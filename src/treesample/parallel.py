@@ -11,8 +11,8 @@ def parallel_map(fn, items: list, jobs: int = 1) -> list:
     All randomness must already be baked into the items (derived sub-seeds), so
     the result list is identical for any jobs value.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs!r}")
     # The pool forks all its workers at once: start no more than items or CPUs.
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:

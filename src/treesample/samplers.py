@@ -262,8 +262,8 @@ def draw_samples(
     rng: np.random.Generator,
 ) -> list[tuple[int, ...]]:
     """k samples from one method, drawn sequentially from a single stream."""
-    if k < 1:
-        raise ValueError(f"need at least one sample, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"need at least one sample, got {k!r}")
     return [extract(method, dist, g, cfg, rng) for _ in range(k)]
 
 

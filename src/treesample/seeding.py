@@ -14,14 +14,13 @@ import numpy as np
 
 
 def _key_word(key: int | str) -> int:
-    """Map a label to a non-negative 64-bit entropy word."""
+    """Map a label, a str or a Python int >= 0, to a non-negative entropy word."""
     if isinstance(key, str):
         digest = hashlib.blake2s(key.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "big")
-    value = int(key)
-    if value < 0:
-        raise ValueError(f"seed keys must be non-negative, got {value}")
-    return value
+    if type(key) is not int or key < 0:
+        raise ValueError(f"seed keys must be strings or non-negative ints, got {key!r}")
+    return key
 
 
 def derive_seed(root: int, *keys: int | str) -> int:

@@ -94,7 +94,7 @@ def fraction_graph(spec: GraphSpec, seed: int) -> Graph:
     """generate_graph's reference build: the same rng calls in the same order,
     each edge a Fraction, then Graph.from_edges."""
     rng = np.random.default_rng(seed)
-    probability = spec.resolved_edge_probability()
+    probability = spec.edge_probability
     directed = spec.task is Task.DFS
     choices = sorted(spec.weight_set)
     scale = Fraction(1, max(choices)) if spec.normalize else Fraction(1)

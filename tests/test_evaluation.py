@@ -111,6 +111,21 @@ def test_configs_refuse_non_int_counts_when_built(config, overrides, message):
         config(**{**required.get(config, {}), **overrides})
 
 
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_a_non_int_seed_is_refused_not_truncated(seed):
+    # Truncated by int(), both would run as seed 1.
+    cfg = EvalConfig(GraphSpec(n=4), graph_count=1, runs=1, seed=seed)
+    with pytest.raises(ValueError, match="non-negative"):
+        accuracy_table(cfg, ["argmax"])
+
+
+def test_rerun_study_config_stores_tuples():
+    cfg = RerunStudyConfig(sizes=[6, 4], rerun_counts=[10, 5])
+    assert cfg.sizes == (6, 4) and cfg.rerun_counts == (10, 5)
+    twin = RerunStudyConfig(sizes=(6, 4), rerun_counts=(10, 5))
+    assert cfg == twin and hash(cfg) == hash(twin)
+
+
 def test_table_rows_lie_in_their_ranges():
     cfg = small_config(Task.BF)
     [(_, _, _, acc_mean, acc_std)] = accuracy_table(cfg, ["argmax"]).rows

@@ -15,6 +15,7 @@ from treesample import (
     GraphSpec,
     INFINITE_COST,
     Task,
+    check_bf_valid,
     generate_graph,
     graphs_from_json,
     graphs_to_json,
@@ -87,8 +88,10 @@ def test_weights_are_ints_over_the_smallest_common_denominator():
     assert g.sp_costs == (0, 3, 7)
     # Equal rationals give equal graphs, however they were written.
     assert g == Graph.from_edges(3, [(1, 2, Fraction(4, 6)), (0, 1, "2/4")], directed=True, source=0)
-    with pytest.raises(ValueError, match="denominator"):
-        Graph(2, True, ((0, 2), (0, 0)), denominator=4)
+    # The denominator is a Python int: True and 1.0 are not the 1 they equal.
+    for denominator in (4, True, 1.0, np.int64(1)):
+        with pytest.raises(ValueError, match="denominator"):
+            Graph(2, True, ((0, 2), (0, 0)), denominator=denominator)
     with pytest.raises(ValueError, match="ints"):
         Graph(2, True, ((0, Fraction(1, 2)), (0, 0)))
 
@@ -114,6 +117,21 @@ def test_graph_rejects_a_nonzero_diagonal(tmp_path):
     g = Graph(2, True, ((0, 1), (0, 0)))
     graphs_to_json([g], tmp_path / "g.json")
     assert graphs_from_json(tmp_path / "g.json") == [g]
+
+
+def test_a_graph_stores_its_weights_as_tuples():
+    lists, tuples = Graph(2, True, [[0, 1], [0, 0]]), Graph(2, True, ((0, 1), (0, 0)))
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert lists.weights == ((0, 1), (0, 0)) and type(lists.weights[0]) is tuple
+    # Editing the rows it was built from changes neither the graph nor the
+    # views cached from it.
+    rows = [[0, 1, 3], [0, 0, 1], [0, 0, 0]]
+    g = Graph(3, True, rows, source=0)
+    assert g.sp_costs == (0, 1, 2)
+    rows[0][2] = 1
+    assert g.weights == ((0, 1, 3), (0, 0, 1), (0, 0, 0))
+    assert g.sp_costs == (0, 1, 2) and g.arcs == ((0, 1, 1), (0, 2, 3), (1, 2, 1))
+    assert check_bf_valid(g, (0, 0, 1)) and not check_bf_valid(g, (0, 0, 0))
 
 
 def test_undirected_edges_are_symmetric():
@@ -182,9 +200,19 @@ def test_generate_graph_equals_the_fraction_build():
 
 
 def test_density_defaults_resolve_per_task():
-    assert GraphSpec(n=5, task=Task.DFS).resolved_edge_probability() == DFS_EDGE_PROBABILITY
-    assert GraphSpec(n=5, task=Task.BF).resolved_edge_probability() == BF_EDGE_PROBABILITY
-    assert GraphSpec(n=5, task=Task.BF, edge_probability=0.9).resolved_edge_probability() == 0.9
+    assert GraphSpec(n=5, task=Task.DFS).edge_probability == DFS_EDGE_PROBABILITY
+    assert GraphSpec(n=5, task=Task.BF).edge_probability == BF_EDGE_PROBABILITY
+    assert GraphSpec(n=5, task=Task.BF, edge_probability=0.9).edge_probability == 0.9
+
+
+def test_a_spec_stores_its_canonical_form():
+    # The default density and the weight order are settled when the spec is
+    # made, so two spellings of one recipe are one (hashable) value.
+    assert GraphSpec(n=5) == GraphSpec(n=5, edge_probability=BF_EDGE_PROBABILITY)
+    spec = GraphSpec(5, weight_set=[3, 1, 2])
+    assert spec == GraphSpec(5, weight_set=(1, 2, 3)) and spec.weight_set == (1, 2, 3)
+    assert hash(spec) == hash(GraphSpec(5, weight_set=(1, 2, 3)))
+    assert generate_graph(spec, 4) == generate_graph(GraphSpec(5, weight_set=(2, 3, 1)), 4)
 
 
 def test_full_density_gives_complete_graph():

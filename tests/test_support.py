@@ -4,19 +4,26 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treesample
 from treesample import (
+    Graph,
+    SamplerConfig,
     StudyTable,
+    Task,
     algorithms,
+    build_empirical,
     distributions,
+    draw_samples,
     evaluation,
     graphs,
     samplers,
@@ -43,6 +50,17 @@ def test_derive_rng_streams_are_independent():
 def test_negative_keys_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         derive_seed(0, -3)
+
+
+@pytest.mark.parametrize("key", [1.5, 1.0, True, np.int64(1)])
+def test_seed_keys_are_strings_or_python_ints(key):
+    # Truncated by int(), 1.5, 1.0 and True would all run as the stream of 1.
+    message = rf"non-negative ints, got {re.escape(repr(key))}"
+    for derive in (derive_seed, derive_rng):
+        with pytest.raises(ValueError, match=message):
+            derive(key, "a")
+        with pytest.raises(ValueError, match=message):
+            derive(7, "graph", key)
 
 
 @settings(max_examples=50, deadline=None)
@@ -109,6 +127,31 @@ def test_parallel_map_starts_no_more_workers_than_items_or_cpus(monkeypatch):
 
 def _square(x: int) -> int:
     return x * x
+
+
+_EDGE = Graph.from_edges(2, [(0, 1, 1)], directed=False, source=0)
+
+
+@pytest.mark.parametrize("count", [True, 2.5, np.int64(2), 0])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda count: parallel_map(_square, [1, 2], jobs=count), "jobs must be positive"),
+        (lambda count: build_empirical(_EDGE, Task.BF, runs=count), "need at least one run"),
+        (
+            lambda count: draw_samples(
+                "argmax", build_empirical(_EDGE, Task.BF, runs=2), _EDGE, SamplerConfig(),
+                count, np.random.default_rng(0),
+            ),
+            "need at least one sample",
+        ),
+    ],
+    ids=["jobs", "runs", "k"],
+)
+def test_library_counts_are_positive_python_ints(call, message, count):
+    # Refused up front: True would run as 1, and 2.5 fail later with a TypeError.
+    with pytest.raises(ValueError, match=f"{message}, got {re.escape(repr(count))}"):
+        call(count)
 
 
 def test_cli_import_loads_no_process_pool():
@@ -243,3 +286,54 @@ def test_layering_keeps_studies_in_evaluation():
     assert not (package / "tables.py").exists()
     importers = [p.name for p in sorted(package.glob("*.py")) if "tables" in _package_imports(p)]
     assert importers == []
+
+
+def _package_chain(node: ast.Attribute, aliases: set[str]) -> tuple[str, ...] | None:
+    """("Graph", "from_dict") for `package.Graph.from_dict`, when package is an alias."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return tuple(reversed(parts)) if isinstance(node, ast.Name) and node.id in aliases else None
+
+
+def test_benchmarks_resolve_every_package_name_they_use():
+    # The benchmark imports names from the package, reads attribute chains off
+    # `import treesample as package`, and imports treesample.<layer> for each
+    # key of its TRACED table; a name gone from the package breaks the timed
+    # deep check or the traced run. The function names inside TRACED are
+    # looked up leniently there, so they are not asserted here.
+    imported, chains, layers = set(), set(), set()
+    for path in sorted((Path(__file__).parents[1] / "benchmarks").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "treesample"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "treesample":
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and (chain := _package_chain(node, aliases)):
+                chains.add(chain)
+            elif (
+                isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+            ):
+                layers.update(key.value for key in node.value.keys)
+    assert {"enumerate_shortest_path_trees", "graphs_from_json"} <= imported
+    assert ("Graph", "from_dict") in chains and ("algorithms", "ENUMERATION_LIMIT") in chains
+    assert "graphs" in layers
+    assert [name for name in sorted(imported) if not hasattr(treesample, name)] == []
+    unresolved = []
+    for chain in sorted(chains):
+        target = treesample
+        for part in chain:
+            target = getattr(target, part, None)
+        if target is None:
+            unresolved.append(".".join(chain))
+    assert unresolved == []
+    for layer in sorted(layers):
+        importlib.import_module(f"treesample.{layer}")
