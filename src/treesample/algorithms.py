@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, INFINITE_COST
+from .seeding import derive_rng
 
 ENUMERATION_LIMIT = 8
 
@@ -71,7 +72,7 @@ def randomized_dfs(
     The weight matrix is treated as a directed adjacency structure, so an
     undirected graph is searched along both directions of every edge.
     """
-    rng = np.random.default_rng(seed)
+    rng = derive_rng(seed)
     if mode is TiebreakMode.PER_RUN_GLOBAL:
         order = rng.permutation(np.arange(1, g.n))
         pick = _ranked_pick(g.n, order.tolist())
@@ -97,7 +98,7 @@ def randomized_bellman_ford(g: Graph, seed: int) -> tuple[int, ...]:
     dag = g.sp_arcs
     pi = list(range(g.n))
     arcs, m = g.arcs, len(g.arcs)
-    rng = np.random.default_rng(seed)
+    rng = derive_rng(seed)
     index = np.array(dag, dtype=np.intp)
     # fires[p][k]: the time tight arc k is relaxed in pass p, p * (m + 1) +
     # its position + 1; time 0, before every firing, is when the source settles.

@@ -27,7 +27,7 @@ from .evaluation import EvalConfig, RerunStudyConfig, rerun_divergence_study
 from .graphs import GraphSpec, Task, generate_graph, graphs_from_json, graphs_to_json
 from .parallel import parallel_map
 from .samplers import METHODS, SamplerConfig, draw_samples
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rng, derive_seed, positive_int
 from .validity import verdict
 
 OUTPUT_DIR_ENV = "TREESAMPLE_OUT"
@@ -71,7 +71,7 @@ def _write_manifest(out_path: Path, args: argparse.Namespace) -> None:
     config = {
         k: v.value if isinstance(v, Enum) else v  # no flag holds a list of Enums
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "command") and not callable(v)
+        if k != "command" and not callable(v)
     }
     manifest = {
         "command": f"{args.command} {args.which}" if "which" in args else args.command,
@@ -125,8 +125,7 @@ def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
 
 
 def cmd_gen(args: argparse.Namespace, out: Path) -> str:
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
+    positive_int(args.count, "--count must be at least 1")
     spec = GraphSpec(args.n, args.p, args.task, args.weights, not args.no_normalize)
     graphs = [generate_graph(spec, derive_seed(args.seed, "graph", i)) for i in range(args.count)]
     graphs_to_json(graphs, out)
@@ -199,8 +198,7 @@ def cmd_check(args: argparse.Namespace, out: Path | None) -> str:
     task, method, k = Task(payload["task"]), payload["method"], payload["k"]
     if method not in METHODS:
         raise ValueError(f"solutions file 'method' must be one of {METHODS}, got {method!r}")
-    if type(k) is not int or k < 1:
-        raise ValueError(f"solutions file 'k' must be a positive integer, got {k!r}")
+    positive_int(k, "solutions file 'k' must be a positive integer")
     if not isinstance(payload["entries"], list):
         raise ValueError("solutions file 'entries' must be a list")
     lines = []

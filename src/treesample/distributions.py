@@ -19,7 +19,7 @@ import numpy as np
 
 from .algorithms import TiebreakMode, randomized_bellman_ford, randomized_dfs
 from .graphs import Graph, Task
-from .seeding import derive_seed
+from .seeding import derive_rng, derive_seed, positive_int
 
 ROW_SUM_TOLERANCE = 1e-9
 KL_EPSILON = 1e-8
@@ -107,8 +107,7 @@ def build_empirical(
     division rounding. `mode` only affects DFS: the Bellman-Ford runner reads
     just the seed, so both modes give the same BF distribution.
     """
-    if type(runs) is not int or runs < 1:
-        raise ValueError(f"need at least one run, got {runs!r}")
+    positive_int(runs, "need at least one run")
     counts = np.zeros((g.n, g.n), dtype=np.int64)
     rows = np.arange(g.n)
     for r in range(runs):
@@ -145,9 +144,9 @@ def perturb(p: ParentDistribution, alpha: float, seed: int = 0) -> ParentDistrib
     Row becomes (1 - alpha) * row + alpha * u with u ~ Dirichlet(1,...,1);
     alpha=0 is the identity, alpha=1 is fully random.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    rng = np.random.default_rng(seed)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    rng = derive_rng(seed)
     noise = rng.dirichlet(np.ones(p.n), size=p.n)
     return ParentDistribution(p.n, (1.0 - alpha) * p.probs + alpha * noise)
 

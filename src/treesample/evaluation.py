@@ -22,7 +22,7 @@ from .distributions import ParentDistribution, build_empirical, kl_divergence, p
 from .graphs import Graph, GraphSpec, Task, generate_graph, tree_edges
 from .parallel import parallel_map
 from .samplers import SamplerConfig, draw_samples, extract
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rng, derive_seed, positive_int
 from .validity import verdict
 
 
@@ -63,7 +63,7 @@ class EvalConfig:
     mixes rows toward random simplex points before sampling. Each graph's
     seed is derived from seed. The config is checked when it is made: the
     counts must be positive ints, even where a study does not read them, and any
-    other perturb_alpha (negative, above 1, NaN) is rejected.
+    other perturb_alpha (negative, above 1, NaN, a bool or a non-number) is rejected.
     """
 
     graph_spec: GraphSpec
@@ -76,17 +76,11 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        counts = (self.graph_count, self.runs, self.samples_per_graph, self.dist_runs)
-        if {*map(type, counts)} != {int}:
-            raise ValueError(f"the counts must be ints, got {counts}")
-        if self.graph_count < 1 or self.runs < 1:
-            raise ValueError("graph_count and runs must be positive")
-        if self.samples_per_graph < 1:
-            raise ValueError(f"samples_per_graph must be positive, got {self.samples_per_graph}")
-        if self.dist_runs < 1:
-            raise ValueError(f"dist_runs must be positive, got {self.dist_runs}")
-        if not 0.0 <= self.perturb_alpha <= 1.0:
-            raise ValueError(f"perturb_alpha must lie in [0, 1], got {self.perturb_alpha}")
+        for name in ("graph_count", "samples_per_graph", "runs", "dist_runs"):
+            positive_int(getattr(self, name), f"{name} must be a positive int")
+        alpha = self.perturb_alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha <= 1:
+            raise ValueError(f"perturb_alpha must lie in [0, 1], got {alpha!r}")
 
     def distribution_label(self) -> str:
         if self.perturb_alpha == 0.0:
@@ -272,16 +266,13 @@ class RerunStudyConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sizes", tuple(self.sizes))
         object.__setattr__(self, "rerun_counts", tuple(self.rerun_counts))
-        if type(self.graphs_per_size) is not int or self.graphs_per_size < 1:
-            raise ValueError(f"graphs_per_size must be a positive int, got {self.graphs_per_size}")
+        positive_int(self.graphs_per_size, "graphs_per_size must be a positive int")
         if len(self.rerun_counts) < 2:
             raise ValueError("need at least two rerun counts to compare")
         _check_distinct("sizes", self.sizes)
         _check_distinct("rerun_counts", self.rerun_counts)
-        if {*map(type, self.rerun_counts)} != {int}:
-            raise ValueError(f"rerun_counts must be ints, got {list(self.rerun_counts)}")
-        if min(self.rerun_counts) < 1:
-            raise ValueError(f"rerun_counts must be at least 1, got {list(self.rerun_counts)}")
+        for i, count in enumerate(self.rerun_counts):
+            positive_int(count, f"rerun_counts[{i}] must be a positive int")
 
 
 def _rerun_study_item(args) -> list[float]:

@@ -23,7 +23,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
+from .seeding import derive_rng, positive_int
 
 INFINITE_COST = math.inf
 # Input bounds, checked before anything is built. A graph of MAX_VERTICES (16x
@@ -59,8 +59,7 @@ class Graph:
     denominator: int = 1
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n!r}")
+        positive_int(self.n, "graph needs at least one vertex")
         if type(self.directed) is not bool:
             raise ValueError(f"directed must be true or false, got {self.directed!r}")
         object.__setattr__(self, "weights", weights := tuple(map(tuple, self.weights)))
@@ -226,9 +225,10 @@ class GraphSpec:
     Task conventions: DFS graphs are directed and unweighted (weight 1), BF
     graphs are undirected, weighted from weight_set, source 0. A spec is
     checked and settled when it is made: n is an int in 1..MAX_VERTICES,
-    edge_probability None is stored as the task's default density, 0 <
-    probability <= 1, and weight_set (non-empty positive ints) is stored as a
-    sorted tuple, so two spellings of one recipe compare equal.
+    edge_probability None is stored as the task's default density, a
+    probability is an int or float (not a bool) in (0, 1], and weight_set
+    (non-empty positive ints) is stored as a sorted tuple, so two spellings of
+    one recipe compare equal.
     """
 
     n: int
@@ -245,8 +245,9 @@ class GraphSpec:
         if self.edge_probability is None:
             default = DFS_EDGE_PROBABILITY if self.task is Task.DFS else BF_EDGE_PROBABILITY
             object.__setattr__(self, "edge_probability", default)
-        if not 0 < self.edge_probability <= 1:
-            raise ValueError(f"edge probability must lie in (0, 1], got {self.edge_probability}")
+        p = self.edge_probability
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p <= 1:
+            raise ValueError(f"edge probability must lie in (0, 1], got {p!r}")
         if not self.weight_set or not all(type(w) is int and w > 0 for w in self.weight_set):
             raise ValueError("weight_set must be non-empty positive ints")
         object.__setattr__(self, "weight_set", tuple(sorted(self.weight_set)))
@@ -261,7 +262,7 @@ def generate_graph(spec: GraphSpec, seed: int) -> Graph:
     (every present edge 1). A BF weight c/m, m being max(weight_set) or 1, is
     stored as c/g over the denominator m/g, g = gcd(m, every chosen c).
     """
-    rng = np.random.default_rng(seed)
+    rng = derive_rng(seed)
     n, probability, choices = spec.n, spec.edge_probability, spec.weight_set
     directed = spec.task is Task.DFS
     scale = choices[-1] if spec.normalize and not directed else 1

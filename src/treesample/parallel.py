@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 
+from .seeding import positive_int
+
 
 def parallel_map(fn, items: list, jobs: int = 1) -> list:
     """Apply fn to items, optionally across processes.
@@ -11,8 +13,7 @@ def parallel_map(fn, items: list, jobs: int = 1) -> list:
     All randomness must already be baked into the items (derived sub-seeds), so
     the result list is identical for any jobs value.
     """
-    if type(jobs) is not int or jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs!r}")
+    positive_int(jobs, "jobs must be positive")
     # The pool forks all its workers at once: start no more than items or CPUs.
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:

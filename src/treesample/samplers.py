@@ -32,6 +32,7 @@ import numpy as np
 
 from .distributions import ParentDistribution, choice_cdf
 from .graphs import Graph
+from .seeding import positive_int
 
 METHODS = ("argmax", "upwards", "alt-upwards", "beam", "greedy", "random")
 
@@ -47,8 +48,7 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         for name in ("beam_width", "beam_branch", "greedy_parent_samples", "greedy_max_resamples"):
-            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive int, got {getattr(self, name)!r}")
+            positive_int(getattr(self, name), f"{name} must be a positive int")
 
 
 def argmax_extract(dist: ParentDistribution) -> tuple[int, ...]:
@@ -262,8 +262,7 @@ def draw_samples(
     rng: np.random.Generator,
 ) -> list[tuple[int, ...]]:
     """k samples from one method, drawn sequentially from a single stream."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"need at least one sample, got {k!r}")
+    positive_int(k, "need at least one sample")
     return [extract(method, dist, g, cfg, rng) for _ in range(k)]
 
 

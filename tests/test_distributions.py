@@ -203,7 +203,7 @@ def test_rerun_study_config_validation():
     with pytest.raises(ValueError, match="sizes must not repeat or be empty"):
         rerun_divergence_study(RerunStudyConfig(sizes=(), rerun_counts=(5, 10)))
     # Each count refused when the config is built, before any study runs.
-    with pytest.raises(ValueError, match=r"rerun_counts must be at least 1, got \[0, 5\]"):
+    with pytest.raises(ValueError, match=r"rerun_counts\[0\] must be a positive int, got 0"):
         RerunStudyConfig(rerun_counts=(0, 5))
     with pytest.raises(ValueError, match="graphs_per_size"):
         RerunStudyConfig(graphs_per_size=0)

@@ -1,5 +1,7 @@
 """Evaluation studies: edge reuse, diversity/accuracy suites, coverage."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,12 +76,12 @@ def small_config(task: Task, **overrides) -> EvalConfig:
 def test_counts_are_rejected_when_the_config_is_built():
     # accuracy_table never reads samples_per_graph, so only the config can refuse it.
     for field in ("graph_count", "runs"):
-        with pytest.raises(ValueError, match="graph_count and runs must be positive"):
+        with pytest.raises(ValueError, match=f"{field} must be a positive int, got 0"):
             small_config(Task.BF, **{field: 0})
-    with pytest.raises(ValueError, match="samples_per_graph must be positive, got 0"):
+    with pytest.raises(ValueError, match="samples_per_graph must be a positive int, got 0"):
         small_config(Task.BF, samples_per_graph=0)
     # Refused here, not by the first work item, which may run in a worker.
-    with pytest.raises(ValueError, match="dist_runs must be positive, got 0"):
+    with pytest.raises(ValueError, match="dist_runs must be a positive int, got 0"):
         small_config(Task.BF, dist_runs=0)
     for alpha in (-0.5, 2.0, float("nan")):
         with pytest.raises(ValueError, match=r"perturb_alpha must lie in \[0, 1\]"):
@@ -93,13 +95,17 @@ def test_counts_are_rejected_when_the_config_is_built():
     [
         (GraphSpec, {"n": 5.0}, "graph size"),
         (GraphSpec, {"n": True}, "graph size"),
-        (EvalConfig, {"graph_count": 2.5}, "counts must be ints"),
-        (EvalConfig, {"runs": True}, "counts must be ints"),
-        (EvalConfig, {"samples_per_graph": 5.0}, "counts must be ints"),
-        (EvalConfig, {"dist_runs": np.int64(20)}, "counts must be ints"),
+        (EvalConfig, {"graph_count": 2.5}, "graph_count must be a positive int, got 2.5"),
+        (EvalConfig, {"runs": True}, "runs must be a positive int, got True"),
+        (EvalConfig, {"samples_per_graph": 5.0}, "samples_per_graph must be a positive int, got 5.0"),
+        (
+            EvalConfig,
+            {"dist_runs": np.int64(20)},
+            f"dist_runs must be a positive int, got {re.escape(repr(np.int64(20)))}",
+        ),
         (RerunStudyConfig, {"graphs_per_size": 1.5}, "graphs_per_size must be a positive int"),
-        (RerunStudyConfig, {"rerun_counts": (5, 7.5)}, "rerun_counts must be ints"),
-        (RerunStudyConfig, {"rerun_counts": (True, 5)}, "rerun_counts must be ints"),
+        (RerunStudyConfig, {"rerun_counts": (5, 7.5)}, r"rerun_counts\[1\] must be a positive int, got 7\.5"),
+        (RerunStudyConfig, {"rerun_counts": (True, 5)}, r"rerun_counts\[0\] must be a positive int, got True"),
         (SamplerConfig, {"beam_width": 2.5}, "beam_width must be a positive int"),
         (SamplerConfig, {"greedy_max_resamples": False}, "greedy_max_resamples"),
     ],

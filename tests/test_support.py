@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 
 import treesample
 from treesample import (
+    EvalConfig,
     Graph,
+    GraphSpec,
+    ParentDistribution,
     SamplerConfig,
     StudyTable,
     Task,
@@ -25,7 +28,11 @@ from treesample import (
     distributions,
     draw_samples,
     evaluation,
+    generate_graph,
     graphs,
+    perturb,
+    randomized_bellman_ford,
+    randomized_dfs,
     samplers,
     validity,
 )
@@ -152,6 +159,73 @@ def test_library_counts_are_positive_python_ints(call, message, count):
     # Refused up front: True would run as 1, and 2.5 fail later with a TypeError.
     with pytest.raises(ValueError, match=f"{message}, got {re.escape(repr(count))}"):
         call(count)
+
+
+_UNIFORM = ParentDistribution(2, np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -1, np.int64(1)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: generate_graph(GraphSpec(n=5), seed),
+        lambda seed: randomized_dfs(_EDGE, seed),
+        lambda seed: randomized_bellman_ford(_EDGE, seed),
+        lambda seed: perturb(_UNIFORM, 0.5, seed),
+    ],
+    ids=["generate_graph", "randomized_dfs", "randomized_bellman_ford", "perturb"],
+)
+def test_seeded_entry_points_keep_the_seed_rule(call, seed):
+    # numpy's own rule would run True as seed 1 and np.int64(1) as 1, and
+    # raise its own errors for 1.5 and -1.
+    message = rf"seed keys must be strings or non-negative ints, got {re.escape(repr(seed))}"
+    with pytest.raises(ValueError, match=message):
+        call(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 + 1, 2**64 - 1])
+def test_derive_rng_of_a_bare_seed_is_numpys_default_rng(seed):
+    # The premise of building every Generator with derive_rng: a seed that
+    # numpy's default_rng took directly gives the same stream, so no output moves.
+    ours, numpys = derive_rng(seed), np.random.default_rng(seed)
+    assert ours.random(4).tolist() == numpys.random(4).tolist()
+    assert ours.permutation(9).tolist() == numpys.permutation(9).tolist()
+    assert ours.integers(7, size=4).tolist() == numpys.integers(7, size=4).tolist()
+    assert ours.dirichlet(np.ones(3)).tolist() == numpys.dirichlet(np.ones(3)).tolist()
+
+
+def test_only_seeding_builds_a_generator():
+    # Every Generator comes from derive_rng, so every seed passes its one rule.
+    offences = []
+    for path in sorted(Path(treesample.__file__).parent.glob("*.py")):
+        if path.name == "seeding.py":
+            continue
+        offences += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and "default_rng" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        ]
+    assert offences == []
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5"])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: GraphSpec(n=5, edge_probability=p), r"edge probability must lie in \(0, 1\]"),
+        (
+            lambda alpha: EvalConfig(graph_spec=GraphSpec(n=5), perturb_alpha=alpha),
+            r"perturb_alpha must lie in \[0, 1\]",
+        ),
+        (lambda alpha: perturb(_UNIFORM, alpha), r"^alpha must lie in \[0, 1\]"),
+    ],
+    ids=["edge_probability", "perturb_alpha", "perturb"],
+)
+def test_probabilities_refuse_bools_and_non_numbers(call, message, value):
+    # True would run as probability 1, and "0.5" fail later with a TypeError.
+    with pytest.raises(ValueError, match=f"{message}, got {re.escape(repr(value))}"):
+        call(value)
 
 
 def test_cli_import_loads_no_process_pool():
