@@ -5,6 +5,13 @@ Each module's `__all__` declares its public names; the package re-exports
 them all, so its `__all__` is the union of those lists.
 """
 
+import os
+
+# No module here calls BLAS, but numpy's OpenBLAS starts a worker thread per
+# extra core when numpy is imported. One thread, unless the caller chose a
+# count or imported numpy first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from . import algorithms, distributions, evaluation, graphs, samplers, validity

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algorithms import TiebreakMode, randomized_bellman_ford, randomized_dfs
 from .graphs import Graph, Task
-from .seeding import derive_rng, derive_seed, positive_int
+from .seeding import derive_rng, derive_seed, positive_int, probability
 
 ROW_SUM_TOLERANCE = 1e-9
 KL_EPSILON = 1e-8
@@ -108,15 +108,13 @@ def build_empirical(
     just the seed, so both modes give the same BF distribution.
     """
     positive_int(runs, "need at least one run")
-    counts = np.zeros((g.n, g.n), dtype=np.int64)
-    rows = np.arange(g.n)
-    for r in range(runs):
-        run_seed = derive_seed(seed, "run", r)
-        if task is Task.DFS:
-            pi = randomized_dfs(g, run_seed, mode)
-        else:
-            pi = randomized_bellman_ford(g, run_seed)
-        counts[rows, pi] += 1
+    if task is Task.DFS:
+        trees = [randomized_dfs(g, derive_seed(seed, "run", r), mode) for r in range(runs)]
+    else:
+        trees = [randomized_bellman_ford(g, derive_seed(seed, "run", r)) for r in range(runs)]
+    # Entry v * n + pi[v] counts the runs in which pi[v] is v's parent.
+    cells = np.array(trees) + np.arange(0, g.n * g.n, g.n)
+    counts = np.bincount(cells.ravel(), minlength=g.n * g.n).reshape(g.n, g.n)
     return ParentDistribution(g.n, counts / runs)
 
 
@@ -144,8 +142,7 @@ def perturb(p: ParentDistribution, alpha: float, seed: int = 0) -> ParentDistrib
     Row becomes (1 - alpha) * row + alpha * u with u ~ Dirichlet(1,...,1);
     alpha=0 is the identity, alpha=1 is fully random.
     """
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    probability(alpha, "alpha")
     rng = derive_rng(seed)
     noise = rng.dirichlet(np.ones(p.n), size=p.n)
     return ParentDistribution(p.n, (1.0 - alpha) * p.probs + alpha * noise)

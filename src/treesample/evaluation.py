@@ -22,7 +22,7 @@ from .distributions import ParentDistribution, build_empirical, kl_divergence, p
 from .graphs import Graph, GraphSpec, Task, generate_graph, tree_edges
 from .parallel import parallel_map
 from .samplers import SamplerConfig, draw_samples, extract
-from .seeding import derive_rng, derive_seed, positive_int
+from .seeding import check_seed, derive_rng, derive_seed, positive_int, probability
 from .validity import verdict
 
 
@@ -62,8 +62,9 @@ class EvalConfig:
     perturb_alpha 0 samples the empirical distribution; a value in (0, 1]
     mixes rows toward random simplex points before sampling. Each graph's
     seed is derived from seed. The config is checked when it is made: the
-    counts must be positive ints, even where a study does not read them, and any
-    other perturb_alpha (negative, above 1, NaN, a bool or a non-number) is rejected.
+    counts must be positive ints, even where a study does not read them, the
+    seed must pass the seed rule, and any other perturb_alpha (negative, above
+    1, NaN, a bool or a non-number) is rejected.
     """
 
     graph_spec: GraphSpec
@@ -78,9 +79,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         for name in ("graph_count", "samples_per_graph", "runs", "dist_runs"):
             positive_int(getattr(self, name), f"{name} must be a positive int")
-        alpha = self.perturb_alpha
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha <= 1:
-            raise ValueError(f"perturb_alpha must lie in [0, 1], got {alpha!r}")
+        probability(self.perturb_alpha, "perturb_alpha")
+        check_seed(self.seed)
 
     def distribution_label(self) -> str:
         if self.perturb_alpha == 0.0:
@@ -273,6 +273,7 @@ class RerunStudyConfig:
         _check_distinct("rerun_counts", self.rerun_counts)
         for i, count in enumerate(self.rerun_counts):
             positive_int(count, f"rerun_counts[{i}] must be a positive int")
+        check_seed(self.seed)
 
 
 def _rerun_study_item(args) -> list[float]:

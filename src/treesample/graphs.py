@@ -23,7 +23,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from .seeding import derive_rng, positive_int
+from .seeding import derive_rng, positive_int, probability
 
 INFINITE_COST = math.inf
 # Input bounds, checked before anything is built. A graph of MAX_VERTICES (16x
@@ -245,9 +245,7 @@ class GraphSpec:
         if self.edge_probability is None:
             default = DFS_EDGE_PROBABILITY if self.task is Task.DFS else BF_EDGE_PROBABILITY
             object.__setattr__(self, "edge_probability", default)
-        p = self.edge_probability
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p <= 1:
-            raise ValueError(f"edge probability must lie in (0, 1], got {p!r}")
+        probability(self.edge_probability, "edge probability", allow_zero=False)
         if not self.weight_set or not all(type(w) is int and w > 0 for w in self.weight_set):
             raise ValueError("weight_set must be non-empty positive ints")
         object.__setattr__(self, "weight_set", tuple(sorted(self.weight_set)))

@@ -20,6 +20,8 @@ from treesample import (
     generate_graph,
     kl_divergence,
     perturb,
+    randomized_bellman_ford,
+    randomized_dfs,
     rerun_divergence_study,
 )
 from treesample.seeding import derive_seed
@@ -62,6 +64,24 @@ def test_empirical_rows_are_run_frequencies(two_tree_digraph):
     assert abs(dist.probs[1][0] - 0.5) < 0.05
     assert abs(dist.probs[1][2] - 0.5) < 0.05
     assert np.allclose(dist.probs[1], [0.515, 0.0, 0.485])  # frozen at this seed
+
+
+@pytest.mark.parametrize(
+    "task, mode",
+    [(Task.BF, TiebreakMode.PER_RUN_GLOBAL), (Task.DFS, TiebreakMode.PER_RUN_GLOBAL), (Task.DFS, TiebreakMode.PER_NODE)],
+)
+def test_empirical_counts_equal_a_per_run_tally(task, mode):
+    # The reference: each run's tree from its derived seed, tallied one parent at a time.
+    for n in (1, 2, 9):
+        g = generate_graph(GraphSpec(n=n, task=task), n)
+        counts = np.zeros((n, n))
+        for r in range(7):
+            seed = derive_seed(3, "run", r)
+            pi = randomized_dfs(g, seed, mode) if task is Task.DFS else randomized_bellman_ford(g, seed)
+            for v, u in enumerate(pi):
+                counts[v, u] += 1
+        dist = build_empirical(g, task, runs=7, seed=3, mode=mode)
+        assert dist.probs.tolist() == (counts / 7).tolist()
 
 
 def test_empirical_point_mass_on_unique_solution(third_weight_line):

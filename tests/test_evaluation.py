@@ -119,10 +119,22 @@ def test_configs_refuse_non_int_counts_when_built(config, overrides, message):
 
 @pytest.mark.parametrize("seed", [1.5, True])
 def test_a_non_int_seed_is_refused_not_truncated(seed):
-    # Truncated by int(), both would run as seed 1.
-    cfg = EvalConfig(GraphSpec(n=4), graph_count=1, runs=1, seed=seed)
+    # Truncated by int(), both would run as seed 1; the config refuses them.
     with pytest.raises(ValueError, match="non-negative"):
-        accuracy_table(cfg, ["argmax"])
+        EvalConfig(GraphSpec(n=4), graph_count=1, runs=1, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "config, seed",
+    [(EvalConfig, True), (EvalConfig, np.int64(1)), (RerunStudyConfig, -1), (RerunStudyConfig, 2.0)],
+    ids=["EvalConfig-True", "EvalConfig-int64", "RerunStudyConfig-minus1", "RerunStudyConfig-float"],
+)
+def test_config_seeds_are_refused_when_the_config_is_built(config, seed):
+    # Not first in a work item's derive_seed, which may run in a worker.
+    required = {EvalConfig: {"graph_spec": GraphSpec(n=5)}}
+    message = rf"seed keys must be strings or non-negative ints, got {re.escape(repr(seed))}"
+    with pytest.raises(ValueError, match=message):
+        config(**required.get(config, {}), seed=seed)
 
 
 def test_rerun_study_config_stores_tuples():

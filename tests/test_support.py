@@ -1,6 +1,7 @@
 """Support layers: seed derivation, study tables, parallel map, package API and layering."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import os
@@ -34,6 +35,7 @@ from treesample import (
     randomized_bellman_ford,
     randomized_dfs,
     samplers,
+    seeding,
     validity,
 )
 from treesample.parallel import parallel_map
@@ -194,8 +196,52 @@ def test_derive_rng_of_a_bare_seed_is_numpys_default_rng(seed):
     assert ours.dirichlet(np.ones(3)).tolist() == numpys.dirichlet(np.ones(3)).tolist()
 
 
+def _label_word(label: str) -> int:
+    return int.from_bytes(hashlib.blake2s(label.encode("utf-8"), digest_size=8).digest(), "big")
+
+
+def _numpys_sequence(root, keys) -> np.random.SeedSequence:
+    """The stream's definition: numpy's SeedSequence of the keys' words as a list of ints."""
+    return np.random.SeedSequence([_label_word(k) if isinstance(k, str) else k for k in (root, *keys)])
+
+
+_EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 5]
+_KEY_CASES = [
+    *[(word, ()) for word in _EDGE_WORDS],
+    *[(7, (word,)) for word in _EDGE_WORDS],
+    (2**64, ("run", 2**32 - 1, "", 0)),
+    ("root", (1, "é", 2**100 + 5)),
+    (0, (0, 0, 0, 0)),
+]
+
+
+def _assert_words_match_numpys(root, keys):
+    ours, numpys = seeding._sequence(root, tuple(keys)), _numpys_sequence(root, keys)
+    assert ours.pool.tolist() == numpys.pool.tolist()
+    assert ours.generate_state(4).tolist() == numpys.generate_state(4).tolist()
+    assert derive_seed(root, *keys) == int(numpys.generate_state(1, np.uint64)[0])
+
+
+@pytest.mark.parametrize("root, keys", _KEY_CASES)
+def test_seed_words_are_numpys_words_of_the_keys(root, keys):
+    # The premise of building the entropy as uint32 words: numpy makes the
+    # same words of a list of ints, so no stream and no output moves.
+    _assert_words_match_numpys(root, keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    root=st.integers(0, 2**130),
+    keys=st.lists(st.one_of(st.integers(0, 2**130), st.text(max_size=6)), max_size=4),
+)
+def test_seed_words_match_numpys_over_ints_and_labels(root, keys):
+    _assert_words_match_numpys(root, keys)
+
+
 def test_only_seeding_builds_a_generator():
-    # Every Generator comes from derive_rng, so every seed passes its one rule.
+    # Every Generator and every SeedSequence comes from seeding, so every seed
+    # passes its one rule and every stream is keyed by the same words.
+    builders = {"default_rng", "SeedSequence", "Generator", "PCG64"}
     offences = []
     for path in sorted(Path(treesample.__file__).parent.glob("*.py")):
         if path.name == "seeding.py":
@@ -204,7 +250,7 @@ def test_only_seeding_builds_a_generator():
             f"{path.name}:{node.lineno}"
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Call)
-            and "default_rng" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+            and builders & {getattr(node.func, "attr", None), getattr(node.func, "id", None)}
         ]
     assert offences == []
 
@@ -226,6 +272,37 @@ def test_probabilities_refuse_bools_and_non_numbers(call, message, value):
     # True would run as probability 1, and "0.5" fail later with a TypeError.
     with pytest.raises(ValueError, match=f"{message}, got {re.escape(repr(value))}"):
         call(value)
+
+
+_THREADS_PROBE = (
+    "import os, treesample.cli; tasks = '/proc/self/task';"
+    " print(os.environ.get('OPENBLAS_NUM_THREADS'),"
+    " len(os.listdir(tasks)) if os.path.isdir(tasks) else None)"
+)
+
+
+def _probe_threads(**env_update) -> tuple[str, str]:
+    src = str(Path(treesample.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=src, **env_update)
+    proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    return value, threads
+
+
+def test_cli_import_starts_one_thread():
+    # No module calls BLAS, so numpy's OpenBLAS gets one thread by default,
+    # not an idle worker per extra core.
+    value, threads = _probe_threads()
+    if threads != "None":  # "None": no /proc/self/task to count threads in
+        assert threads == "1"
+    assert value == "1"
+
+
+def test_a_callers_blas_thread_count_is_kept():
+    value, _ = _probe_threads(OPENBLAS_NUM_THREADS="2")
+    assert value == "2"
 
 
 def test_cli_import_loads_no_process_pool():
