@@ -14,12 +14,13 @@ Six strategies with different diversity/validity trade-offs:
 * random: uniform baseline.
 
 Beam and greedy read both the graph (weights, source) and the distribution,
-and share one per-vertex loop that alone applies their fallback (lightest
-in-edge, else the vertex itself); random reads only the graph (n, source);
-argmax and the two upward walks read only the distribution. All samplers
-return a full predecessor array for any input.
-Every draw, masked or not, bisects a `choice_cdf` CDF as numpy's
-`Generator.choice` does, so the streams match choice's exactly.
+and share one per-vertex loop that alone applies their fallback (the parent on
+the lightest in-edge, else the vertex itself) and counts nothing; random reads
+only the graph (n, source); argmax and the two upward walks read only the
+distribution. All samplers return a full predecessor array for any input.
+Every weighted draw, masked or not, is a `bisect_right` of a `choice_cdf` CDF
+with one `rng.random()`, as numpy's `Generator.choice` draws, so the streams
+match choice's exactly.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _masked_draw(dist: ParentDistribution, v: int, keep: np.ndarray, rng: np.ran
     row = dist.probs[v] * keep
     total = row.sum()
     if total > 0.0:
-        return int(choice_cdf(row / total).searchsorted(rng.random(), side="right"))
+        return bisect_right(choice_cdf(row / total), rng.random())
     open_vertices = np.flatnonzero(keep)
     return int(open_vertices[rng.integers(len(open_vertices))])
 
@@ -125,10 +126,10 @@ def _distinct_parents(
         cdf = choice_cdf(p).tolist()
 
 
-def _per_vertex(g: Graph, method: str, stats: dict | None, search) -> tuple[int, ...]:
+def _per_vertex(g: Graph, method: str, search) -> tuple[int, ...]:
     """The source keeps itself; each other v, in index order, takes search(v) or,
-    when that is None, its lightest in-edge (lowest index on ties), else itself,
-    counted in stats under f"{method}_{kind}_fallback", kind parent or self."""
+    when that is None (the fallback), its parent on its lightest in-edge (lowest
+    index on ties), else itself."""
     if g.source is None:
         raise ValueError(f"{method} extraction needs a graph with a source")
     pi = [0] * g.n
@@ -136,10 +137,7 @@ def _per_vertex(g: Graph, method: str, stats: dict | None, search) -> tuple[int,
         parent = v if v == g.source else search(v)
         if parent is None:
             parents = [(g.weights[u][v], u) for u in range(g.n) if g.weights[u][v] > 0]
-            kind, parent = ("parent", min(parents)[1]) if parents else ("self", v)
-            if stats is not None:
-                key = f"{method}_{kind}_fallback"
-                stats[key] = stats.get(key, 0) + 1
+            parent = min(parents)[1] if parents else v
         pi[v] = parent
     return tuple(pi)
 
@@ -149,7 +147,6 @@ def beam_extract(
     g: Graph,
     cfg: SamplerConfig,
     rng: np.random.Generator,
-    stats: dict | None = None,
 ) -> tuple[int, ...]:
     """Per-vertex backward beam search toward the source.
 
@@ -187,7 +184,7 @@ def beam_extract(
             frontier = candidates[: cfg.beam_width]
         return min(completed)[1] if completed else None
 
-    return _per_vertex(g, "beam", stats, search)
+    return _per_vertex(g, "beam", search)
 
 
 def greedy_extract(
@@ -195,7 +192,6 @@ def greedy_extract(
     g: Graph,
     cfg: SamplerConfig,
     rng: np.random.Generator,
-    stats: dict | None = None,
 ) -> tuple[int, ...]:
     """Sample a set of parents per vertex and keep the cheapest plausible one.
 
@@ -219,7 +215,7 @@ def greedy_extract(
                 return min(plausible)[1]
         return None
 
-    return _per_vertex(g, "greedy", stats, search)
+    return _per_vertex(g, "greedy", search)
 
 
 def random_extract(g: Graph, rng: np.random.Generator) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from treesample import INFINITE_COST, Graph, GraphSpec, Task, check_bf_valid, validate_predecessors
+from treesample import samplers
 
 
 @pytest.fixture
@@ -51,6 +52,29 @@ def tiebreak_sensitive_digraph() -> Graph:
     return Graph.from_edges(
         4, [(0, 1, one), (0, 2, one), (1, 2, one), (1, 3, one), (2, 3, one)], directed=True
     )
+
+
+@pytest.fixture
+def fallbacks(monkeypatch) -> list[tuple[str, int, str]]:
+    """Every beam and greedy fallback taken during the test, in order, as
+    (method, v, kind): kind "parent" when v has an in-edge to fall back to,
+    else "self". A spy on `samplers._per_vertex` wraps each search and
+    records each v for which it returns None."""
+    taken: list[tuple[str, int, str]] = []
+    per_vertex = samplers._per_vertex
+
+    def spy(g: Graph, method: str, search):
+        def recorded(v: int) -> int | None:
+            parent = search(v)
+            if parent is None:
+                in_edge = any(row[v] for row in g.weights)
+                taken.append((method, v, "parent" if in_edge else "self"))
+            return parent
+
+        return per_vertex(g, method, recorded)
+
+    monkeypatch.setattr(samplers, "_per_vertex", spy)
+    return taken
 
 
 def brute_force_shortest_path_trees(g: Graph) -> set[tuple[int, ...]]:

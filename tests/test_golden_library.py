@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import sys
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -102,6 +103,22 @@ def distributions_cases():
             yield f"dfs-n{n}-per-node", dist.probs.tolist()
 
 
+def fallback_draws():
+    """The draws of `study table2 --task bf -n 12 --graphs 4 --runs 1 --alpha 1
+    --seed 7` with every beam and greedy knob at 1, one {method: pi} per graph:
+    they take all four fallbacks (lightest in-edge and self, in beam and in
+    greedy)."""
+    cfg = SamplerConfig(1, 1, 1, 1)
+    for index in range(4):
+        g = generate_graph(GraphSpec(12), derive_seed(7, "graph", 0, index))
+        dist = build_empirical(g, Task.BF, runs=20, seed=derive_seed(7, "dist", 0, index))
+        dist = perturb(dist, 1, seed=derive_seed(7, "perturb", 0, index))
+        yield {
+            method: extract(method, dist, g, cfg, derive_rng(7, "single", method, 0, index))
+            for method in ("beam", "greedy")
+        }
+
+
 def samplers_cases():
     cfg = SamplerConfig()
     for task, n, alpha in itertools.product(Task, SAMPLER_SIZES, ALPHAS):
@@ -110,18 +127,8 @@ def samplers_cases():
             rng = derive_rng(n, task.value, method)
             samples = draw_samples(method, dist, graph(task, n), cfg, 2, rng)
             yield f"{task.value}-n{n}-alpha{alpha}-{method}", samples
-    # The study `table2 --task bf -n 12 --graphs 4 --runs 1 --alpha 1` with
-    # every beam and greedy knob at 1 and seed 7: its draws take all four
-    # fallbacks (lightest in-edge and self, in beam and in greedy).
-    fallbacks = SamplerConfig(1, 1, 1, 1)
-    for index in range(4):
-        g = generate_graph(GraphSpec(12), derive_seed(7, "graph", 0, index))
-        dist = build_empirical(g, Task.BF, runs=20, seed=derive_seed(7, "dist", 0, index))
-        dist = perturb(dist, 1, seed=derive_seed(7, "perturb", 0, index))
-        yield f"fallbacks-graph{index}", {
-            method: extract(method, dist, g, fallbacks, derive_rng(7, "single", method, 0, index))
-            for method in ("beam", "greedy")
-        }
+    for index, draws in enumerate(fallback_draws()):
+        yield f"fallbacks-graph{index}", draws
     arcless = Graph(5, False, [[0] * 5] * 5, 0)
     for alpha in (0, 1):
         dist = perturb(build_empirical(arcless, Task.BF, runs=5, seed=1), alpha, seed=1)
@@ -183,6 +190,14 @@ def test_layer_matches_golden_digests(layer):
     }
     changed = changed_names(expected, layer_digests(layer))
     assert not changed, f"{layer} outputs changed for: {', '.join(changed)}"
+
+
+def test_fallback_case_takes_all_four_fallbacks(fallbacks):
+    list(fallback_draws())
+    taken = Counter((method, kind) for method, _, kind in fallbacks)
+    assert taken == {
+        ("beam", "parent"): 17, ("beam", "self"): 1, ("greedy", "parent"): 32, ("greedy", "self"): 1
+    }
 
 
 if __name__ == "__main__":

@@ -137,20 +137,19 @@ def test_beam_keeps_unreachable_vertices_rooted():
         assert beam_extract(dist, g, SamplerConfig(), rng(s)) == (0, 1, 2)
 
 
-def test_beam_fallbacks_and_counters():
+def test_beam_fallbacks_and_counters(fallbacks):
     # Rows that chase a 1 <-> 2 pointer loop never complete a path to the
     # source; the vertex falls back to its lightest graph parent when one
     # exists, else to itself.
     loop = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     dist = ParentDistribution(3, loop)
     g = Graph.from_edges(3, [(1, 2, 1)], directed=False, source=0)
-    stats: dict = {}
-    assert beam_extract(dist, g, SamplerConfig(), rng(0), stats) == (0, 2, 1)
-    assert stats == {"beam_parent_fallback": 2}
+    assert beam_extract(dist, g, SamplerConfig(), rng(0)) == (0, 2, 1)
+    assert fallbacks == [("beam", 1, "parent"), ("beam", 2, "parent")]
+    fallbacks.clear()
     edgeless = Graph.from_edges(3, [], directed=False, source=0)
-    stats = {}
-    pi = beam_extract(dist, edgeless, SamplerConfig(), rng(0), stats)
-    assert stats == {"beam_self_fallback": 2}
+    pi = beam_extract(dist, edgeless, SamplerConfig(), rng(0))
+    assert fallbacks == [("beam", 1, "self"), ("beam", 2, "self")]
     assert pi == (0, 1, 2) and check_bf_valid(edgeless, pi)
 
 
@@ -190,19 +189,18 @@ def test_greedy_keeps_unreachable_vertices_rooted():
         assert greedy_extract(dist, g, SamplerConfig(), rng(s)) == (0, 1, 2)
 
 
-def test_greedy_fallbacks_and_counters():
+def test_greedy_fallbacks_and_counters(fallbacks):
     g = Graph.from_edges(3, [(1, 2, 1)], directed=False, source=0)
     # Row of vertex 1 insists on parent 0, but edge (0,1) does not exist.
     probs = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     dist = ParentDistribution(3, probs)
-    stats: dict = {}
-    assert greedy_extract(dist, g, SamplerConfig(), rng(0), stats) == (0, 2, 1)
-    assert stats == {"greedy_parent_fallback": 1}
+    assert greedy_extract(dist, g, SamplerConfig(), rng(0)) == (0, 2, 1)
+    assert fallbacks == [("greedy", 1, "parent")]
+    fallbacks.clear()
     edgeless = Graph.from_edges(2, [], directed=False, source=0)
     bad = ParentDistribution(2, np.array([[1.0, 0.0], [1.0, 0.0]]))
-    stats = {}
-    assert greedy_extract(bad, edgeless, SamplerConfig(), rng(0), stats) == (0, 1)
-    assert stats == {"greedy_self_fallback": 1}
+    assert greedy_extract(bad, edgeless, SamplerConfig(), rng(0)) == (0, 1)
+    assert fallbacks == [("greedy", 1, "self")]
 
 
 def test_greedy_requires_source(two_tree_digraph):
@@ -220,14 +218,13 @@ def test_beam_and_greedy_root_at_a_source_other_than_0(extractor):
     assert check_bf_valid(g, pi)
 
 
-def test_empirical_extraction_never_hits_fallbacks(unit_square, third_weight_line):
+def test_empirical_extraction_never_hits_fallbacks(unit_square, third_weight_line, fallbacks):
     for g in (unit_square, third_weight_line):
         dist = build_empirical(g, Task.BF, runs=100, seed=3)
-        stats: dict = {}
         for s in range(20):
-            beam_extract(dist, g, SamplerConfig(), rng(s), stats)
-            greedy_extract(dist, g, SamplerConfig(), rng(s), stats)
-        assert stats == {}
+            beam_extract(dist, g, SamplerConfig(), rng(s))
+            greedy_extract(dist, g, SamplerConfig(), rng(s))
+    assert fallbacks == []
 
 
 def test_random_extract_keeps_root_only():
