@@ -300,17 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=float, default=EvalConfig.perturb_alpha, help="row perturbation strength"
     )
     eval_flags.add_argument("--methods", type=_method_list, default=None)
+    eval_flags.set_defaults(func=cmd_study)
     # The sampler studies: curves average one run's graphs, tables several runs.
     curve = argparse.ArgumentParser(add_help=False, parents=[eval_flags])
     curve.add_argument("--samples", type=int, default=25)
-    curve.set_defaults(runs=1, func=cmd_study)
+    curve.set_defaults(runs=1)
     table = argparse.ArgumentParser(add_help=False, parents=[eval_flags])
     table.add_argument("--runs", type=int, default=EvalConfig.runs, help="evaluation runs")
     table.add_argument(
         "--samples", type=int, default=EvalConfig.samples_per_graph,
         help="batch size; table2 draws one",
     )
-    table.set_defaults(func=cmd_study)
 
     p = sub.add_parser("gen", help="generate random graphs", parents=[task, density, seeded])
     p.add_argument("-n", type=int, required=True, help="graph size")
