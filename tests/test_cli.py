@@ -3,9 +3,11 @@ output redirection, exit codes, and job-count reproducibility."""
 
 import contextlib
 import copy
+import importlib
 import io
 import itertools
 import json
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -654,6 +656,22 @@ def test_version_flag(capsys):
 
     assert run("--version") == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_entry_point_target_runs_gen(tmp_path, monkeypatch, capsys):
+    # The console script without an install: pyproject.toml's target, called
+    # the way the generated script calls it (no arguments, argv in sys.argv).
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["treesample"]
+    assert target == "treesample.cli:main"
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    out = tmp_path / "g.json"
+    argv = ["treesample", "gen", "-n", "4", "--task", "bf", "--seed", "1", "-o", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert entry() == 0
+    assert len(graphs_from_json(out)) == 1
 
 
 def test_installed_entry_point_runs(tmp_path):
