@@ -14,13 +14,12 @@ Six strategies with different diversity/validity trade-offs:
 * random: uniform baseline.
 
 Beam and greedy read both the graph (weights, source) and the distribution,
-and share one per-vertex loop that alone applies their fallback (the parent on
-the lightest in-edge, else the vertex itself) and counts nothing; random reads
-only the graph (n, source); argmax and the two upward walks read only the
-distribution. All samplers return a full predecessor array for any input.
+and share one per-vertex loop that alone applies their fallback (lightest
+in-edge, else the vertex itself); random reads only the graph (n, source);
+argmax and the two upward walks read only the distribution. All samplers
+return a full predecessor array for any input.
 Every weighted draw, masked or not, is a `bisect_right` of a `choice_cdf` CDF
-with one `rng.random()`, as numpy's `Generator.choice` draws, so the streams
-match choice's exactly.
+at one `rng.random()`, as in `Generator.choice`, so the streams match choice's.
 """
 
 from __future__ import annotations
