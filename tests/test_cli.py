@@ -658,7 +658,7 @@ def test_version_flag(capsys):
     assert __version__ in capsys.readouterr().out
 
 
-def test_entry_point_target_runs_gen(tmp_path, monkeypatch, capsys):
+def test_entry_point_target_runs_gen(tmp_path, monkeypatch):
     # The console script without an install: pyproject.toml's target, called
     # the way the generated script calls it (no arguments, argv in sys.argv).
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
