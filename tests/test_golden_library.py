@@ -22,6 +22,7 @@ import pytest
 
 from treesample import (
     METHODS,
+    DfsCondition,
     Graph,
     GraphSpec,
     SamplerConfig,
@@ -44,6 +45,7 @@ DIGESTS = Path(__file__).with_name("golden_library_digests.json")
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1, 2**64, 2**100 + 5)
 SIZES = (1, 2, 8, 20, 64)
 SAMPLER_SIZES = (2, 8, 64)
+VALIDITY_SIZES = (8, 20, 64)
 ALPHAS = (0, 0.3, 1)
 MODES = tuple(TiebreakMode)
 TASK_METHODS = {
@@ -138,8 +140,30 @@ def samplers_cases():
         }
 
 
+def dfs_verdicts(n: int) -> list[list]:
+    """[pi, valid, tags] on graph(Task.DFS, n) for the runner's outputs at
+    seeds 0-4 in both modes, five draws of each DFS method at alpha 0.3, and
+    40 runner outputs that each have one parent changed at a seeded vertex."""
+    g = graph(Task.DFS, n)
+    runs = [randomized_dfs(g, s, mode) for mode in MODES for s in range(5)]
+    dist = distribution(Task.DFS, n, 0.3)
+    draws = [
+        pi
+        for method in TASK_METHODS[Task.DFS]
+        for pi in draw_samples(method, dist, g, SamplerConfig(), 5, derive_rng(n, "validity", method))
+    ]
+    rng = derive_rng(n, "validity", "mutants")
+    mutants = []
+    for _ in range(40):
+        pi = list(runs[rng.integers(len(runs))])
+        v, p = rng.integers(n), int(rng.integers(n - 1))
+        pi[v] = p + (p >= pi[v])  # any parent but the old one
+        mutants.append(tuple(pi))
+    return [[pi, *verdict(g, Task.DFS, pi)] for pi in runs + draws + mutants]
+
+
 def validity_cases():
-    # Hand-built graphs, so this layer reads no seeded stream.
+    # Every array on small hand-built graphs, then seeded arrays at scale.
     graphs = {
         "bf-square": Graph.from_edges(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)], False, 0),
         "bf-mixed": Graph.from_edges(
@@ -154,6 +178,8 @@ def validity_cases():
         task = Task.DFS if g.directed else Task.BF
         arrays = itertools.product(range(g.n), repeat=g.n)
         yield name, [[pi, *verdict(g, task, pi)] for pi in arrays]
+    for n in VALIDITY_SIZES:
+        yield f"dfs-n{n}", dfs_verdicts(n)
 
 
 LAYERS = {
@@ -190,6 +216,12 @@ def test_layer_matches_golden_digests(layer):
     }
     changed = changed_names(expected, layer_digests(layer))
     assert not changed, f"{layer} outputs changed for: {', '.join(changed)}"
+
+
+def test_validity_cases_at_scale_take_every_tag_and_a_valid_array():
+    rows = [row for n in VALIDITY_SIZES for row in dfs_verdicts(n)]
+    assert any(valid for _, valid, _ in rows)
+    assert {tag for _, _, tags in rows for tag in tags} == {c.value for c in DfsCondition}
 
 
 def test_fallback_case_takes_all_four_fallbacks(fallbacks):
