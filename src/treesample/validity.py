@@ -34,24 +34,6 @@ class DfsVerdict:
         return sorted(c.value for c in self.failed_conditions)
 
 
-def _depths_and_roots(pi: tuple[int, ...]) -> tuple[list[int], list[int]] | None:
-    """Each vertex's depth and tree root in the forest pi, or None when some
-    parent chain loops instead of ending at a self-parent."""
-    n = len(pi)
-    depth: list[int | None] = [0 if p == v else None for v, p in enumerate(pi)]
-    root = list(range(n))
-    for v in range(n):
-        chain = []
-        while depth[v] is None:
-            if len(chain) == n:  # n steps without a root or a known vertex
-                return None
-            chain.append(v)
-            v = pi[v]
-        for w in reversed(chain):
-            depth[w], root[w] = depth[pi[w]] + 1, root[pi[w]]
-    return depth, root
-
-
 def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
     """Whether pi is a DFS forest of g, with a tag for each failed condition.
 
@@ -60,8 +42,9 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
 
     - StartNode: vertex 0 is its own parent.
     - Edges: every parent edge exists in g.
-    - NoCycle: every parent chain ends at a self-parent. A looping array is
-      no forest, so the conditions below are not checked for it.
+    - NoCycle: a walk down the children lists from the self-parents reaches
+      every vertex; one left over hangs off a parent loop. A looping array
+      is no forest, so the conditions below are not checked for it.
     - RootUnreachableFromLower: every tree's root is its lowest vertex, and
       no arc enters a tree with a higher root (the earlier search would have).
     - SiblingOrder: an arc x -> y between unrelated vertices of one tree
@@ -78,11 +61,18 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
         failed.add(DfsCondition.START_NODE)
     if any(p != t and not g.has_edge(p, t) for t, p in enumerate(pi)):
         failed.add(DfsCondition.EDGES)
-    forest = _depths_and_roots(pi)
-    if forest is None:
+    children: list[list[int]] = [[] for _ in pi]
+    reached: list[int] = []
+    for v, p in enumerate(pi):
+        (reached if p == v else children[p]).append(v)
+    depth, root = [0] * g.n, list(range(g.n))
+    for u in reached:
+        for v in children[u]:
+            depth[v], root[v] = depth[u] + 1, root[u]
+        reached.extend(children[u])
+    if len(reached) < g.n:
         failed.add(DfsCondition.NO_CYCLE)
         return DfsVerdict(frozenset(failed))
-    depth, root = forest
 
     if any(root[v] > v for v in range(g.n)) or any(root[x] < root[y] for x, y, _ in g.arcs):
         failed.add(DfsCondition.ROOT_UNREACHABLE_FROM_LOWER)
