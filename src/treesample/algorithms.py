@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, INFINITE_COST
-from .seeding import derive_rng
+from .seeding import derive_rng, member
 
 ENUMERATION_LIMIT = 8
 
@@ -72,6 +72,7 @@ def randomized_dfs(
     The weight matrix is treated as a directed adjacency structure, so an
     undirected graph is searched along both directions of every edge.
     """
+    member(mode, TiebreakMode, "mode")
     rng = derive_rng(seed)
     if mode is TiebreakMode.PER_RUN_GLOBAL:
         order = rng.permutation(np.arange(1, g.n))
@@ -146,6 +147,7 @@ def enumerate_dfs_trees(
     each eligible child with weight 1/len(eligible) at every expansion.
     """
     _check_enumerable(g.n)
+    member(mode, TiebreakMode, "mode")
     n = g.n
     adjacency = g.adjacency
 

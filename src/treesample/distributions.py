@@ -19,7 +19,7 @@ import numpy as np
 
 from .algorithms import TiebreakMode, randomized_bellman_ford, randomized_dfs
 from .graphs import Graph, Task
-from .seeding import derive_rng, derive_seed, positive_int, probability
+from .seeding import derive_rng, derive_seed, member, positive_int, probability
 
 ROW_SUM_TOLERANCE = 1e-9
 KL_EPSILON = 1e-8
@@ -108,6 +108,8 @@ def build_empirical(
     just the seed, so both modes give the same BF distribution.
     """
     positive_int(runs, "need at least one run")
+    member(task, Task, "task")
+    member(mode, TiebreakMode, "mode")
     if task is Task.DFS:
         trees = [randomized_dfs(g, derive_seed(seed, "run", r), mode) for r in range(runs)]
     else:

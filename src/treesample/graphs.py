@@ -23,7 +23,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from .seeding import derive_rng, positive_int, probability
+from .seeding import derive_rng, member, positive_int, probability
 
 INFINITE_COST = math.inf
 # Input bounds, checked before anything is built. A graph of MAX_VERTICES (16x
@@ -242,6 +242,7 @@ class GraphSpec:
             raise ValueError(
                 f"graph size must be positive and at most {MAX_VERTICES}, got {self.n}"
             )
+        member(self.task, Task, "task")
         if self.edge_probability is None:
             default = DFS_EDGE_PROBABILITY if self.task is Task.DFS else BF_EDGE_PROBABILITY
             object.__setattr__(self, "edge_probability", default)

@@ -1,8 +1,9 @@
-"""Seeds, counts, probabilities, and the random streams derived from a master seed.
+"""Seeds, counts, probabilities, choices, and the random streams derived from a master seed.
 
-A seed is a str or a Python int >= 0, a count a Python int >= 1 and a
-probability an int or float in [0, 1] or (0, 1]; this module checks all three
-for the whole package. Every Generator comes from `derive_rng`, whose
+A seed is a str or a Python int >= 0, a count a Python int >= 1, a
+probability an int or float in [0, 1] or (0, 1] and a choice (a task or a
+tie-break mode) a member of its Enum; this module checks all four for the
+whole package. Every Generator comes from `derive_rng`, whose
 sub-streams are derived from (master seed, *keys) so that results are pure
 functions of their inputs and independent of scheduling order (`--jobs N`
 must be byte-identical for any N).
@@ -17,6 +18,7 @@ numpy's per-int coercion, and a label's words are computed once per process.
 from __future__ import annotations
 
 import hashlib
+from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -44,6 +46,12 @@ def probability(value: float, name: str, *, allow_zero: bool = True) -> None:
     ):
         interval = "[0, 1]" if allow_zero else "(0, 1]"
         raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+
+
+def member(value: Enum, kind: type[Enum], name: str) -> None:
+    """Refuse a value that is not a member of kind (its str value, say)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be one of {', '.join(map(str, kind))}, got {value!r}")
 
 
 def _split(value: int) -> list[int]:

@@ -12,6 +12,7 @@ from enum import Enum
 from graphlib import CycleError, TopologicalSorter
 
 from .graphs import Graph, Task, validate_predecessors
+from .seeding import member
 
 
 class DfsCondition(Enum):
@@ -117,6 +118,7 @@ def check_bf_valid(g: Graph, pi: tuple[int, ...]) -> bool:
 
 def verdict(g: Graph, task: Task, pi: tuple[int, ...]) -> tuple[bool, list[str]]:
     """The task's checker verdict and its failed-condition tags (none for bf)."""
+    member(task, Task, "task")
     if task is Task.DFS:
         dfs = check_dfs_valid(g, pi)
         return dfs.valid, dfs.tags()

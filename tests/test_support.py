@@ -28,6 +28,7 @@ from treesample import (
     build_empirical,
     distributions,
     draw_samples,
+    enumerate_dfs_trees,
     evaluation,
     generate_graph,
     graphs,
@@ -272,6 +273,30 @@ def test_probabilities_refuse_bools_and_non_numbers(call, message, value):
     # True would run as probability 1, and "0.5" fail later with a TypeError.
     with pytest.raises(ValueError, match=f"{message}, got {re.escape(repr(value))}"):
         call(value)
+
+
+_TASKS = r"task must be one of Task\.DFS, Task\.BF"
+_MODES = r"mode must be one of TiebreakMode\.PER_RUN_GLOBAL, TiebreakMode\.PER_NODE"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GraphSpec(n=5, task="dfs"), f"{_TASKS}, got 'dfs'"),
+        (lambda: build_empirical(_EDGE, "dfs", runs=2), f"{_TASKS}, got 'dfs'"),
+        (lambda: build_empirical(_EDGE, Task.DFS, runs=2, mode="per-node"), f"{_MODES}, got 'per-node'"),
+        (lambda: validity.verdict(_EDGE, "dfs", (0, 0)), f"{_TASKS}, got 'dfs'"),
+        (lambda: randomized_dfs(_EDGE, 0, "per-run-global"), f"{_MODES}, got 'per-run-global'"),
+        (lambda: enumerate_dfs_trees(_EDGE, "per-run-global"), f"{_MODES}, got 'per-run-global'"),
+    ],
+    ids=["GraphSpec", "build_empirical-task", "build_empirical-mode", "verdict", "randomized_dfs",
+         "enumerate_dfs_trees"],
+)
+def test_enum_arguments_are_members(call, message):
+    # A value string would take the other branch: "dfs" ran as BF, and
+    # "per-run-global" as the per-node tie-break.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 _THREADS_PROBE = (
