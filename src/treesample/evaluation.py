@@ -252,8 +252,8 @@ def edge_reuse_evolution(
 class RerunStudyConfig:
     """How distribution stability is measured as the rerun budget grows.
 
-    Checked when it is made, but for the size range: the study builds each
-    size's GraphSpec, which checks it, before any graph is seeded.
+    Checked when it is made, through each size's GraphSpec for the sizes,
+    edge_probability and task.
     """
 
     sizes: tuple[int, ...] = tuple(range(5, 65))
@@ -274,6 +274,10 @@ class RerunStudyConfig:
         for i, count in enumerate(self.rerun_counts):
             positive_int(count, f"rerun_counts[{i}] must be a positive int")
         check_seed(self.seed)
+        self.graph_specs()
+
+    def graph_specs(self) -> list[GraphSpec]:
+        return [GraphSpec(size, self.edge_probability, self.task) for size in self.sizes]
 
 
 def _rerun_study_item(args) -> list[float]:
@@ -300,8 +304,7 @@ def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
     sub-seeds); KL is recorded for each ordered low/high pair and aggregated
     as mean and standard deviation across graphs per size.
     """
-    specs = [GraphSpec(size, cfg.edge_probability, cfg.task) for size in cfg.sizes]
-    items = [(cfg, spec, index) for spec in specs for index in range(cfg.graphs_per_size)]
+    items = [(cfg, spec, index) for spec in cfg.graph_specs() for index in range(cfg.graphs_per_size)]
     kl = parallel_map(_rerun_study_item, items, jobs)
     per_size = cfg.graphs_per_size
     table = StudyTable(("size", "pair_lo", "pair_hi", "mean_kl", "std_kl"))

@@ -137,6 +137,23 @@ def test_config_seeds_are_refused_when_the_config_is_built(config, seed):
         config(**required.get(config, {}), seed=seed)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"sizes": (0,)}, "graph size must be positive and at most 1024, got 0"),
+        ({"sizes": (2000,)}, "graph size must be positive and at most 1024, got 2000"),
+        ({"sizes": (True,)}, "graph size must be positive and at most 1024, got True"),
+        ({"edge_probability": 2.0}, r"edge probability must lie in \(0, 1\], got 2\.0"),
+        ({"task": "dfs"}, r"task must be one of Task\.DFS, Task\.BF, got 'dfs'"),
+    ],
+    ids=["size-0", "size-2000", "size-True", "edge_probability", "task"],
+)
+def test_rerun_study_config_checks_its_graph_specs_when_built(overrides, message):
+    # Not first when the study builds its specs, after the config was accepted.
+    with pytest.raises(ValueError, match=message):
+        RerunStudyConfig(**overrides)
+
+
 def test_rerun_study_config_stores_tuples():
     cfg = RerunStudyConfig(sizes=[6, 4], rerun_counts=[10, 5])
     assert cfg.sizes == (6, 4) and cfg.rerun_counts == (10, 5)
