@@ -48,15 +48,15 @@ class DrawTable(NamedTuple):
     order: list[int]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ParentDistribution:
-    """Row-stochastic n x n parent matrix; probs is a read-only copy."""
+    """Immutable row-stochastic n x n parent matrix; probs is a read-only copy."""
 
     n: int
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.probs = np.array(self.probs, dtype=float)
+        object.__setattr__(self, "probs", np.array(self.probs, dtype=float))
         self.probs.setflags(write=False)
         if self.probs.shape != (self.n, self.n):
             raise ValueError(f"probs must be {self.n}x{self.n}, got {self.probs.shape}")

@@ -1,6 +1,7 @@
 """Empirical parent distributions, divergence, perturbation, rerun study."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def test_probs_are_a_read_only_copy():
         dist.probs[1, 0] = 0.5
     source[1] = [0.5, 0.5]  # the caller's array stays writable and detached
     assert dist.probs[1].tolist() == [0.25, 0.75]
+
+
+def test_distribution_fields_cannot_be_reassigned():
+    # A new probs would skip the row checks, and a draw_table built before
+    # the assignment would keep the old CDF.
+    dist = ParentDistribution(2, np.full((2, 2), 0.5))
+    with pytest.raises(FrozenInstanceError):
+        dist.probs = np.array([[0.5, 0.5], [7.0, -3.0]])
+    with pytest.raises(FrozenInstanceError):
+        dist.n = 99
+    assert dist.n == 2 and dist.probs.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
 
 def test_empirical_rows_are_run_frequencies(two_tree_digraph):
