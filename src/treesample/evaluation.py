@@ -277,6 +277,7 @@ class RerunStudyConfig:
         self.graph_specs()
 
     def graph_specs(self) -> list[GraphSpec]:
+        """One GraphSpec per size, in the order of sizes."""
         return [GraphSpec(size, self.edge_probability, self.task) for size in self.sizes]
 
 

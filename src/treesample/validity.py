@@ -43,9 +43,8 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
 
     - StartNode: vertex 0 is its own parent.
     - Edges: every parent edge exists in g.
-    - NoCycle: a walk down the children lists from the self-parents reaches
-      every vertex; one left over hangs off a parent loop. A looping array
-      is no forest, so the conditions below are not checked for it.
+    - NoCycle: a walk down from the self-parents reaches every vertex. A
+      looping array is no forest, so the conditions below are not checked.
     - RootUnreachableFromLower: every tree's root is its lowest vertex, and
       no arc enters a tree with a higher root (the earlier search would have).
     - SiblingOrder: an arc x -> y between unrelated vertices of one tree

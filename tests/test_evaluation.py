@@ -149,7 +149,7 @@ def test_config_seeds_are_refused_when_the_config_is_built(config, seed):
     ids=["size-0", "size-2000", "size-True", "edge_probability", "task"],
 )
 def test_rerun_study_config_checks_its_graph_specs_when_built(overrides, message):
-    # Not first when the study builds its specs, after the config was accepted.
+    # Refused by the config itself, not later by the study that builds the graphs.
     with pytest.raises(ValueError, match=message):
         RerunStudyConfig(**overrides)
 
