@@ -185,7 +185,9 @@ def cmd_sample(args: argparse.Namespace, out: Path) -> str:
         "k": args.k,
         "entries": entries,
     }
-    out.write_text(json.dumps(payload, indent=1) + "\n")
+    with open(out, "w") as fh:  # json.dump streams: no second copy of the entries
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
     valid_total = sum(sum(e["valid"]) for e in entries)
     return f"wrote {len(entries)} x {args.k} solutions to {out} ({valid_total} valid)"
 

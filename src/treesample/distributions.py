@@ -68,6 +68,11 @@ class ParentDistribution:
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE):
             raise ValueError("every row must sum to 1")
 
+    def __reduce__(self):
+        """Pickle through the constructor: a copy gets read-only probs and
+        checked rows, and no draw_table travels with it."""
+        return type(self), (self.n, self.probs)
+
     @cached_property
     def draw_table(self) -> DrawTable:
         """The sampling table, built on first use in the process that draws."""
@@ -151,8 +156,15 @@ def perturb(p: ParentDistribution, alpha: float, seed: int = 0) -> ParentDistrib
 
 
 def distributions_to_json(dists: Iterable[ParentDistribution], path: Path | str) -> None:
-    payload = [d.to_dict() for d in dists]
-    Path(path).write_text(json.dumps(payload) + "\n")
+    """Write the bytes of `json.dumps([d.to_dict() for d in dists])` and a
+    newline, each entry straight to the file: writing holds one entry's rows."""
+    with open(path, "w") as fh:
+        fh.write("[")
+        for i, d in enumerate(dists):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(d.to_dict()))
+        fh.write("]\n")
 
 
 def distributions_from_json(path: Path | str) -> list[ParentDistribution]:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable
 
@@ -100,12 +100,10 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) is a self-loop")
             if type(w) not in (int, str, Fraction):
                 raise ValueError(f"edge ({u},{v}) weight {w!r} is not an int, Fraction or string")
-            if type(w) is str and _exponent_size(w) > MAX_WEIGHT_EXPONENT:
-                raise ValueError(f"edge ({u},{v}) weight {w!r}: |exponent| > {MAX_WEIGHT_EXPONENT}")
             try:
-                w = Fraction(w)
-            except ZeroDivisionError:
-                raise ValueError(f"edge ({u},{v}) weight {w!r} has a zero denominator") from None
+                w = _parse_weight(w) if type(w) is str else Fraction(w)
+            except ValueError as exc:
+                raise ValueError(f"edge ({u},{v}) {exc}") from None
             if w <= 0:
                 raise ValueError(f"edge ({u},{v}) must have positive weight, got {w}")
             if (u, v) in arcs:
@@ -196,8 +194,15 @@ class Graph:
         return tuple(tuple(p) if p else (v,) for v, p in enumerate(parents))
 
     def to_dict(self) -> dict:
+        """The file form: each edge once, row-major (undirected: u < v), without
+        building the cached `arcs`."""
         d = self.denominator
-        edges = [[u, v, str(Fraction(w, d))] for u, v, w in self.arcs if self.directed or u <= v]
+        edges = [
+            [u, v, str(Fraction(w, d))]
+            for u, row in enumerate(self.weights)
+            for v, w in enumerate(row)
+            if w and (self.directed or u < v)
+        ]
         return {"n": self.n, "directed": self.directed, "source": self.source, "edges": edges}
 
     @classmethod
@@ -278,12 +283,22 @@ def generate_graph(spec: GraphSpec, seed: int) -> Graph:
     return Graph(n, directed, weights, None if directed else 0, scale // common)
 
 
-def _exponent_size(text: str) -> int:
-    """|e| of a weight string "<m>e<e>", else 0 (an e int() cannot read fails Fraction too)."""
+@lru_cache(maxsize=1024)
+def _parse_weight(text: str) -> Fraction:
+    """A weight string's Fraction, parsed once per distinct string (a generated
+    file holds a handful). The exponent of "<m>e<e>" is bounded before Fraction
+    expands it (an e that int() cannot read fails Fraction too); a refusal
+    raises ValueError, which the caller prefixes with the edge."""
     try:
-        return abs(int(text.lower().partition("e")[2] or 0))
+        exponent = abs(int(text.lower().partition("e")[2] or 0))
     except ValueError:
-        return 0
+        exponent = 0
+    if exponent > MAX_WEIGHT_EXPONENT:
+        raise ValueError(f"weight {text!r}: |exponent| > {MAX_WEIGHT_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"weight {text!r} has a zero denominator") from None
 
 
 def tree_edges(pi: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -293,17 +308,32 @@ def tree_edges(pi: tuple[int, ...]) -> set[tuple[int, int]]:
 
 def validate_predecessors(g: Graph, pi: tuple[int, ...]) -> None:
     """Raise ValueError unless pi holds one int parent per vertex, each in 0..n-1."""
-    if len(pi) != g.n:
-        raise ValueError(f"predecessor array has length {len(pi)}, expected {g.n}")
-    if {*map(type, pi)} != {int}:
-        raise ValueError(f"predecessor array entries must be ints, got {list(pi)!r}")
-    if min(pi) < 0 or max(pi) >= g.n:
-        raise ValueError(f"predecessor array mentions out-of-range vertices for n={g.n}")
+    n = g.n
+    if len(pi) != n:
+        raise ValueError(f"predecessor array has length {len(pi)}, expected {n}")
+    in_range = True
+    for p in pi:  # a non-int anywhere is reported before a range error
+        if type(p) is not int:
+            raise ValueError(f"predecessor array entries must be ints, got {list(pi)!r}")
+        if not 0 <= p < n:
+            in_range = False
+    if not in_range:
+        raise ValueError(f"predecessor array mentions out-of-range vertices for n={n}")
 
 
 def graphs_to_json(graphs: Iterable[Graph], path: Path | str) -> None:
-    payload = [g.to_dict() for g in graphs]
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    """Write the bytes of `json.dumps([g.to_dict() for g in graphs], indent=1)`
+    and a newline, one graph at a time: writing holds one entry's encoding,
+    re-indented one level, never the whole document."""
+    encode = json.JSONEncoder(indent=1).encode
+    with open(path, "w") as fh:
+        fh.write("[")
+        empty = True
+        for g in graphs:
+            fh.write("\n " if empty else ",\n ")
+            fh.write(encode(g.to_dict()).replace("\n", "\n "))
+            empty = False
+        fh.write("]\n" if empty else "\n]\n")
 
 
 def graphs_from_json(path: Path | str) -> list[Graph]:

@@ -257,3 +257,23 @@ def test_distribution_json_round_trip(tmp_path, two_tree_digraph):
     for orig, back in zip(dists, loaded):
         assert back.n == orig.n
         assert np.array_equal(back.probs, orig.probs)
+
+
+def test_pickled_copy_is_rebuilt_by_the_constructor(monkeypatch):
+    import copy
+    import pickle
+
+    d = ParentDistribution(2, [[1.0, 0.0], [0.5, 0.5]])
+    d.draw_table  # built and cached on the original only
+    blob = pickle.dumps(d)
+    checks = []
+    post_init = ParentDistribution.__post_init__
+    monkeypatch.setattr(
+        ParentDistribution, "__post_init__", lambda self: checks.append(post_init(self))
+    )
+    for twin in (pickle.loads(blob), copy.deepcopy(d)):
+        assert np.array_equal(twin.probs, d.probs)
+        assert not twin.probs.flags.writeable
+        assert "draw_table" not in vars(twin)
+    assert len(checks) == 2  # each copy's rows were checked again
+    assert b"draw_table" not in blob

@@ -298,3 +298,21 @@ def test_generated_graphs_are_well_formed(seed, n, task):
         assert w > 0
         if not g.directed:
             assert (v, u, w) in edge_list(g)
+
+
+def test_each_distinct_weight_string_is_parsed_once(tmp_path):
+    from treesample.graphs import _parse_weight
+
+    gs = [generate_graph(GraphSpec(n=16), seed) for seed in range(5)]
+    path = tmp_path / "graphs.json"
+    graphs_to_json(gs, path)
+    strings = {w for g in gs for _, _, w in g.to_dict()["edges"]}
+    _parse_weight.cache_clear()
+    assert graphs_from_json(path) == gs
+    info = _parse_weight.cache_info()
+    assert info.misses == len(strings) and info.hits > 10 * len(strings)
+    # A refused string is refused again, each time naming its own edge.
+    for bad in ("1/0", "1e5000"):
+        for u, v in ((0, 1), (1, 2)):
+            with pytest.raises(ValueError, match=rf"^edge \({u},{v}\) weight '{bad}'"):
+                Graph.from_edges(3, [(u, v, bad)], directed=True)

@@ -230,3 +230,9 @@ def test_no_cycle_tag_equals_self_return_within_n_steps():
         for pi in product(range(n), repeat=n):
             cycle = any(pi[v] != v and returns_to_itself(pi, v) for v in range(n))
             assert (DfsCondition.NO_CYCLE in check_dfs_valid(g, pi).failed_conditions) == cycle, pi
+
+
+def test_a_non_int_is_reported_before_an_out_of_range_entry(unit_square):
+    for pi in ((0, 9, 0, "a"), (0, -1, 0.0, 0), (7, 0, 0, True)):
+        with pytest.raises(ValueError, match="ints"):
+            check_bf_valid(unit_square, pi)

@@ -1,0 +1,116 @@
+"""The data-file writers: each writes the bytes of one `json.dumps` of its
+whole payload, one entry at a time, so writing never holds the document."""
+
+import json
+import tracemalloc
+
+import pytest
+
+from treesample import (
+    GraphSpec,
+    Task,
+    build_empirical,
+    cli,
+    distributions_to_json,
+    generate_graph,
+    graphs_to_json,
+    perturb,
+)
+from treesample.seeding import derive_seed
+
+
+def graphs(task: Task, n: int, count: int) -> list:
+    spec = GraphSpec(n=n, task=task)
+    return [generate_graph(spec, derive_seed(0, "graph", i)) for i in range(count)]
+
+
+def traced_peak(write, *args) -> int:
+    """Peak bytes allocated by write(*args), counted from its start."""
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("task", list(Task))
+def test_graph_writer_bytes_equal_one_dumps(tmp_path, task, count):
+    gs = graphs(task, 6, count)
+    path = tmp_path / "graphs.json"
+    graphs_to_json(gs, path)
+    assert path.read_text() == json.dumps([g.to_dict() for g in gs], indent=1) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_distribution_writer_bytes_equal_one_dumps(tmp_path, count):
+    dists = [
+        perturb(build_empirical(g, Task.BF, runs=5, seed=i), 0.3, seed=i)
+        for i, g in enumerate(graphs(Task.BF, 6, count))
+    ]
+    path = tmp_path / "dists.json"
+    distributions_to_json(dists, path)
+    assert path.read_text() == json.dumps([d.to_dict() for d in dists]) + "\n"
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("task, method", [("bf", "beam"), ("dfs", "upwards")])
+def test_solutions_writer_bytes_equal_one_dumps(tmp_path, task, method, count):
+    g, d, s = (str(tmp_path / name) for name in ("g.json", "d.json", "s.json"))
+    common = ["--task", task, "--seed", "1"]
+    assert cli.main(["gen", "-n", "6", "--count", str(count), *common, "-o", g]) == 0
+    assert cli.main(["dist", "-i", g, "--runs", "5", *common, "-o", d]) == 0
+    assert cli.main(["sample", "-i", g, "-d", d, "--method", method, "-k", "3", *common,
+                     "-o", s]) == 0
+    text = (tmp_path / "s.json").read_text()
+    payload = json.loads(text)
+    assert len(payload["entries"]) == count
+    assert all(("failed_tags" in e) == (task == "dfs") for e in payload["entries"])
+    assert text == json.dumps(payload, indent=1) + "\n"
+
+
+def test_graph_to_dict_leaves_the_arc_cache_unbuilt():
+    g = graphs(Task.BF, 8, 1)[0]
+    g.to_dict()
+    assert "arcs" not in vars(g)
+
+
+def test_graph_and_distribution_writers_peak_below_their_file_size(tmp_path):
+    # 500 n=8 BF graphs and their 20-run distributions, as in the CLI chain
+    # benchmark. A writer that builds its document (or even the list of every
+    # entry's dict) peaks at many times the file it writes.
+    gs = graphs(Task.BF, 8, 500)
+    dists = [build_empirical(g, Task.BF, runs=20, seed=i) for i, g in enumerate(gs)]
+    writers = (("graphs", graphs_to_json, gs), ("dists", distributions_to_json, dists))
+    for name, write, data in writers:
+        path = tmp_path / f"{name}.json"
+        peak = traced_peak(write, data, path)
+        assert peak < path.stat().st_size, (name, peak, path.stat().st_size)
+
+
+def test_sample_writes_its_solutions_without_a_second_copy(tmp_path, monkeypatch):
+    # Tracing starts once the entries are computed: what sample then adds to
+    # write its file stays below the file's own size.
+    g, d, s = tmp_path / "g.json", tmp_path / "d.json", tmp_path / "s.json"
+    common = ["--task", "bf", "--seed", "1"]
+    assert cli.main(["gen", "-n", "8", "--count", "200", *common, "-o", str(g)]) == 0
+    assert cli.main(["dist", "-i", str(g), *common, "-o", str(d)]) == 0
+    compute = cli.parallel_map
+
+    def compute_then_trace(*args):
+        entries = compute(*args)
+        tracemalloc.start()
+        return entries
+
+    monkeypatch.setattr(cli, "parallel_map", compute_then_trace)
+    args = cli.build_parser().parse_args(
+        ["sample", "-i", str(g), "-d", str(d), "--method", "beam", "-k", "5", *common,
+         "-o", str(s)]
+    )
+    try:
+        args.func(args, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak < s.stat().st_size, (peak, s.stat().st_size)
