@@ -24,7 +24,7 @@ from . import __version__, evaluation
 from .algorithms import TiebreakMode
 from .distributions import build_empirical, distributions_from_json, distributions_to_json
 from .evaluation import EvalConfig, RerunStudyConfig, rerun_divergence_study
-from .graphs import GraphSpec, Task, generate_graph, graphs_from_json, graphs_to_json
+from .graphs import GraphSpec, Task, generate_graph, graphs_from_json, graphs_to_json, write_entries
 from .parallel import parallel_map
 from .samplers import METHODS, SamplerConfig, draw_samples
 from .seeding import derive_rng, derive_seed, positive_int
@@ -149,7 +149,7 @@ def cmd_dist(args: argparse.Namespace, out: Path) -> str:
 
 
 def _sample_item(args_tuple):
-    g, dist, task, method, cfg, k, seed = args_tuple
+    g, dist, task, method, cfg, k, seed, index = args_tuple
     rng = derive_rng(seed)
     solutions = draw_samples(method, dist, g, cfg, k, rng)
     verdicts = [verdict(g, task, s) for s in solutions]
@@ -157,6 +157,7 @@ def _sample_item(args_tuple):
     entry["valid"] = [ok for ok, _ in verdicts]
     if task is Task.DFS:
         entry["failed_tags"] = [tags for _, tags in verdicts]
+    entry["graph_index"] = index
     return entry
 
 
@@ -173,21 +174,15 @@ def cmd_sample(args: argparse.Namespace, out: Path) -> str:
     cfg = _sampler_config(args)
     items = [
         (g, d, args.task, args.method, cfg, args.k,
-         derive_seed(args.seed, "sample", args.method, i))
+         derive_seed(args.seed, "sample", args.method, i), i)
         for i, (g, d) in enumerate(zip(graphs, dists))
     ]
     entries = parallel_map(_sample_item, items, args.jobs)
-    for i, entry in enumerate(entries):
-        entry["graph_index"] = i
-    payload = {
-        "task": args.task.value,
-        "method": args.method,
-        "k": args.k,
-        "entries": entries,
-    }
-    with open(out, "w") as fh:  # json.dump streams: no second copy of the entries
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    header = json.dumps({"task": args.task.value, "method": args.method, "k": args.k})
+    with open(out, "w") as fh:  # the header object, left open for its entries
+        fh.write(header[:-1] + ', "entries": ')
+        write_entries(fh, entries)
+        fh.write("}\n")
     valid_total = sum(sum(e["valid"]) for e in entries)
     return f"wrote {len(entries)} x {args.k} solutions to {out} ({valid_total} valid)"
 

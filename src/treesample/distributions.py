@@ -9,7 +9,6 @@ budget moves them (KL between budgets) lives in `evaluation`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .algorithms import TiebreakMode, randomized_bellman_ford, randomized_dfs
-from .graphs import Graph, Task
+from .graphs import Graph, Task, read_entries, write_entries
 from .seeding import derive_rng, derive_seed, member, positive_int, probability
 
 ROW_SUM_TOLERANCE = 1e-9
@@ -156,22 +155,14 @@ def perturb(p: ParentDistribution, alpha: float, seed: int = 0) -> ParentDistrib
 
 
 def distributions_to_json(dists: Iterable[ParentDistribution], path: Path | str) -> None:
-    """Write the bytes of `json.dumps([d.to_dict() for d in dists])` and a
-    newline, each entry straight to the file: writing holds one entry's rows."""
+    """Write the distributions' file forms through `write_entries`, one per line."""
     with open(path, "w") as fh:
-        fh.write("[")
-        for i, d in enumerate(dists):
-            if i:
-                fh.write(", ")
-            fh.write(json.dumps(d.to_dict()))
-        fh.write("]\n")
+        write_entries(fh, (d.to_dict() for d in dists))
+        fh.write("\n")
 
 
 def distributions_from_json(path: Path | str) -> list[ParentDistribution]:
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, list):
-        raise ValueError("distributions file must hold a JSON list of distributions")
-    return [ParentDistribution.from_dict(entry) for entry in payload]
+    return [ParentDistribution.from_dict(entry) for entry in read_entries(path, "distributions")]
 
 
 __all__ = [

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .seeding import derive_rng, member, positive_int, probability
 
@@ -142,25 +142,24 @@ class Graph:
     def sp_costs(self) -> tuple[int | float, ...]:
         """Integer shortest-path costs from the source; unreachable -> infinity.
 
-        Dijkstra over arcs: weights are positive, so a vertex popped at its
-        current cost is settled. Only a settled, finite cost ever has a weight
-        added to it, so an unreached vertex can hold INFINITE_COST; comparing
-        an int with a float infinity is exact even beyond float range.
+        Dijkstra over the adjacency lists: weights are positive, so a vertex
+        popped at its current cost is settled. Only a settled, finite cost ever
+        has a weight added to it, so an unreached vertex can hold
+        INFINITE_COST; comparing an int with a float infinity is exact even
+        beyond float range.
         """
         if self.source is None:
             raise ValueError("bellman-ford needs a graph with a source")
-        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
-        for arc in self.arcs:
-            out[arc[0]].append(arc)
         cost: list[int | float] = [INFINITE_COST] * self.n
         cost[self.source] = 0
         heap = [(0, self.source)]
         while heap:
             d, u = heapq.heappop(heap)
             if d == cost[u]:
-                for _, v, w in out[u]:
-                    if d + w < cost[v]:
-                        cost[v] = d + w
+                row = self.weights[u]
+                for v in self.adjacency[u]:
+                    if d + row[v] < cost[v]:
+                        cost[v] = d + row[v]
                         heapq.heappush(heap, (cost[v], v))
         return tuple(cost)
 
@@ -321,26 +320,35 @@ def validate_predecessors(g: Graph, pi: tuple[int, ...]) -> None:
         raise ValueError(f"predecessor array mentions out-of-range vertices for n={n}")
 
 
+def write_entries(fh: TextIO, entries: Iterable) -> None:
+    """Write entries into the open file as a JSON list, one compact
+    `json.dumps` entry per line: `[\n{...},\n{...}\n]`, or `[]` for none.
+    Each entry is encoded on its own, so writing never holds the document."""
+    opening = "[\n"
+    for entry in entries:
+        fh.write(opening)
+        fh.write(json.dumps(entry))
+        opening = ",\n"
+    fh.write("[]" if opening == "[\n" else "\n]")
+
+
+def read_entries(path: Path | str, what: str) -> list:
+    """The JSON list a data file holds; ValueError when it holds anything else."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, list):
+        raise ValueError(f"{what} file must hold a JSON list of {what}")
+    return payload
+
+
 def graphs_to_json(graphs: Iterable[Graph], path: Path | str) -> None:
-    """Write the bytes of `json.dumps([g.to_dict() for g in graphs], indent=1)`
-    and a newline, one graph at a time: writing holds one entry's encoding,
-    re-indented one level, never the whole document."""
-    encode = json.JSONEncoder(indent=1).encode
+    """Write the graphs' file forms through `write_entries`, one per line."""
     with open(path, "w") as fh:
-        fh.write("[")
-        empty = True
-        for g in graphs:
-            fh.write("\n " if empty else ",\n ")
-            fh.write(encode(g.to_dict()).replace("\n", "\n "))
-            empty = False
-        fh.write("]\n" if empty else "\n]\n")
+        write_entries(fh, (g.to_dict() for g in graphs))
+        fh.write("\n")
 
 
 def graphs_from_json(path: Path | str) -> list[Graph]:
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, list):
-        raise ValueError("graphs file must hold a JSON list of graphs")
-    return [Graph.from_dict(entry) for entry in payload]
+    return [Graph.from_dict(entry) for entry in read_entries(path, "graphs")]
 
 
 __all__ = [

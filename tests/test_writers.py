@@ -1,5 +1,6 @@
-"""The data-file writers: each writes the bytes of one `json.dumps` of its
-whole payload, one entry at a time, so writing never holds the document."""
+"""The data-file writers: each writes a JSON list with one compact
+`json.dumps` entry per line, one entry at a time, so writing never holds the
+document."""
 
 import json
 import tracemalloc
@@ -24,6 +25,11 @@ def graphs(task: Task, n: int, count: int) -> list:
     return [generate_graph(spec, derive_seed(0, "graph", i)) for i in range(count)]
 
 
+def one_per_line(entries: list) -> str:
+    """The list layout, spelled independently of the writers."""
+    return "[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]" if entries else "[]"
+
+
 def traced_peak(write, *args) -> int:
     """Peak bytes allocated by write(*args), counted from its start."""
     tracemalloc.start()
@@ -40,7 +46,9 @@ def test_graph_writer_bytes_equal_one_dumps(tmp_path, task, count):
     gs = graphs(task, 6, count)
     path = tmp_path / "graphs.json"
     graphs_to_json(gs, path)
-    assert path.read_text() == json.dumps([g.to_dict() for g in gs], indent=1) + "\n"
+    payload = [g.to_dict() for g in gs]
+    assert path.read_text() == one_per_line(payload) + "\n"
+    assert json.loads(path.read_text()) == payload
 
 
 @pytest.mark.parametrize("count", [0, 1, 3])
@@ -51,7 +59,9 @@ def test_distribution_writer_bytes_equal_one_dumps(tmp_path, count):
     ]
     path = tmp_path / "dists.json"
     distributions_to_json(dists, path)
-    assert path.read_text() == json.dumps([d.to_dict() for d in dists]) + "\n"
+    payload = [d.to_dict() for d in dists]
+    assert path.read_text() == one_per_line(payload) + "\n"
+    assert json.loads(path.read_text()) == payload
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -67,7 +77,12 @@ def test_solutions_writer_bytes_equal_one_dumps(tmp_path, task, method, count):
     payload = json.loads(text)
     assert len(payload["entries"]) == count
     assert all(("failed_tags" in e) == (task == "dfs") for e in payload["entries"])
-    assert text == json.dumps(payload, indent=1) + "\n"
+    assert list(payload) == ["task", "method", "k", "entries"]
+    assert payload["task"] == task and payload["method"] == method and payload["k"] == 3
+    assert [e["graph_index"] for e in payload["entries"]] == list(range(count))
+    assert all(list(e)[-1] == "graph_index" for e in payload["entries"])
+    header = f'{{"task": "{task}", "method": "{method}", "k": 3, "entries": '
+    assert text == header + one_per_line(payload["entries"]) + "}\n"
 
 
 def test_graph_to_dict_leaves_the_arc_cache_unbuilt():
