@@ -142,11 +142,11 @@ class Graph:
     def sp_costs(self) -> tuple[int | float, ...]:
         """Integer shortest-path costs from the source; unreachable -> infinity.
 
-        Dijkstra over the adjacency lists: weights are positive, so a vertex
-        popped at its current cost is settled. Only a settled, finite cost ever
-        has a weight added to it, so an unreached vertex can hold
-        INFINITE_COST; comparing an int with a float infinity is exact even
-        beyond float range.
+        Dijkstra over the weight rows, which fills no cached adjacency: weights
+        are positive, so a vertex popped at its current cost is settled. Only a
+        settled, finite cost ever has a weight added to it, so an unreached
+        vertex can hold INFINITE_COST; comparing an int with a float infinity
+        is exact even beyond float range.
         """
         if self.source is None:
             raise ValueError("bellman-ford needs a graph with a source")
@@ -156,10 +156,9 @@ class Graph:
         while heap:
             d, u = heapq.heappop(heap)
             if d == cost[u]:
-                row = self.weights[u]
-                for v in self.adjacency[u]:
-                    if d + row[v] < cost[v]:
-                        cost[v] = d + row[v]
+                for v, w in enumerate(self.weights[u]):
+                    if w and d + w < cost[v]:
+                        cost[v] = d + w
                         heapq.heappush(heap, (cost[v], v))
         return tuple(cost)
 
