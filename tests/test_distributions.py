@@ -1,5 +1,6 @@
 """Empirical parent distributions, divergence, perturbation, rerun study."""
 
+import itertools
 import math
 from dataclasses import FrozenInstanceError
 
@@ -26,6 +27,8 @@ from treesample import (
     rerun_divergence_study,
 )
 from treesample.seeding import derive_seed
+
+from oracles import BF_ARC_LIMIT, exact_parent_law
 
 
 def row_stochastic(n: int):
@@ -94,6 +97,43 @@ def test_empirical_counts_equal_a_per_run_tally(task, mode):
                 counts[v, u] += 1
         dist = build_empirical(g, task, runs=7, seed=3, mode=mode)
         assert dist.probs.tolist() == (counts / 7).tolist()
+
+
+def law_graphs(task: Task, count: int) -> list:
+    """count seeded graphs for the exact-law test: BF at n = 7 with half the
+    pairs joined, weights 1 and 2 (tie-rich) and at most BF_ARC_LIMIT tight
+    arcs; DFS at n = 6 and the default density."""
+    spec = GraphSpec(7, 0.5, Task.BF, (1, 2)) if task is Task.BF else GraphSpec(6, task=Task.DFS)
+    graphs = (generate_graph(spec, derive_seed(11, "law", task.value, i)) for i in itertools.count())
+    if task is Task.BF:
+        graphs = (g for g in graphs if len(g.sp_arcs) <= BF_ARC_LIMIT)
+    return list(itertools.islice(graphs, count))
+
+
+@pytest.mark.parametrize(
+    "task, mode, count",
+    [(Task.BF, TiebreakMode.PER_RUN_GLOBAL, 40), (Task.DFS, TiebreakMode.PER_RUN_GLOBAL, 30),
+     (Task.DFS, TiebreakMode.PER_NODE, 30)],
+)
+def test_empirical_rows_lie_within_a_binomial_bound_of_the_exact_law(task, mode, count):
+    # Each count c of parent u in row v is Binomial(runs, p), p the exact law's
+    # entry: it must stay inside Bernstein's bound at failure chance 1e-6 per
+    # cell. Pooled over every row with two or more possible parents, Pearson's
+    # statistic has mean equal to its degrees of freedom; it may not exceed
+    # that by six standard deviations of the independent-row chi-square.
+    runs, log_term = 400, math.log(2 / 1e-6)
+    chi_square = freedom = 0
+    for index, g in enumerate(law_graphs(task, count)):
+        p = exact_parent_law(g, task, mode).probs
+        c = np.rint(build_empirical(g, task, runs=runs, seed=index, mode=mode).probs * runs)
+        assert np.all(c[p == 0] == 0) and np.all(c[p == 1] == runs)
+        bound = log_term / 3 + np.sqrt((log_term / 3) ** 2 + 2 * log_term * runs * p * (1 - p))
+        assert np.all(np.abs(c - runs * p) <= bound), (index, c.tolist(), p.tolist())
+        cells = (p > 0) & (p.max(axis=1, keepdims=True) < 1)
+        chi_square += ((c[cells] - runs * p[cells]) ** 2 / (runs * p[cells])).sum()
+        freedom += int(cells.sum() - cells.any(axis=1).sum())
+    assert freedom >= 40
+    assert chi_square <= freedom + 6 * math.sqrt(2 * freedom)
 
 
 def test_empirical_point_mass_on_unique_solution(third_weight_line):
