@@ -1,7 +1,7 @@
 """Reference algorithms with randomized tie-breaking, plus exhaustive oracles.
 
-The randomized runners produce one predecessor array per (graph, seed); the
-enumerate_* functions exhaust every tie-break choice on small graphs and return
+The randomized runners produce one predecessor array per call, drawn from the
+Generator they are given; the enumerate_* functions exhaust every tie-break choice on small graphs and return
 the full solution set with exact frequency weights, for use as ground truth.
 """
 
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, INFINITE_COST
-from .seeding import derive_rng, member
+from .seeding import member
 
 ENUMERATION_LIMIT = 8
 
@@ -65,15 +65,14 @@ def _ranked_pick(n: int, order):
 
 
 def randomized_dfs(
-    g: Graph, seed: int, mode: TiebreakMode = TiebreakMode.PER_RUN_GLOBAL
+    g: Graph, rng: np.random.Generator, mode: TiebreakMode = TiebreakMode.PER_RUN_GLOBAL
 ) -> tuple[int, ...]:
-    """One DFS forest with randomized child tie-breaking.
+    """One DFS forest with child tie-breaks drawn from rng.
 
     The weight matrix is treated as a directed adjacency structure, so an
     undirected graph is searched along both directions of every edge.
     """
     member(mode, TiebreakMode, "mode")
-    rng = derive_rng(seed)
     if mode is TiebreakMode.PER_RUN_GLOBAL:
         order = rng.permutation(np.arange(1, g.n))
         pick = _ranked_pick(g.n, order.tolist())
@@ -82,8 +81,8 @@ def randomized_dfs(
     return _dfs_forest(g.n, g.adjacency, pick)
 
 
-def randomized_bellman_ford(g: Graph, seed: int) -> tuple[int, ...]:
-    """One shortest-path tree with randomized relaxation order.
+def randomized_bellman_ford(g: Graph, rng: np.random.Generator) -> tuple[int, ...]:
+    """One shortest-path tree with its relaxation order drawn from rng.
 
     The tree Bellman-Ford builds when each pass relaxes every arc in a fresh
     `rng.permutation(len(g.arcs))` and updates only on a strictly smaller
@@ -99,7 +98,6 @@ def randomized_bellman_ford(g: Graph, seed: int) -> tuple[int, ...]:
     dag = g.sp_arcs
     pi = list(range(g.n))
     arcs, m = g.arcs, len(g.arcs)
-    rng = derive_rng(seed)
     index = np.array(dag, dtype=np.intp)
     # fires[p][k]: the time tight arc k is relaxed in pass p, p * (m + 1) +
     # its position + 1; time 0, before every firing, is when the source settles.

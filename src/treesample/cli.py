@@ -3,9 +3,9 @@
 Each command computes its result, writes its data file and returns a summary
 line. Every path flag is resolved by `_path` while the arguments are parsed.
 `main` alone writes the .manifest.json beside every output file (the command,
-the resolved configuration, the seed, the tool version and a timestamp) and
-prints the summary. Data files never embed timestamps, so reruns with the
-same seed are byte-identical (for any --jobs value).
+the resolved configuration, the seed, the tool, numpy and Python versions and
+a timestamp) and prints the summary. Data files never embed timestamps, so
+reruns with the same seed and numpy are byte-identical (for any --jobs value).
 
 Exit codes: 0 success, 2 usage, 3 validation, 4 I/O.
 """
@@ -15,10 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, evaluation
 from .algorithms import TiebreakMode
@@ -78,6 +81,8 @@ def _write_manifest(out_path: Path, args: argparse.Namespace) -> None:
         "config": config,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
@@ -133,14 +138,13 @@ def cmd_gen(args: argparse.Namespace, out: Path) -> str:
 
 
 def _dist_item(args_tuple):
-    g, task, runs, mode, seed = args_tuple
-    return build_empirical(g, task, runs=runs, seed=seed, mode=mode)
+    return build_empirical(*args_tuple)  # (g, task, runs, seed, mode)
 
 
 def cmd_dist(args: argparse.Namespace, out: Path) -> str:
     graphs = graphs_from_json(args.input)
     items = [
-        (g, args.task, args.runs, args.mode, derive_seed(args.seed, "dist", i))
+        (g, args.task, args.runs, derive_seed(args.seed, "dist", i), args.mode)
         for i, g in enumerate(graphs)
     ]
     dists = parallel_map(_dist_item, items, args.jobs)
@@ -150,8 +154,7 @@ def cmd_dist(args: argparse.Namespace, out: Path) -> str:
 
 def _sample_item(args_tuple):
     g, dist, task, method, cfg, k, seed, index = args_tuple
-    rng = derive_rng(seed)
-    solutions = draw_samples(method, dist, g, cfg, k, rng)
+    solutions = draw_samples(method, dist, g, cfg, k, derive_rng(seed))
     verdicts = [verdict(g, task, s) for s in solutions]
     entry: dict = {"solutions": [list(s) for s in solutions]}
     entry["valid"] = [ok for ok, _ in verdicts]

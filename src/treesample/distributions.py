@@ -10,7 +10,7 @@ budget moves them (KL between budgets) lives in `evaluation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .algorithms import TiebreakMode, randomized_bellman_ford, randomized_dfs
 from .graphs import Graph, Task, read_entries, write_entries
-from .seeding import derive_rng, derive_seed, member, positive_int, probability
+from .seeding import derive_rng, member, positive_int, probability
 
 ROW_SUM_TOLERANCE = 1e-9
 KL_EPSILON = 1e-8
@@ -106,18 +106,17 @@ def build_empirical(
 ) -> ParentDistribution:
     """Count parents across randomized runs; rows are counts / runs.
 
-    Each run gets an independent sub-seed derived from (seed, run index). Per-
-    row counts always total exactly `runs`, so row sums are 1 up to float
-    division rounding. `mode` only affects DFS: the Bellman-Ford runner reads
-    just the seed, so both modes give the same BF distribution.
+    The runs are drawn in turn from one Generator, `derive_rng(seed, "run")`,
+    so an R-run build is the first R runs of any longer one. Per-row counts
+    total exactly `runs`, so row sums are 1 up to float division rounding.
+    `mode` only affects DFS: both modes give the same BF distribution.
     """
     positive_int(runs, "need at least one run")
     member(task, Task, "task")
     member(mode, TiebreakMode, "mode")
-    if task is Task.DFS:
-        trees = [randomized_dfs(g, derive_seed(seed, "run", r), mode) for r in range(runs)]
-    else:
-        trees = [randomized_bellman_ford(g, derive_seed(seed, "run", r)) for r in range(runs)]
+    rng = derive_rng(seed, "run")
+    runner = partial(randomized_dfs, mode=mode) if task is Task.DFS else randomized_bellman_ford
+    trees = [runner(g, rng) for _ in range(runs)]
     # Entry v * n + pi[v] counts the runs in which pi[v] is v's parent.
     cells = np.array(trees) + np.arange(0, g.n * g.n, g.n)
     counts = np.bincount(cells.ravel(), minlength=g.n * g.n).reshape(g.n, g.n)

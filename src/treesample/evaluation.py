@@ -188,9 +188,9 @@ def _curve_samples(cfg, g, dist, label: str, method: str, index: int) -> list[tu
     if method != "reference":
         rng = derive_rng(cfg.seed, label, method, index)
         return draw_samples(method, dist, g, cfg.sampler, k, rng)
-    seed = derive_seed(cfg.seed, "refstream", index)
+    rng = derive_rng(cfg.seed, "refstream", index)
     runner = randomized_dfs if cfg.graph_spec.task is Task.DFS else randomized_bellman_ford
-    return [runner(g, derive_seed(seed, "ref", r)) for r in range(k)]
+    return [runner(g, rng) for _ in range(k)]
 
 
 def _coverage(cfg, g, dist, method, run, index) -> list[float]:

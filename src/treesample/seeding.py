@@ -3,10 +3,10 @@
 A seed is a str or a Python int >= 0, a count a Python int >= 1, a
 probability an int or float in [0, 1] or (0, 1] and a choice (a task or a
 tie-break mode) a member of its Enum; this module checks all four for the
-whole package. Every Generator comes from `derive_rng`, whose
-sub-streams are derived from (master seed, *keys) so that results are pure
-functions of their inputs and independent of scheduling order (`--jobs N`
-must be byte-identical for any N).
+whole package. Every Generator comes from `derive_rng`, keyed by (master
+seed, *keys) and never by scheduling order, so results are pure functions of
+their inputs (`--jobs N` is byte-identical for any N). A batch of draws, such
+as every run of one distribution, comes from one Generator.
 
 The stream of (root, *keys) is numpy's `SeedSequence([root, *keys])`, with a
 str key replaced by the int of its 8-byte blake2s digest (big-endian). The

@@ -35,7 +35,7 @@ from treesample import (
     rerun_divergence_study,
 )
 from treesample.cli import main as cli_main
-from treesample.seeding import derive_seed
+from treesample.seeding import derive_rng, derive_seed
 
 from conftest import tight_parent_trees
 
@@ -135,11 +135,11 @@ def test_06_reference_outputs_always_pass_validity():
                 )
                 for run in range(5):
                     mode = TiebreakMode.PER_NODE if run % 2 else TiebreakMode.PER_RUN_GLOBAL
-                    seed = derive_seed(0, "necrun", task.value, n, gi, run)
+                    rng = derive_rng(derive_seed(0, "necrun", task.value, n, gi, run))
                     if task is Task.DFS:
-                        ok = check_dfs_valid(g, randomized_dfs(g, seed, mode)).valid
+                        ok = check_dfs_valid(g, randomized_dfs(g, rng, mode)).valid
                     else:
-                        ok = check_bf_valid(g, randomized_bellman_ford(g, seed))
+                        ok = check_bf_valid(g, randomized_bellman_ford(g, rng))
                     outputs += 1
                     failures += not ok
     print(f"necessity sweep: {outputs} outputs, {failures} failures")
@@ -185,8 +185,8 @@ def test_07_checker_equals_enumeration_on_small_graphs():
                 support = set(enumerate_dfs_trees(g, mode=mode))
                 assert accepted == support, (n, gi, mode)
                 for run in range(3):
-                    seed = derive_seed(1, "odr", n, gi, run)
-                    assert randomized_dfs(g, seed, mode) in support, (n, gi, mode)
+                    rng = derive_rng(derive_seed(1, "odr", n, gi, run))
+                    assert randomized_dfs(g, rng, mode) in support, (n, gi, mode)
             dfs_checked += 1
     print(f"oracle agreement: {checked} bf and {dfs_checked} dfs exhaustive equivalences "
           f"({dfs_arrays} dfs arrays)")

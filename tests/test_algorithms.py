@@ -22,6 +22,8 @@ from treesample import (
     randomized_dfs,
 )
 
+from treesample.seeding import derive_rng
+
 from conftest import path_cost_from_source, relax
 
 
@@ -60,7 +62,7 @@ def test_dfs_on_one_and_two_vertices(n, edges, tree):
     # permutation of V \ {0} is empty or a single vertex.
     g = Graph.from_edges(n, edges, directed=True)
     for mode in TiebreakMode:
-        assert {randomized_dfs(g, seed, mode) for seed in range(5)} == {tree}
+        assert {randomized_dfs(g, derive_rng(seed), mode) for seed in range(5)} == {tree}
         assert enumerate_dfs_trees(g, mode=mode) == {tree: Fraction(1)}
 
 
@@ -89,7 +91,7 @@ def test_enumeration_rejects_large_graphs():
 def test_edgeless_graph_has_identity_forest():
     g = Graph.from_edges(4, [], directed=True)
     assert enumerate_dfs_trees(g) == {(0, 1, 2, 3): Fraction(1)}
-    assert randomized_dfs(g, 5) == (0, 1, 2, 3)
+    assert randomized_dfs(g, derive_rng(5)) == (0, 1, 2, 3)
 
 
 def test_randomized_dfs_deterministic_and_in_support(two_tree_digraph, unit_square):
@@ -98,13 +100,13 @@ def test_randomized_dfs_deterministic_and_in_support(two_tree_digraph, unit_squa
         support = set(enumerate_dfs_trees(g))
         for mode in TiebreakMode:
             for seed in range(50):
-                pi = randomized_dfs(g, seed, mode)
-                assert pi == randomized_dfs(g, seed, mode)
+                pi = randomized_dfs(g, derive_rng(seed), mode)
+                assert pi == randomized_dfs(g, derive_rng(seed), mode)
                 assert pi in support
 
 
 def test_randomized_dfs_frequencies_match_enumeration(two_tree_digraph):
-    counts = Counter(randomized_dfs(two_tree_digraph, s) for s in range(1000))
+    counts = Counter(randomized_dfs(two_tree_digraph, derive_rng(s)) for s in range(1000))
     assert set(counts) == {(0, 0, 1), (0, 2, 0)}
     assert abs(counts[(0, 0, 1)] / 1000 - 0.5) < 0.05
 
@@ -124,7 +126,7 @@ def test_costs_require_source():
     with pytest.raises(ValueError, match="source"):
         bellman_ford_costs(g)
     with pytest.raises(ValueError, match="source"):
-        randomized_bellman_ford(g, 0)
+        randomized_bellman_ford(g, derive_rng(0))
 
 
 def test_shortest_path_tree_enumeration(unit_square, third_weight_line):
@@ -141,8 +143,8 @@ def test_randomized_bf_deterministic_and_covers_both_trees(unit_square):
     trees = enumerate_shortest_path_trees(unit_square)
     seen = set()
     for seed in range(40):
-        pi = randomized_bellman_ford(unit_square, seed)
-        assert pi == randomized_bellman_ford(unit_square, seed)
+        pi = randomized_bellman_ford(unit_square, derive_rng(seed))
+        assert pi == randomized_bellman_ford(unit_square, derive_rng(seed))
         assert pi in trees
         seen.add(pi)
     assert seen == trees
@@ -169,7 +171,7 @@ def test_randomized_bf_equals_the_relaxation_replay():
     def trees(g: Graph) -> set[tuple[int, ...]]:
         out = set()
         for seed in range(100 if g.n <= 6 else 20):  # small graphs: see every tree
-            pi = randomized_bellman_ford(g, seed)
+            pi = randomized_bellman_ford(g, derive_rng(seed))
             costs, parents = relax(g, np.random.default_rng(seed))
             assert pi == tuple(parents), (g, seed)
             assert g.sp_costs == tuple(costs), g
@@ -190,7 +192,7 @@ def test_random_dfs_output_is_always_enumerated(seed, n):
     g = generate_graph(GraphSpec(n=n, task=Task.DFS), seed)
     for mode in TiebreakMode:
         support = set(enumerate_dfs_trees(g, mode=mode))
-        pi = randomized_dfs(g, seed, mode)
+        pi = randomized_dfs(g, derive_rng(seed), mode)
         assert pi in support
 
 
@@ -198,7 +200,7 @@ def test_random_dfs_output_is_always_enumerated(seed, n):
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 6))
 def test_random_bf_output_is_always_enumerated(seed, n):
     g = generate_graph(GraphSpec(n=n, task=Task.BF), seed)
-    pi = randomized_bellman_ford(g, seed)
+    pi = randomized_bellman_ford(g, derive_rng(seed))
     assert pi in enumerate_shortest_path_trees(g)
 
 
@@ -207,7 +209,7 @@ def test_random_bf_output_is_always_enumerated(seed, n):
 def test_bf_chain_costs_telescope_to_true_costs(seed, n):
     """Walking any output's parent chain reproduces the true cost per vertex."""
     g = generate_graph(GraphSpec(n=n, task=Task.BF), seed)
-    pi = randomized_bellman_ford(g, seed + 1)
+    pi = randomized_bellman_ford(g, derive_rng(seed + 1))
     costs = bellman_ford_costs(g)
     for v in range(n):
         assert path_cost_from_source(g, pi, v) == costs[v]

@@ -7,11 +7,13 @@ import importlib
 import io
 import itertools
 import json
+import platform
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,9 @@ def test_manifest_sidecar(tmp_path):
     assert manifest["config"]["task"] == "bf"
     assert manifest["tool_version"]
     assert "timestamp" in manifest
+    # The data bytes depend on numpy's Generator algorithms.
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["python_version"] == platform.python_version()
 
 
 def test_every_manifest_records_its_command_seed_and_config(tmp_path, capsys):
@@ -123,6 +128,12 @@ def test_every_manifest_records_its_command_seed_and_config(tmp_path, capsys):
         assert manifest["command"] == command
         assert manifest["seed"] == seed
         assert manifest["tool_version"] == __version__
+        assert (manifest["numpy_version"], manifest["python_version"]) == (
+            np.__version__, platform.python_version()
+        )
+        assert sorted(manifest) == [
+            "command", "config", "numpy_version", "python_version", "seed", "timestamp", "tool_version"
+        ]
         assert sorted(manifest["config"]) == keys.split()
         assert manifest["config"]["output"] == out
     assert capsys.readouterr().out.splitlines() == [

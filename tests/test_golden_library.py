@@ -87,9 +87,9 @@ def graphs_cases():
 
 def algorithms_cases():
     for n in SIZES:
-        yield f"bf-n{n}", [randomized_bellman_ford(graph(Task.BF, n), s) for s in range(5)]
+        yield f"bf-n{n}", [randomized_bellman_ford(graph(Task.BF, n), derive_rng(s)) for s in range(5)]
         for mode in MODES:
-            runs = [randomized_dfs(graph(Task.DFS, n), s, mode) for s in range(5)]
+            runs = [randomized_dfs(graph(Task.DFS, n), derive_rng(s), mode) for s in range(5)]
             yield f"dfs-n{n}-{mode.value}", runs
     for n, mode in itertools.product((2, 5, 7), MODES):
         trees = enumerate_dfs_trees(graph(Task.DFS, n), mode)
@@ -145,7 +145,7 @@ def dfs_verdicts(n: int) -> list[list]:
     seeds 0-4 in both modes, five draws of each DFS method at alpha 0.3, and
     40 runner outputs that each have one parent changed at a seeded vertex."""
     g = graph(Task.DFS, n)
-    runs = [randomized_dfs(g, s, mode) for mode in MODES for s in range(5)]
+    runs = [randomized_dfs(g, derive_rng(s), mode) for mode in MODES for s in range(5)]
     dist = distribution(Task.DFS, n, 0.3)
     draws = [
         pi

@@ -33,7 +33,6 @@ from treesample import (
     generate_graph,
     graphs,
     perturb,
-    randomized_bellman_ford,
     randomized_dfs,
     samplers,
     seeding,
@@ -172,11 +171,11 @@ _UNIFORM = ParentDistribution(2, np.full((2, 2), 0.5))
     "call",
     [
         lambda seed: generate_graph(GraphSpec(n=5), seed),
-        lambda seed: randomized_dfs(_EDGE, seed),
-        lambda seed: randomized_bellman_ford(_EDGE, seed),
+        lambda seed: build_empirical(_EDGE, Task.BF, runs=2, seed=seed),
+        lambda seed: build_empirical(_EDGE, Task.DFS, runs=2, seed=seed),
         lambda seed: perturb(_UNIFORM, 0.5, seed),
     ],
-    ids=["generate_graph", "randomized_dfs", "randomized_bellman_ford", "perturb"],
+    ids=["generate_graph", "build_empirical-bf", "build_empirical-dfs", "perturb"],
 )
 def test_seeded_entry_points_keep_the_seed_rule(call, seed):
     # numpy's own rule would run True as seed 1 and np.int64(1) as 1, and
@@ -286,7 +285,7 @@ _MODES = r"mode must be one of TiebreakMode\.PER_RUN_GLOBAL, TiebreakMode\.PER_N
         (lambda: build_empirical(_EDGE, "dfs", runs=2), f"{_TASKS}, got 'dfs'"),
         (lambda: build_empirical(_EDGE, Task.DFS, runs=2, mode="per-node"), f"{_MODES}, got 'per-node'"),
         (lambda: validity.verdict(_EDGE, "dfs", (0, 0)), f"{_TASKS}, got 'dfs'"),
-        (lambda: randomized_dfs(_EDGE, 0, "per-run-global"), f"{_MODES}, got 'per-run-global'"),
+        (lambda: randomized_dfs(_EDGE, derive_rng(0), "per-run-global"), f"{_MODES}, got 'per-run-global'"),
         (lambda: enumerate_dfs_trees(_EDGE, "per-run-global"), f"{_MODES}, got 'per-run-global'"),
     ],
     ids=["GraphSpec", "build_empirical-task", "build_empirical-mode", "verdict", "randomized_dfs",
