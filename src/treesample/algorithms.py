@@ -1,7 +1,7 @@
 """Reference algorithms with randomized tie-breaking, plus exhaustive oracles.
 
-The randomized runners produce one predecessor array per call, drawn from the
-Generator they are given; the enumerate_* functions exhaust every tie-break choice on small graphs and return
+The randomized runners draw one predecessor array per (graph, Generator); the
+enumerate_* functions exhaust every tie-break choice on small graphs and return
 the full solution set with exact frequency weights, for use as ground truth.
 """
 

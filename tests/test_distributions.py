@@ -16,7 +16,9 @@ from treesample import (
     RerunStudyConfig,
     Task,
     TiebreakMode,
+    algorithms,
     build_empirical,
+    distributions,
     distributions_from_json,
     distributions_to_json,
     generate_graph,
@@ -25,8 +27,8 @@ from treesample import (
     randomized_bellman_ford,
     randomized_dfs,
     rerun_divergence_study,
+    seeding,
 )
-from treesample import algorithms, distributions, seeding
 from treesample.seeding import derive_rng, derive_seed
 
 from oracles import BF_ARC_LIMIT, exact_parent_law

@@ -171,11 +171,12 @@ _UNIFORM = ParentDistribution(2, np.full((2, 2), 0.5))
     "call",
     [
         lambda seed: generate_graph(GraphSpec(n=5), seed),
-        lambda seed: build_empirical(_EDGE, Task.BF, runs=2, seed=seed),
+        # The runners take a Generator; build_empirical owns their runs' seed.
         lambda seed: build_empirical(_EDGE, Task.DFS, runs=2, seed=seed),
+        lambda seed: build_empirical(_EDGE, Task.BF, runs=2, seed=seed),
         lambda seed: perturb(_UNIFORM, 0.5, seed),
     ],
-    ids=["generate_graph", "build_empirical-bf", "build_empirical-dfs", "perturb"],
+    ids=["generate_graph", "randomized_dfs", "randomized_bellman_ford", "perturb"],
 )
 def test_seeded_entry_points_keep_the_seed_rule(call, seed):
     # numpy's own rule would run True as seed 1 and np.int64(1) as 1, and
