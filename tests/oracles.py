@@ -72,12 +72,12 @@ def bf_parent_law(g: Graph) -> Law:
     # settled set has received all its probability.
     starts = {frozenset([g.source]): Fraction(1)}
     while starts:
-        settled = min(starts, key=len)
-        waiting = frozenset(arc for arc in tight if arc[1] not in settled)
+        start = min(starts, key=len)
+        first = frozenset(arc for arc in tight if arc[1] not in start)
         # Each firing shrinks waiting, so states are complete in descending size.
-        by_size: list[dict] = [{} for _ in range(len(waiting) + 1)]
-        by_size[-1][settled, waiting] = starts.pop(settled)
-        for size in range(len(waiting), 0, -1):
+        by_size: list[dict] = [{} for _ in range(len(first) + 1)]
+        by_size[-1][start, first] = starts.pop(start)
+        for size in range(len(first), 0, -1):
             for (settled, waiting), mass in by_size[size].items():
                 share = mass / size
                 for u, v in waiting:
