@@ -1,11 +1,16 @@
 """Command-line pipeline: gen -> dist -> sample -> check, plus studies.
 
-Each command computes its result, writes its data file and returns a summary
-line. Every path flag is resolved by `_path` while the arguments are parsed.
-`main` alone writes the .manifest.json beside every output file (the command,
-the resolved configuration, the seed, the tool, numpy and Python versions and
-a timestamp) and prints the summary. Data files never embed timestamps, so
-reruns with the same seed and numpy are byte-identical (for any --jobs value).
+Each command writes its data file and returns a summary line. `gen`, `dist`
+and `sample` hold one entry at a time: `gen` writes each graph as it is
+generated, and `dist` and `sample` pipe a lazy stream of input entries
+through `parallel_map` into `write_entries`. Each work item derives its own
+stream from the master seed and its entry index, so a `--jobs` parent only
+reads, schedules and writes. Every path flag is resolved by `_path` while the
+arguments are parsed. `main` alone writes the .manifest.json beside every
+output file (the command, the resolved configuration, the seed, the tool,
+numpy and Python versions and a timestamp) and prints the summary. Data files
+never embed timestamps, so reruns with the same seed and numpy are
+byte-identical (for any --jobs value).
 
 Exit codes: 0 success, 2 usage, 3 validation, 4 I/O.
 """
@@ -19,17 +24,27 @@ import platform
 import sys
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, evaluation
 from .algorithms import TiebreakMode
-from .distributions import build_empirical, distributions_from_json, distributions_to_json
+from .distributions import ParentDistribution, build_empirical, distributions_to_json
 from .evaluation import EvalConfig, RerunStudyConfig, rerun_divergence_study
-from .graphs import GraphSpec, Task, generate_graph, graphs_from_json, graphs_to_json, write_entries
+from .graphs import (
+    Graph,
+    GraphSpec,
+    Task,
+    generate_graph,
+    graphs_from_json,
+    graphs_to_json,
+    read_entries,
+    write_entries,
+)
 from .parallel import parallel_map
-from .samplers import METHODS, SamplerConfig, draw_samples
+from .samplers import METHODS, SamplerConfig, draw_samples, solutions_from_json
 from .seeding import derive_rng, derive_seed, positive_int
 from .validity import verdict
 
@@ -132,29 +147,28 @@ def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
 def cmd_gen(args: argparse.Namespace, out: Path) -> str:
     positive_int(args.count, "--count must be at least 1")
     spec = GraphSpec(args.n, args.p, args.task, args.weights, not args.no_normalize)
-    graphs = [generate_graph(spec, derive_seed(args.seed, "graph", i)) for i in range(args.count)]
-    graphs_to_json(graphs, out)
-    return f"wrote {len(graphs)} graphs to {out}"
+    graphs = (generate_graph(spec, derive_seed(args.seed, "graph", i)) for i in range(args.count))
+    return f"wrote {graphs_to_json(graphs, out)} graphs to {out}"
 
 
-def _dist_item(args_tuple):
-    return build_empirical(*args_tuple)  # (g, task, runs, seed, mode)
+def _dist_item(item):
+    """One entry's distribution, from the stream of its index."""
+    seed, index, g, task, runs, mode = item
+    return build_empirical(g, task, runs, derive_seed(seed, "dist", index), mode)
 
 
 def cmd_dist(args: argparse.Namespace, out: Path) -> str:
-    graphs = graphs_from_json(args.input)
-    items = [
-        (g, args.task, args.runs, derive_seed(args.seed, "dist", i), args.mode)
-        for i, g in enumerate(graphs)
-    ]
-    dists = parallel_map(_dist_item, items, args.jobs)
-    distributions_to_json(dists, out)
-    return f"wrote {len(dists)} distributions to {out}"
+    graphs = map(Graph.from_dict, read_entries(args.input, "graphs"))
+    items = ((args.seed, i, g, args.task, args.runs, args.mode) for i, g in enumerate(graphs))
+    count = distributions_to_json(parallel_map(_dist_item, items, args.jobs), out)
+    return f"wrote {count} distributions to {out}"
 
 
-def _sample_item(args_tuple):
-    g, dist, task, method, cfg, k, seed, index = args_tuple
-    solutions = draw_samples(method, dist, g, cfg, k, derive_rng(seed))
+def _sample_item(item):
+    """One entry's solutions and verdicts, from the stream of its method and index."""
+    seed, index, g, dist, task, method, cfg, k = item
+    rng = derive_rng(derive_seed(seed, "sample", method, index))
+    solutions = draw_samples(method, dist, g, cfg, k, rng)
     verdicts = [verdict(g, task, s) for s in solutions]
     entry: dict = {"solutions": [list(s) for s in solutions]}
     entry["valid"] = [ok for ok, _ in verdicts]
@@ -164,55 +178,49 @@ def _sample_item(args_tuple):
     return entry
 
 
-def cmd_sample(args: argparse.Namespace, out: Path) -> str:
-    graphs = graphs_from_json(args.input)
-    dists = distributions_from_json(args.dists)
-    if len(graphs) != len(dists):
-        raise ValueError(
-            f"graph file has {len(graphs)} entries but distribution file has {len(dists)}"
-        )
-    for i, (g, d) in enumerate(zip(graphs, dists)):
+def _pairs(args: argparse.Namespace):
+    """(index, graph, distribution) for each entry of the two files, read in
+    step. A count mismatch is found when the shorter file ends."""
+    graphs = map(Graph.from_dict, read_entries(args.input, "graphs"))
+    dists = map(ParentDistribution.from_dict, read_entries(args.dists, "distributions"))
+    for i, (g, d) in enumerate(zip_longest(graphs, dists)):
+        if g is None or d is None:
+            longer = i + 1 + sum(1 for _ in chain(graphs, dists))
+            graph_count, dist_count = (longer, i) if d is None else (i, longer)
+            raise ValueError(
+                f"graph file has {graph_count} entries but distribution file has {dist_count}"
+            )
         if g.n != d.n:
             raise ValueError(f"entry {i}: graph has n={g.n} but distribution has n={d.n}")
+        yield i, g, d
+
+
+def cmd_sample(args: argparse.Namespace, out: Path) -> str:
     cfg = _sampler_config(args)
-    items = [
-        (g, d, args.task, args.method, cfg, args.k,
-         derive_seed(args.seed, "sample", args.method, i), i)
-        for i, (g, d) in enumerate(zip(graphs, dists))
-    ]
-    entries = parallel_map(_sample_item, items, args.jobs)
+    items = (
+        (args.seed, i, g, d, args.task, args.method, cfg, args.k) for i, g, d in _pairs(args)
+    )
+    valid = 0
+
+    def tallied(entries):
+        nonlocal valid
+        for entry in entries:
+            valid += sum(entry["valid"])
+            yield entry
+
     header = json.dumps({"task": args.task.value, "method": args.method, "k": args.k})
-    with open(out, "w") as fh:  # the header object, left open for its entries
-        fh.write(header[:-1] + ', "entries": ')
-        write_entries(fh, entries)
-        fh.write("}\n")
-    valid_total = sum(sum(e["valid"]) for e in entries)
-    return f"wrote {len(entries)} x {args.k} solutions to {out} ({valid_total} valid)"
+    entries = tallied(parallel_map(_sample_item, items, args.jobs))
+    # The header object, left open for its entries.
+    count = write_entries(out, entries, header[:-1] + ', "entries": ', "}")
+    return f"wrote {count} x {args.k} solutions to {out} ({valid} valid)"
 
 
 def cmd_check(args: argparse.Namespace, out: Path | None) -> str:
     graphs = graphs_from_json(args.input)
-    payload = json.loads(Path(args.solutions).read_text())
-    if not isinstance(payload, dict):
-        raise ValueError("solutions file must hold a JSON object")
-    task, method, k = Task(payload["task"]), payload["method"], payload["k"]
-    if method not in METHODS:
-        raise ValueError(f"solutions file 'method' must be one of {METHODS}, got {method!r}")
-    positive_int(k, "solutions file 'k' must be a positive integer")
-    if not isinstance(payload["entries"], list):
-        raise ValueError("solutions file 'entries' must be a list")
+    task, entries = solutions_from_json(args.solutions, len(graphs))
     lines = []
-    for entry in payload["entries"]:
-        if not isinstance(entry, dict) or not isinstance(entry["solutions"], list):
-            raise ValueError(f"entry {entry!r} is not an object with a 'solutions' list")
-        if len(entry["solutions"]) != k:
-            raise ValueError(f"entry has {len(entry['solutions'])} solutions but k is {k}")
-        gi = entry["graph_index"]
-        if type(gi) is not int or not 0 <= gi < len(graphs):
-            raise ValueError(f"graph_index {gi!r} out of range for {len(graphs)} graphs")
-        for solution in entry["solutions"]:
-            if not isinstance(solution, list):
-                raise ValueError(f"solution {len(lines)} is not a list: {solution!r}")
+    for gi, solutions in entries:
+        for solution in solutions:
             ok, tags = verdict(graphs[gi], task, tuple(solution))
             lines.append(f"{len(lines)},{str(ok).lower()},{';'.join(tags)}")
     text = "".join(line + "\n" for line in lines)

@@ -153,11 +153,9 @@ def perturb(p: ParentDistribution, alpha: float, seed: int = 0) -> ParentDistrib
     return ParentDistribution(p.n, (1.0 - alpha) * p.probs + alpha * noise)
 
 
-def distributions_to_json(dists: Iterable[ParentDistribution], path: Path | str) -> None:
-    """Write the distributions' file forms through `write_entries`, one per line."""
-    with open(path, "w") as fh:
-        write_entries(fh, (d.to_dict() for d in dists))
-        fh.write("\n")
+def distributions_to_json(dists: Iterable[ParentDistribution], path: Path | str) -> int:
+    """Write the distributions' file forms through `write_entries`, one per line; the count."""
+    return write_entries(path, (d.to_dict() for d in dists))
 
 
 def distributions_from_json(path: Path | str) -> list[ParentDistribution]:

@@ -132,7 +132,7 @@ def _run_means(cfg: EvalConfig, methods: list[str], measure, jobs: int) -> dict:
     _check_distinct("methods", methods)
     count, plan = cfg.graph_count, (tuple(methods), measure)
     items = [(cfg, plan, run, index) for run in range(cfg.runs) for index in range(count)]
-    results = parallel_map(_suite_item, items, jobs)
+    results = list(parallel_map(_suite_item, items, jobs))
     runs = [results[run * count : (run + 1) * count] for run in range(cfg.runs)]
     return {
         method: np.array([np.array([r[method] for r in chunk]).mean(axis=0) for chunk in runs])
@@ -306,7 +306,7 @@ def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
     as mean and standard deviation across graphs per size.
     """
     items = [(cfg, spec, index) for spec in cfg.graph_specs() for index in range(cfg.graphs_per_size)]
-    kl = parallel_map(_rerun_study_item, items, jobs)
+    kl = list(parallel_map(_rerun_study_item, items, jobs))
     per_size = cfg.graphs_per_size
     table = StudyTable(("size", "pair_lo", "pair_hi", "mean_kl", "std_kl"))
     for s, size in enumerate(cfg.sizes):

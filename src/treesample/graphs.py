@@ -16,12 +16,14 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .seeding import derive_rng, member, positive_int, probability
 
@@ -319,31 +321,105 @@ def validate_predecessors(g: Graph, pi: tuple[int, ...]) -> None:
         raise ValueError(f"predecessor array mentions out-of-range vertices for n={n}")
 
 
-def write_entries(fh: TextIO, entries: Iterable) -> None:
-    """Write entries into the open file as a JSON list, one compact
-    `json.dumps` entry per line: `[\n{...},\n{...}\n]`, or `[]` for none.
-    Each entry is encoded on its own, so writing never holds the document."""
-    opening = "[\n"
-    for entry in entries:
-        fh.write(opening)
-        fh.write(json.dumps(entry))
-        opening = ",\n"
-    fh.write("[]" if opening == "[\n" else "\n]")
+def write_entries(path: Path | str, entries: Iterable, head: str = "", tail: str = "") -> int:
+    """Write head, the entries as a JSON list, tail and a newline to path; the
+    count of entries written. The list has one compact `json.dumps` entry per
+    line, `[\n{...},\n{...}\n]`, or `[]` for none. Each entry is encoded as
+    it arrives, so writing never holds the document. The text goes to a
+    sibling temporary file that replaces path only once every entry is
+    written, so a failure leaves no file behind (and path may be an input
+    that entries are still being read from)."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w") as fh:
+            fh.write(head)
+            count = 0
+            for count, entry in enumerate(entries, 1):
+                fh.write(",\n" if count > 1 else "[\n")
+                fh.write(json.dumps(entry))
+            fh.write(("\n]" if count else "[]") + tail + "\n")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+    return count
 
 
-def read_entries(path: Path | str, what: str) -> list:
-    """The JSON list a data file holds; ValueError when it holds anything else."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, list):
-        raise ValueError(f"{what} file must hold a JSON list of {what}")
-    return payload
+# JSON's four whitespace characters, skipped between the tokens of a list.
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_AFTER_ENTRY = frozenset(" \t\n\r,]")
+_CHUNK = 1 << 13
+_decode = json.JSONDecoder().raw_decode
 
 
-def graphs_to_json(graphs: Iterable[Graph], path: Path | str) -> None:
-    """Write the graphs' file forms through `write_entries`, one per line."""
-    with open(path, "w") as fh:
-        write_entries(fh, (g.to_dict() for g in graphs))
-        fh.write("\n")
+class _Window:
+    """The unread text of a file, read in chunks: text[pos:] is what the
+    decoder has not consumed yet."""
+
+    def __init__(self, fh: TextIO) -> None:
+        self.fh, self.text, self.pos, self.eof = fh, "", 0, False
+
+    def read(self) -> None:
+        """Drop the consumed text and append at least as much again as is
+        left (so a long entry is re-decoded a logarithmic number of times)."""
+        chunk = self.fh.read(max(_CHUNK, len(self.text) - self.pos))
+        self.text, self.pos, self.eof = self.text[self.pos :] + chunk, 0, not chunk
+
+    def peek(self) -> str:
+        """The next character after whitespace, or "" at the end of the file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos : self.pos + 1]
+            self.read()
+
+    def value(self):
+        """Decode the list entry after whitespace. Unless the file has ended,
+        a decode counts only when whitespace, `,` or `]` follows it in the
+        window ("1" may be the start of "1e5"); else, as on an error, the
+        window grows and the decode is retried."""
+        self.peek()
+        while True:
+            try:
+                value, end = _decode(self.text, self.pos)
+                if self.eof or self.text[end : end + 1] in _AFTER_ENTRY:
+                    self.pos = end
+                    return value
+            except json.JSONDecodeError:
+                if self.eof:
+                    raise
+            self.read()
+
+
+def read_entries(path: Path | str, what: str) -> Iterator:
+    """Yield the entries of the JSON list a data file holds, decoding one at
+    a time, so neither the file's text nor its parsed document is ever held
+    whole. A file that does not start with `[` is parsed whole by
+    `json.loads`: a JSONDecodeError if it is no JSON, else a ValueError. Data
+    after the list's `]` is a JSONDecodeError once every entry is yielded."""
+    with open(path) as fh:
+        window = _Window(fh)
+        if window.peek() != "[":
+            json.loads(window.text[window.pos :] + fh.read())
+            raise ValueError(f"{what} file must hold a JSON list of {what}")
+        window.pos += 1
+        if window.peek() == "]":
+            window.pos += 1
+        else:
+            yield window.value()
+            while (token := window.peek()) != "]":
+                if token != ",":
+                    raise json.JSONDecodeError("Expecting ',' delimiter", window.text, window.pos)
+                window.pos += 1
+                yield window.value()
+            window.pos += 1
+        if window.peek():
+            raise json.JSONDecodeError("Extra data", window.text, window.pos)
+
+
+def graphs_to_json(graphs: Iterable[Graph], path: Path | str) -> int:
+    """Write the graphs' file forms through `write_entries`, one per line; the count."""
+    return write_entries(path, (g.to_dict() for g in graphs))
 
 
 def graphs_from_json(path: Path | str) -> list[Graph]:

@@ -7,6 +7,7 @@ import importlib
 import io
 import itertools
 import json
+import os
 import platform
 import sys
 import tempfile
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesample import METHODS, __version__, enumerate_shortest_path_trees, graphs_from_json
+from treesample import METHODS, __version__, enumerate_shortest_path_trees, graphs_from_json, seeding
 from treesample.cli import main
 
 
@@ -179,6 +180,89 @@ def test_jobs_do_not_change_output_bytes(tmp_path):
                    "--jobs", str(jobs), "-o", str(out)) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 37])
+def test_a_jobs_2_parent_derives_no_seed_and_writes_the_jobs_1_bytes(tmp_path, monkeypatch, count):
+    # Each work item derives its own stream, so a pool's parent only reads,
+    # schedules and writes: no SeedSequence is built in this process. The
+    # forked workers inherit the spy and pass, since their pid differs.
+    graphs = tmp_path / "graphs.json"
+    if count:
+        assert run("gen", "-n", "6", "--count", str(count), "--task", "bf", "--seed", "3",
+                   "-o", str(graphs)) == 0
+    else:
+        graphs.write_text("[]")
+    test_pid, parent_calls = os.getpid(), []
+    sequence = seeding._sequence
+
+    def spy(*args):
+        if os.getpid() == test_pid:
+            parent_calls.append(args)
+        return sequence(*args)
+
+    monkeypatch.setattr(seeding, "_sequence", spy)
+    outputs = {}
+    for jobs in (1, 2):
+        parent_calls.clear()
+        dists, sols = tmp_path / f"d{jobs}.json", tmp_path / f"s{jobs}.json"
+        assert run("dist", "-i", str(graphs), "--task", "bf", "--seed", "4", "--jobs", str(jobs),
+                   "-o", str(dists)) == 0
+        assert run("sample", "-i", str(graphs), "-d", str(dists), "--task", "bf",
+                   "--method", "greedy", "--seed", "5", "--jobs", str(jobs), "-o", str(sols)) == 0
+        outputs[jobs] = dists.read_bytes(), sols.read_bytes()
+    # One item, or one CPU, runs in this process.
+    if count >= 2 and (os.cpu_count() or 1) >= 2:
+        assert parent_calls == []
+    assert outputs[1] == outputs[2]
+
+
+def _only(directory: Path, *names: str) -> None:
+    assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failed_command_leaves_no_output_file(tmp_path, capsys, jobs):
+    # Every command writes to a sibling temporary file that replaces -o only
+    # once it succeeds: whether the fault shows in the first entry or after
+    # the work, neither file is left.
+    graphs, dists = tmp_path / "g.json", tmp_path / "d.json"
+    entries = [{**GOOD_GRAPH, "source": i % 3} for i in range(5)]
+    bad_edge = [*entries, {**GOOD_GRAPH, "edges": [[0, 3, "1"]]}]
+    graphs.write_text(json.dumps(bad_edge))
+    out = tmp_path / "out.json"
+    dist = ("dist", "-i", str(graphs), "--task", "bf", "--seed", "1", "--jobs", jobs, "-o", str(out))
+    assert run(*dist) == 3
+    assert "edge (0,3) has an endpoint outside 0..2" in capsys.readouterr().err
+    _only(tmp_path, "g.json")
+    graphs.write_text(json.dumps(entries) + "\n[]")
+    assert run(*dist) == 4
+    assert "Extra data" in capsys.readouterr().err
+    _only(tmp_path, "g.json")
+    graphs.write_text(json.dumps(entries))
+    assert run("dist", "-i", str(graphs), "--task", "bf", "--seed", "1", "-o", str(dists)) == 0
+    dists.write_text(json.dumps(read_json(dists)[:-1]))
+    assert run("sample", "-i", str(graphs), "-d", str(dists), "--task", "bf", "--method", "beam",
+               "--seed", "1", "--jobs", jobs, "-o", str(out)) == 3
+    assert "graph file has 5 entries but distribution file has 4" in capsys.readouterr().err
+    _only(tmp_path, "g.json", "d.json", "d.json.manifest.json")
+
+
+def test_an_output_may_replace_its_input(tmp_path):
+    # The input is read to its end before the output replaces it.
+    graphs, dists, sols = tmp_path / "g.json", tmp_path / "d.json", tmp_path / "s.json"
+    assert run("gen", "-n", "5", "--count", "4", "--task", "bf", "--seed", "1",
+               "-o", str(graphs)) == 0
+    assert run("dist", "-i", str(graphs), "--task", "bf", "--seed", "2", "-o", str(dists)) == 0
+    sample = ("sample", "-i", str(graphs), "-d", str(dists), "--task", "bf", "--method", "beam",
+              "--seed", "3")
+    assert run(*sample, "-o", str(sols)) == 0
+    assert run(*sample, "-o", str(dists)) == 0
+    assert dists.read_bytes() == sols.read_bytes()
+    expected = tmp_path / "expected.json"
+    assert run("dist", "-i", str(graphs), "--task", "bf", "--seed", "2", "-o", str(expected)) == 0
+    assert run("dist", "-i", str(graphs), "--task", "bf", "--seed", "2", "-o", str(graphs)) == 0
+    assert graphs.read_bytes() == expected.read_bytes()
 
 
 def test_output_env_var_redirects_relative_paths(tmp_path, monkeypatch):
@@ -466,6 +550,11 @@ def test_check_of_no_solutions_writes_no_verdict_line(tmp_path, capsys):
         ({"k": True}, "'k' must be a positive integer, got True"),
         ({"k": 0}, "'k' must be a positive integer, got 0"),
         ({"k": 2}, "entry has 1 solutions but k is 2"),
+        # Every header key is checked for its JSON type: a bool is no int.
+        ({"task": True}, "True is not a valid Task"),
+        ({"task": ["bf"]}, "['bf'] is not a valid Task"),
+        ({"entries": [{"graph_index": True, "solutions": [[0, 0, 1]]}]},
+         "graph_index True out of range for 1 graphs"),
     ],
 )
 def test_check_refuses_a_malformed_method_or_k(tmp_path, capsys, header, message):

@@ -1,6 +1,7 @@
 """Graph construction, generation conventions, serialization, path costs."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from treesample import (
     graphs_to_json,
     tree_edges,
 )
-from treesample.graphs import MAX_VERTICES, MAX_WEIGHT_EXPONENT
+from treesample import graphs
+from treesample.graphs import MAX_VERTICES, MAX_WEIGHT_EXPONENT, read_entries
 
 from conftest import edge_list, fraction_graph, path_cost_from_source
 
@@ -316,3 +318,47 @@ def test_each_distinct_weight_string_is_parsed_once(tmp_path):
         for u, v in ((0, 1), (1, 2)):
             with pytest.raises(ValueError, match=rf"^edge \({u},{v}\) weight '{bad}'"):
                 Graph.from_edges(3, [(u, v, bad)], directed=True)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def read_or_error(path):
+    """The entries read_entries yields, or the type of the error it raises."""
+    try:
+        return list(read_entries(path, "graphs"))
+    except (json.JSONDecodeError, ValueError) as exc:
+        return type(exc)
+
+
+def loads_or_error(text):
+    """What read_entries must give for text: json.loads' list, or its error."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError:
+        return json.JSONDecodeError
+    return payload if isinstance(payload, list) else ValueError
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    payload=st.lists(JSON_VALUES, max_size=6) | JSON_VALUES,
+    indent=st.sampled_from([None, 0, 2]),
+    tail=st.sampled_from(["", "\n", " \r\n\t", "]", "x", "[]", ",1"]),
+    chunk=st.sampled_from([1, 2, 3, 7, 64]),
+)
+def test_read_entries_agrees_with_json_loads(tmp_path_factory, payload, indent, tail, chunk):
+    # Every prefix of the text, at any chunk size: an entry that a window
+    # boundary splits ("1" of "1e5", say) is never decoded early, and data
+    # after the list is an error.
+    text = json.dumps(payload, indent=indent) + tail
+    path = tmp_path_factory.mktemp("entries") / "entries.json"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_CHUNK", chunk)
+        for end in range(len(text) + 1):
+            path.write_text(text[:end])
+            assert read_or_error(path) == loads_or_error(text[:end]), text[:end]

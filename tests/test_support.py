@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from treesample import (
     evaluation,
     generate_graph,
     graphs,
+    parallel,
     perturb,
     randomized_dfs,
     samplers,
@@ -105,33 +107,57 @@ def test_table_floats_round_trip_exactly(tmp_path):
 
 def test_parallel_map_matches_serial():
     items = list(range(23))
-    assert parallel_map(_square, items, jobs=1) == parallel_map(_square, items, jobs=4)
-    assert parallel_map(_square, [], jobs=4) == []
+    assert list(parallel_map(_square, items, jobs=1)) == list(parallel_map(_square, items, jobs=4))
+    assert list(parallel_map(_square, [], jobs=4)) == []
     with pytest.raises(ValueError, match="jobs"):
         parallel_map(_square, items, jobs=0)
 
 
+class SerialPool:
+    """A fake pool that records its size and runs each submit at once, so no
+    process starts."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 def test_parallel_map_starts_no_more_workers_than_items_or_cpus(monkeypatch):
-    # The fake records the pool size and maps serially, so no process starts.
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    assert parallel_map(_square, list(range(5)), jobs=10**6) == [x * x for x in range(5)]
-    assert all(w <= min(5, os.cpu_count() or 1) for w in started), started
-    assert parallel_map(_square, [], jobs=10**6) == []
+    monkeypatch.setattr(SerialPool, "started", [])
+    assert list(parallel_map(_square, range(5), jobs=10**6)) == [x * x for x in range(5)]
+    assert all(w <= min(5, os.cpu_count() or 1) for w in SerialPool.started), SerialPool.started
+    assert list(parallel_map(_square, [], jobs=10**6)) == []
+
+
+def test_parallel_map_reads_a_bounded_window_of_items(monkeypatch):
+    # Items are read as results are taken: one per worker to start the pool,
+    # then at most two chunks per worker ahead of the result handed out.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    pulled = []
+
+    def items():
+        for i in range(1000):
+            pulled.append(i)
+            yield i
+
+    results = parallel_map(_square, items(), jobs=2)
+    assert pulled == []
+    assert next(results) == 0
+    assert 1 <= len(pulled) <= 2 + 2 * 2 * parallel.CHUNK
+    assert list(results) == [x * x for x in range(1, 1000)]
 
 
 def _square(x: int) -> int:

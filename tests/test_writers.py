@@ -104,28 +104,32 @@ def test_graph_and_distribution_writers_peak_below_their_file_size(tmp_path):
         assert peak < path.stat().st_size, (name, peak, path.stat().st_size)
 
 
-def test_sample_writes_its_solutions_without_a_second_copy(tmp_path, monkeypatch):
-    # Tracing starts once the entries are computed: what sample then adds to
-    # write its file stays below the file's own size.
-    g, d, s = tmp_path / "g.json", tmp_path / "d.json", tmp_path / "s.json"
+def command_peaks(tmp_path, count: int) -> dict[str, int]:
+    """Traced peak bytes of gen, dist and sample, each run in-process at
+    --jobs 1 on count n=8 BF graphs."""
+    out = tmp_path / str(count)
+    out.mkdir(exist_ok=True)
+    g, d, s = (str(out / name) for name in ("g.json", "d.json", "s.json"))
     common = ["--task", "bf", "--seed", "1"]
-    assert cli.main(["gen", "-n", "8", "--count", "200", *common, "-o", str(g)]) == 0
-    assert cli.main(["dist", "-i", str(g), *common, "-o", str(d)]) == 0
-    compute = cli.parallel_map
+    argvs = {
+        "gen": ["gen", "-n", "8", "--count", str(count), *common, "-o", g],
+        "dist": ["dist", "-i", g, *common, "-o", d],
+        "sample": ["sample", "-i", g, "-d", d, "--method", "beam", "-k", "5", *common, "-o", s],
+    }
+    codes = []
+    peaks = {name: traced_peak(lambda: codes.append(cli.main(argv))) for name, argv in argvs.items()}
+    assert codes == [0, 0, 0]
+    return peaks
 
-    def compute_then_trace(*args):
-        entries = compute(*args)
-        tracemalloc.start()
-        return entries
 
-    monkeypatch.setattr(cli, "parallel_map", compute_then_trace)
-    args = cli.build_parser().parse_args(
-        ["sample", "-i", str(g), "-d", str(d), "--method", "beam", "-k", "5", *common,
-         "-o", str(s)]
-    )
-    try:
-        args.func(args, s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0 < peak < s.stat().st_size, (peak, s.stat().st_size)
+def test_commands_peak_does_not_grow_with_the_entry_count(tmp_path, capsys):
+    # Every command holds one entry at a time, so 4x the graphs may not cost
+    # even 1.5x the memory. Holding every graph, distribution or solutions
+    # entry (with its caches) until the file is written scales with the count.
+    # A first run loads modules and fills the interpreter's free lists (up
+    # to 2,000 tuples of each small size), which a traced run would count.
+    command_peaks(tmp_path, 200)
+    few, many = command_peaks(tmp_path, 50), command_peaks(tmp_path, 200)
+    capsys.readouterr()
+    for name in few:
+        assert many[name] <= 1.5 * few[name], (name, few[name], many[name])
