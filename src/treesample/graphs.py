@@ -348,7 +348,7 @@ def write_entries(path: Path | str, entries: Iterable, head: str = "", tail: str
 # JSON's four whitespace characters, skipped between the tokens of a list.
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 _AFTER_ENTRY = frozenset(" \t\n\r,]")
-_CHUNK = 1 << 13
+_CHUNK = 1 << 12
 _decode = json.JSONDecoder().raw_decode
 
 
@@ -358,11 +358,18 @@ class _Window:
 
     def __init__(self, fh: TextIO) -> None:
         self.fh, self.text, self.pos, self.eof = fh, "", 0, False
+        self.last = 0  # the length of the last entry decoded
 
     def read(self) -> None:
-        """Drop the consumed text and append at least as much again as is
-        left (so a long entry is re-decoded a logarithmic number of times)."""
-        chunk = self.fh.read(max(_CHUNK, len(self.text) - self.pos))
+        """Drop the consumed text and append the next chunk: at least
+        _CHUNK, as much again as is left (so a long entry is retried a
+        logarithmic number of times) and as long as the last entry, read on
+        to the end of its line. In the writer's layout of one entry per line,
+        an entry no longer than the one before is then decoded once."""
+        size = max(_CHUNK, len(self.text) - self.pos, self.last)
+        chunk = self.fh.read(size)
+        if chunk[-1:] not in ("", "\n"):
+            chunk += self.fh.readline(size)
         self.text, self.pos, self.eof = self.text[self.pos :] + chunk, 0, not chunk
 
     def peek(self) -> str:
@@ -383,7 +390,7 @@ class _Window:
             try:
                 value, end = _decode(self.text, self.pos)
                 if self.eof or self.text[end : end + 1] in _AFTER_ENTRY:
-                    self.pos = end
+                    self.pos, self.last = end, end - self.pos
                     return value
             except json.JSONDecodeError:
                 if self.eof:

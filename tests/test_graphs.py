@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treesample import (
@@ -351,6 +351,9 @@ def loads_or_error(text):
     tail=st.sampled_from(["", "\n", " \r\n\t", "]", "x", "[]", ",1"]),
     chunk=st.sampled_from([1, 2, 3, 7, 64]),
 )
+# Numbers that a window boundary cuts after a digit, an "e" or a ".".
+@example(payload=[12, 1e16, 0.5, -3e-7], indent=None, tail="", chunk=1)
+@example(payload=[12, 1e16, 0.5, -3e-7], indent=None, tail="", chunk=2)
 def test_read_entries_agrees_with_json_loads(tmp_path_factory, payload, indent, tail, chunk):
     # Every prefix of the text, at any chunk size: an entry that a window
     # boundary splits ("1" of "1e5", say) is never decoded early, and data
