@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 from .seeding import positive_int
 
 # Items per submitted chunk after the first, one-item chunks.
-CHUNK = 8
+CHUNK = 16
 
 
 def parallel_map(fn, items: Iterable, jobs: int = 1) -> Iterator:
