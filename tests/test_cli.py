@@ -19,7 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesample import METHODS, __version__, enumerate_shortest_path_trees, graphs_from_json, seeding
+from treesample import (
+    METHODS,
+    __version__,
+    enumerate_shortest_path_trees,
+    graphs_from_json,
+    seeding,
+)
 from treesample.cli import main
 
 
@@ -223,15 +229,16 @@ def _only(directory: Path, *names: str) -> None:
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_failed_command_leaves_no_output_file(tmp_path, capsys, jobs):
-    # Every command writes to a sibling temporary file that replaces -o only
-    # once it succeeds: whether the fault shows in the first entry or after
-    # the work, neither file is left.
+    # gen, dist and sample write to a sibling temporary file that replaces
+    # -o only once it succeeds: whether the fault shows in the first entry or
+    # after the work, neither file is left.
     graphs, dists = tmp_path / "g.json", tmp_path / "d.json"
     entries = [{**GOOD_GRAPH, "source": i % 3} for i in range(5)]
     bad_edge = [*entries, {**GOOD_GRAPH, "edges": [[0, 3, "1"]]}]
     graphs.write_text(json.dumps(bad_edge))
     out = tmp_path / "out.json"
-    dist = ("dist", "-i", str(graphs), "--task", "bf", "--seed", "1", "--jobs", jobs, "-o", str(out))
+    dist = ("dist", "-i", str(graphs), "--task", "bf", "--seed", "1", "--jobs", jobs,
+            "-o", str(out))
     assert run(*dist) == 3
     assert "edge (0,3) has an endpoint outside 0..2" in capsys.readouterr().err
     _only(tmp_path, "g.json")

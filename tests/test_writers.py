@@ -117,7 +117,9 @@ def command_peaks(tmp_path, count: int) -> dict[str, int]:
         "sample": ["sample", "-i", g, "-d", d, "--method", "beam", "-k", "5", *common, "-o", s],
     }
     codes = []
-    peaks = {name: traced_peak(lambda: codes.append(cli.main(argv))) for name, argv in argvs.items()}
+    peaks = {
+        name: traced_peak(lambda: codes.append(cli.main(argv))) for name, argv in argvs.items()
+    }
     assert codes == [0, 0, 0]
     return peaks
 
