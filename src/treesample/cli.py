@@ -44,7 +44,7 @@ from .graphs import (
     write_entries,
 )
 from .parallel import parallel_map
-from .samplers import METHODS, SamplerConfig, draw_samples, solutions_from_json
+from .samplers import METHODS, SamplerConfig, draw_samples
 from .seeding import derive_rng, derive_seed, positive_int
 from .validity import verdict
 
@@ -180,16 +180,19 @@ def _sample_item(item):
 
 def _pairs(args: argparse.Namespace):
     """(index, graph, distribution) for each entry of the two files, read in
-    step. A count mismatch is found when the shorter file ends."""
-    graphs = map(Graph.from_dict, read_entries(args.input, "graphs"))
-    dists = map(ParentDistribution.from_dict, read_entries(args.dists, "distributions"))
-    for i, (g, d) in enumerate(zip_longest(graphs, dists)):
-        if g is None or d is None:
+    step. A count mismatch is found when the shorter file ends; the longer
+    file's leftover entries are only counted, not built."""
+    graphs = read_entries(args.input, "graphs")
+    dists = read_entries(args.dists, "distributions")
+    end = object()  # not None: a null entry is a malformed entry
+    for i, (g, d) in enumerate(zip_longest(graphs, dists, fillvalue=end)):
+        if g is end or d is end:
             longer = i + 1 + sum(1 for _ in chain(graphs, dists))
-            graph_count, dist_count = (longer, i) if d is None else (i, longer)
+            graph_count, dist_count = (longer, i) if d is end else (i, longer)
             raise ValueError(
                 f"graph file has {graph_count} entries but distribution file has {dist_count}"
             )
+        g, d = Graph.from_dict(g), ParentDistribution.from_dict(d)
         if g.n != d.n:
             raise ValueError(f"entry {i}: graph has n={g.n} but distribution has n={d.n}")
         yield i, g, d
@@ -216,11 +219,32 @@ def cmd_sample(args: argparse.Namespace, out: Path) -> str:
 
 
 def cmd_check(args: argparse.Namespace, out: Path | None) -> str:
+    # Every key of the solutions file is checked for its JSON type, and a bool
+    # is not an int: the task is one of Task's values, the method one of
+    # METHODS, k a positive int, each entry an object with k solutions lists
+    # and a graph_index in range. A solution's entries are left to the checkers.
     graphs = graphs_from_json(args.input)
-    task, entries = solutions_from_json(args.solutions, len(graphs))
+    payload = json.loads(Path(args.solutions).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("solutions file must hold a JSON object")
+    task, method, k = Task(payload["task"]), payload["method"], payload["k"]
+    if method not in METHODS:
+        raise ValueError(f"solutions file 'method' must be one of {METHODS}, got {method!r}")
+    positive_int(k, "solutions file 'k' must be a positive integer")
+    if not isinstance(payload["entries"], list):
+        raise ValueError("solutions file 'entries' must be a list")
     lines = []
-    for gi, solutions in entries:
-        for solution in solutions:
+    for entry in payload["entries"]:
+        if not isinstance(entry, dict) or not isinstance(entry["solutions"], list):
+            raise ValueError(f"entry {entry!r} is not an object with a 'solutions' list")
+        if len(entry["solutions"]) != k:
+            raise ValueError(f"entry has {len(entry['solutions'])} solutions but k is {k}")
+        gi = entry["graph_index"]
+        if type(gi) is not int or not 0 <= gi < len(graphs):
+            raise ValueError(f"graph_index {gi!r} out of range for {len(graphs)} graphs")
+        for solution in entry["solutions"]:
+            if not isinstance(solution, list):
+                raise ValueError(f"solution {len(lines)} is not a list: {solution!r}")
             ok, tags = verdict(graphs[gi], task, tuple(solution))
             lines.append(f"{len(lines)},{str(ok).lower()},{';'.join(tags)}")
     text = "".join(line + "\n" for line in lines)

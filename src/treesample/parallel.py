@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 
 from .seeding import positive_int
 
-# Items per submitted chunk after the first, one-item chunks.
+# Items per chunk once the input fills the read-ahead of two chunks per worker.
 CHUNK = 16
 
 
@@ -26,27 +26,27 @@ def parallel_map(fn, items: Iterable, jobs: int = 1) -> Iterator:
 
 
 def _results(fn, items: Iterator, workers: int) -> Iterator:
-    # The pool forks all its workers at its first submit: peek at up to
-    # `workers` items, so it never starts more workers than there are items.
-    head = list(islice(items, workers))
+    # The pool forks all its workers at its first submit: with more than one
+    # worker, read up to two CHUNKs per worker first, start no more workers
+    # than items read, and size every chunk so those items fill two per worker.
+    head = list(islice(items, 2 * workers * CHUNK if workers > 1 else 0))
     if len(head) <= 1:
         yield from map(fn, chain(head, items))
         return
-    # Imported here: a serial run (and every command at start-up) loads no
-    # concurrent.futures or multiprocessing modules.
+    # Imported here, so a serial run loads no concurrent.futures modules.
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = len(head)
+    workers = min(workers, len(head))
+    size = -(-len(head) // (2 * workers))
+    items, head = chain(head, items), None  # only the chain holds them
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # One item per worker starts the pool before the parent reads on; then
-        # at most two chunks per worker are in flight, so the parent holds a
+        # At most two chunks per worker are in flight, so the parent holds a
         # bounded window of items and results whatever the item count.
-        window = deque(pool.submit(_apply, fn, [item]) for item in head)
-        head.clear()
-        for chunk in iter(lambda: list(islice(items, CHUNK)), []):
-            if len(window) >= 2 * workers:
-                yield from window.popleft().result()
+        window = deque()
+        while chunk := list(islice(items, size)):
             window.append(pool.submit(_apply, fn, chunk))
+            if len(window) == 2 * workers:
+                yield from window.popleft().result()
         while window:
             yield from window.popleft().result()
 

@@ -17,24 +17,21 @@ Beam and greedy read both the graph (weights, source) and the distribution,
 and share one per-vertex loop that alone applies their fallback (lightest
 in-edge, else the vertex itself); random reads only the graph (n, source);
 argmax and the two upward walks read only the distribution. All samplers
-return a full predecessor array for any input. `solutions_from_json` reads
-the file of draws that the `sample` command writes.
+return a full predecessor array for any input.
 Every weighted draw, masked or not, is a `bisect_right` of a `choice_cdf` CDF
 at one `rng.random()`, as in `Generator.choice`, so the streams match choice's.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .distributions import ParentDistribution, choice_cdf
-from .graphs import Graph, Task
+from .graphs import Graph
 from .seeding import positive_int
 
 METHODS = ("argmax", "upwards", "alt-upwards", "beam", "greedy", "random")
@@ -262,39 +259,6 @@ def draw_samples(
     """k samples from one method, drawn sequentially from a single stream."""
     positive_int(k, "need at least one sample")
     return [extract(method, dist, g, cfg, rng) for _ in range(k)]
-
-
-def solutions_from_json(path: Path | str, graph_count: int) -> tuple[Task, list[tuple[int, list]]]:
-    """The task and the (graph_index, solutions) entries of a solutions file
-    as `sample` writes it, for a graphs file of graph_count entries. Every
-    key is checked for its JSON type, and a bool is not an int: the task is
-    one of Task's values, the method one of METHODS, k a positive int, each
-    entry an object with k solutions lists and a graph_index in range. A
-    solution's entries are left to the checkers."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise ValueError("solutions file must hold a JSON object")
-    task, method, k = Task(payload["task"]), payload["method"], payload["k"]
-    if method not in METHODS:
-        raise ValueError(f"solutions file 'method' must be one of {METHODS}, got {method!r}")
-    positive_int(k, "solutions file 'k' must be a positive integer")
-    if not isinstance(payload["entries"], list):
-        raise ValueError("solutions file 'entries' must be a list")
-    entries, seen = [], 0
-    for entry in payload["entries"]:
-        if not isinstance(entry, dict) or not isinstance(entry["solutions"], list):
-            raise ValueError(f"entry {entry!r} is not an object with a 'solutions' list")
-        if len(entry["solutions"]) != k:
-            raise ValueError(f"entry has {len(entry['solutions'])} solutions but k is {k}")
-        gi = entry["graph_index"]
-        if type(gi) is not int or not 0 <= gi < graph_count:
-            raise ValueError(f"graph_index {gi!r} out of range for {graph_count} graphs")
-        for solution in entry["solutions"]:
-            if not isinstance(solution, list):
-                raise ValueError(f"solution {seen} is not a list: {solution!r}")
-            seen += 1
-        entries.append((gi, entry["solutions"]))
-    return task, entries
 
 
 __all__ = [

@@ -248,10 +248,19 @@ def test_a_failed_command_leaves_no_output_file(tmp_path, capsys, jobs):
     _only(tmp_path, "g.json")
     graphs.write_text(json.dumps(entries))
     assert run("dist", "-i", str(graphs), "--task", "bf", "--seed", "1", "-o", str(dists)) == 0
-    dists.write_text(json.dumps(read_json(dists)[:-1]))
-    assert run("sample", "-i", str(graphs), "-d", str(dists), "--task", "bf", "--method", "beam",
-               "--seed", "1", "--jobs", jobs, "-o", str(out)) == 3
+    built = read_json(dists)
+    dists.write_text(json.dumps(built[:-1]))
+    sample = ("sample", "-i", str(graphs), "-d", str(dists), "--task", "bf", "--method", "beam",
+              "--seed", "1", "--jobs", jobs, "-o", str(out))
+    assert run(*sample) == 3
     assert "graph file has 5 entries but distribution file has 4" in capsys.readouterr().err
+    _only(tmp_path, "g.json", "d.json", "d.json.manifest.json")
+    # A leftover entry is only counted, so a malformed one still reads as a
+    # count mismatch.
+    graphs.write_text(json.dumps(entries[:1]))
+    dists.write_text(json.dumps([*built[:2], {"n": 4, "probs": "broken"}]))
+    assert run(*sample) == 3
+    assert "graph file has 1 entries but distribution file has 3" in capsys.readouterr().err
     _only(tmp_path, "g.json", "d.json", "d.json.manifest.json")
 
 

@@ -114,10 +114,11 @@ def test_parallel_map_matches_serial():
 
 
 class SerialPool:
-    """A fake pool that records its size and runs each submit at once, so no
-    process starts."""
+    """A fake pool that records its size and each chunk's length, and runs
+    each submit at once, so no process starts."""
 
     started: list[int] = []
+    chunks: list[int] = []
 
     def __init__(self, max_workers):
         self.started.append(max_workers)
@@ -129,6 +130,7 @@ class SerialPool:
         return False
 
     def submit(self, fn, *args):
+        self.chunks.append(len(args[-1]))
         future = Future()
         future.set_result(fn(*args))
         return future
@@ -158,6 +160,42 @@ def test_parallel_map_reads_a_bounded_window_of_items(monkeypatch):
     assert next(results) == 0
     assert 1 <= len(pulled) <= 2 + 2 * 2 * parallel.CHUNK
     assert list(results) == [x * x for x in range(1, 1000)]
+
+
+@pytest.mark.parametrize(
+    "count, stream, chunks",
+    [(20, list, [5] * 4), (1000, lambda items: (i for i in items), [16] * 62 + [8])],
+    ids=["list", "generator"],
+)
+def test_parallel_map_cuts_its_chunks_from_the_items_it_has_read(
+    monkeypatch, count, stream, chunks
+):
+    # A list that ends inside the read-ahead of two 16-item chunks per worker
+    # gets two equal chunks per worker; a longer stream gets 16-item chunks.
+    monkeypatch.setattr("treesample.parallel.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "started", [])
+    monkeypatch.setattr(SerialPool, "chunks", [])
+    results = list(parallel_map(_square, stream(range(count)), jobs=2))
+    assert results == [x * x for x in range(count)]
+    assert SerialPool.started == [2]
+    assert SerialPool.chunks == chunks
+
+
+def test_parallel_map_reads_no_item_ahead_at_one_job(monkeypatch):
+    monkeypatch.setattr("treesample.parallel.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "started", [])
+    pulled = []
+
+    def items():
+        for i in range(50):
+            pulled.append(i)
+            yield i
+
+    results = parallel_map(lambda i: (i, len(pulled)), items(), jobs=1)
+    assert list(results) == [(i, i + 1) for i in range(50)]
+    assert SerialPool.started == []
 
 
 def _square(x: int) -> int:
