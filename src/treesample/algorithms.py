@@ -85,7 +85,7 @@ def randomized_bellman_ford(g: Graph, rng: np.random.Generator) -> tuple[int, ..
     """One shortest-path tree with its relaxation order drawn from rng.
 
     The tree Bellman-Ford builds when each pass relaxes every arc in a fresh
-    `rng.permutation(len(g.arcs))` and updates only on a strictly smaller
+    `rng.permutation(g.arc_count)` and updates only on a strictly smaller
     cost, computed without replaying the passes. v reaches its final cost,
     and keeps its parent, at the first firing of a tight arc (u, v) after u
     reached its own, so v's parent is the tight parent with the earliest such
@@ -97,10 +97,10 @@ def randomized_bellman_ford(g: Graph, rng: np.random.Generator) -> tuple[int, ..
     """
     dag = g.sp_arcs
     pi = list(range(g.n))
-    arcs, m = g.arcs, len(g.arcs)
-    index = np.array(dag, dtype=np.intp)
-    # fires[p][k]: the time tight arc k is relaxed in pass p, p * (m + 1) +
-    # its position + 1; time 0, before every firing, is when the source settles.
+    m = g.arc_count
+    index = np.array([k for k, _, _ in dag], dtype=np.intp)
+    # fires[p][i]: the time tight arc dag[i] is relaxed in pass p, p * (m + 1)
+    # + its position + 1; time 0, before every firing, is when the source settles.
     fires: list[list[int]] = []
 
     def draw_pass() -> None:
@@ -112,15 +112,14 @@ def randomized_bellman_ford(g: Graph, rng: np.random.Generator) -> tuple[int, ..
     draw_pass()
     settled = [math.inf] * g.n
     settled[g.source] = 0
-    for k, arc in enumerate(dag):
-        u, v, _ = arcs[arc]
+    for i, (_, u, v) in enumerate(dag):
         after = settled[u]
         p = after // (m + 1)
-        fire = fires[p][k]
+        fire = fires[p][i]
         if fire < after:  # already relaxed in u's pass: it fires in the next one
             if p + 1 == len(fires):
                 draw_pass()
-            fire = fires[p + 1][k]
+            fire = fires[p + 1][i]
         if fire < settled[v]:
             settled[v], pi[v] = fire, u
     return tuple(pi)

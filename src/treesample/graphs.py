@@ -119,26 +119,18 @@ class Graph:
             rows[u][v] = w.numerator * (denominator // w.denominator)
         return cls(n, directed, rows, source, denominator)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.weights[u][v] != 0
-
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Ascending out-neighbor lists."""
+        """Ascending out-neighbor lists: the one cached arc list."""
         return tuple(
             tuple(v for v, w in enumerate(row) if w != 0) for row in self.weights
         )
 
     @cached_property
-    def arcs(self) -> tuple[tuple[int, int, int], ...]:
-        """Directed arcs (u, v, integer weight) in row-major order.
-
-        The order is part of the randomized Bellman-Ford stream, which permutes
-        arc indices; undirected graphs yield both directions.
-        """
-        return tuple(
-            (u, v, w) for u, row in enumerate(self.weights) for v, w in enumerate(row) if w
-        )
+    def arc_count(self) -> int:
+        """The number of directed arcs (an undirected edge is two), counted in
+        the weight rows: the length of the BF runner's arc permutations."""
+        return self.n * self.n - sum(row.count(0) for row in self.weights)
 
     @cached_property
     def sp_costs(self) -> tuple[int | float, ...]:
@@ -165,9 +157,11 @@ class Graph:
         return tuple(cost)
 
     @cached_property
-    def sp_arcs(self) -> tuple[int, ...]:
-        """Indices into arcs of the tight arcs (u, v), cost[v] - w(u, v) == cost[u]:
-        the arcs of the shortest-path DAG, by ascending cost of v (stable).
+    def sp_arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """The tight arcs (k, u, v), cost[v] - w(u, v) == cost[u]: the arcs of
+        the shortest-path DAG, by ascending cost of v (stable), found in one
+        scan of the weight rows. k is the arc's row-major position among all
+        arcs, the index that the BF runner's permutations order.
 
         Weights are positive, so no arc into the source is tight and every arc
         into u comes before every arc out of u. The guard on v's finite cost
@@ -175,27 +169,27 @@ class Graph:
         subtracts from the finite cost[v], so an unreachable u's infinite cost
         is only compared, never added to.
         """
-        costs, arcs = self.sp_costs, self.arcs
-        tight = [
-            k
-            for k, (u, v, w) in enumerate(arcs)
-            if costs[v] != INFINITE_COST and costs[v] - w == costs[u]
-        ]
-        return tuple(sorted(tight, key=lambda k: costs[arcs[k][1]]))
+        costs, tight, k = self.sp_costs, [], 0
+        for u, row in enumerate(self.weights):
+            for v, w in enumerate(row):
+                if w:
+                    if costs[v] != INFINITE_COST and costs[v] - w == costs[u]:
+                        tight.append((k, u, v))
+                    k += 1
+        return tuple(sorted(tight, key=lambda arc: costs[arc[2]]))
 
     @cached_property
     def sp_parents(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, its ascending tight parents (the tails of its sp_arcs);
         the source and every unreachable vertex have only themselves."""
         parents: list[list[int]] = [[] for _ in range(self.n)]
-        for k in self.sp_arcs:
-            u, v, _ = self.arcs[k]
+        for _, u, v in self.sp_arcs:
             parents[v].append(u)
         return tuple(tuple(p) if p else (v,) for v, p in enumerate(parents))
 
     def to_dict(self) -> dict:
-        """The file form: each edge once, row-major (undirected: u < v), without
-        building the cached `arcs`."""
+        """The file form: each edge once, row-major (undirected: u < v), read
+        from the weight rows, so it fills no cached table."""
         d = self.denominator
         edges = [
             [u, v, str(Fraction(w, d))]

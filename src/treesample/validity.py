@@ -59,7 +59,7 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
     failed: set[DfsCondition] = set()
     if pi[0] != 0:
         failed.add(DfsCondition.START_NODE)
-    if any(p != t and not g.has_edge(p, t) for t, p in enumerate(pi)):
+    if any(p != t and not g.weights[p][t] for t, p in enumerate(pi)):
         failed.add(DfsCondition.EDGES)
     children: list[list[int]] = [[] for _ in pi]
     reached: list[int] = []
@@ -74,12 +74,15 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
         failed.add(DfsCondition.NO_CYCLE)
         return DfsVerdict(frozenset(failed))
 
-    if any(root[v] > v for v in range(g.n)) or any(root[x] < root[y] for x, y, _ in g.arcs):
+    if any(root[v] > v for v in range(g.n)):
         failed.add(DfsCondition.ROOT_UNREACHABLE_FROM_LOWER)
 
     order = TopologicalSorter()
-    for x, y, _ in g.arcs:
+    arcs = ((x, y) for x, heads in enumerate(g.adjacency) for y in heads)
+    for x, y in arcs:
         if root[x] != root[y]:
+            if root[x] < root[y]:
+                failed.add(DfsCondition.ROOT_UNREACHABLE_FROM_LOWER)
             continue
         while depth[x] > depth[y]:
             x = pi[x]

@@ -82,9 +82,16 @@ def brute_force_shortest_path_trees(g: Graph) -> set[tuple[int, ...]]:
     return {pi for pi in product(range(g.n), repeat=g.n) if check_bf_valid(g, pi)}
 
 
+def arc_list(g: Graph) -> list[tuple[int, int, int]]:
+    """g's directed arcs (u, v, integer weight), read from g.weights alone in
+    row-major order: the order whose positions the BF runner permutes and
+    Graph.sp_arcs names. An undirected edge is two arcs."""
+    return [(u, v, w) for u, row in enumerate(g.weights) for v, w in enumerate(row) if w]
+
+
 def edge_list(g: Graph) -> list[tuple[int, int, Fraction]]:
-    """g's directed arcs (u, v, w) with exact Fraction weights, in arcs order."""
-    return [(u, v, Fraction(w, g.denominator)) for u, v, w in g.arcs]
+    """g's directed arcs (u, v, w) with exact Fraction weights, in arc_list order."""
+    return [(u, v, Fraction(w, g.denominator)) for u, v, w in arc_list(g)]
 
 
 def path_cost_from_source(g: Graph, pi: tuple[int, ...], v: int) -> Fraction | float | None:
@@ -107,9 +114,10 @@ def path_cost_from_source(g: Graph, pi: tuple[int, ...], v: int) -> Fraction | f
         parent = pi[cur]
         if parent == cur:
             return Fraction(total, g.denominator) if cur == g.source else None
-        if not g.has_edge(parent, cur):
+        weight = g.weights[parent][cur]
+        if not weight:
             return None
-        total += g.weights[parent][cur]
+        total += weight
         cur = parent
     return None  # walked n steps without terminating: pointer cycle
 
@@ -149,7 +157,7 @@ def relax(g: Graph, rng: np.random.Generator) -> tuple[list, list[int]]:
     """
     if g.source is None:
         raise ValueError("bellman-ford needs a graph with a source")
-    arcs = g.arcs
+    arcs = arc_list(g)
     unreached = 1 + sum(map(sum, g.weights))
     dist = [unreached] * g.n
     dist[g.source] = 0

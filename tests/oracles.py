@@ -16,6 +16,8 @@ import numpy as np
 
 from treesample import INFINITE_COST, Graph, ParentDistribution, Task, TiebreakMode, enumerate_dfs_trees
 
+from conftest import arc_list
+
 # The BF programme's states grow exponentially with the tight arcs, so it is
 # guarded by their count, not by n: in Fractions, 10 tight arcs took up to
 # 0.16 s and 12 up to 2 s (n = 6-12, weights 1 and 2).
@@ -60,7 +62,7 @@ def bf_parent_law(g: Graph) -> Law:
     waiting empties, the next pass starts with every tight arc into an
     unsettled head. The source and unreachable vertices are their own parents.
     """
-    tight = [g.arcs[k][:2] for k in g.sp_arcs]
+    tight = [(u, v) for _, u, v in g.sp_arcs]
     if len(tight) > BF_ARC_LIMIT:
         raise ValueError(f"the BF law supports at most {BF_ARC_LIMIT} tight arcs, got {len(tight)}")
     law = _zero_law(g.n)
@@ -98,7 +100,7 @@ def bf_parent_law_by_replay(g: Graph) -> Law:
     """The same law by brute force: Bellman-Ford replayed over every order of
     every arc (tight or not) in every pass, updating on a strictly smaller
     cost, until a pass changes nothing. Costs (arcs)! per pass state."""
-    orders = list(itertools.permutations(g.arcs))
+    orders = list(itertools.permutations(arc_list(g)))
     law = _zero_law(g.n)
     start = tuple(0 if v == g.source else None for v in range(g.n)), tuple(range(g.n))
     passes = {start: Fraction(1)}

@@ -177,7 +177,7 @@ def test_07_checker_equals_enumeration_on_small_graphs():
                 candidates = list(itertools.product(range(n), repeat=n))
             else:
                 candidates = list(itertools.product(
-                    *((v, *(u for u in range(n) if g.has_edge(u, v))) for v in range(n))
+                    *((v, *(u for u in range(n) if g.weights[u][v])) for v in range(n))
                 ))
             accepted = {pi for pi in candidates if check_dfs_valid(g, pi).valid}
             dfs_arrays += len(candidates)

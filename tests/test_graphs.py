@@ -1,5 +1,6 @@
 """Graph construction, generation conventions, serialization, path costs."""
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -17,15 +18,18 @@ from treesample import (
     INFINITE_COST,
     Task,
     check_bf_valid,
+    check_dfs_valid,
     generate_graph,
     graphs_from_json,
     graphs_to_json,
+    randomized_bellman_ford,
+    randomized_dfs,
     tree_edges,
 )
 from treesample import graphs
 from treesample.graphs import MAX_VERTICES, MAX_WEIGHT_EXPONENT, read_entries
 
-from conftest import edge_list, fraction_graph, path_cost_from_source
+from conftest import arc_list, edge_list, fraction_graph, path_cost_from_source
 
 
 def test_from_edges_rejects_nonpositive_weight():
@@ -86,7 +90,7 @@ def test_weights_are_ints_over_the_smallest_common_denominator():
     g = Graph.from_edges(3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(2, 3))], directed=True, source=0)
     assert g.denominator == 6
     assert g.weights == ((0, 3, 0), (0, 0, 4), (0, 0, 0))
-    assert g.arcs == ((0, 1, 3), (1, 2, 4))
+    assert arc_list(g) == [(0, 1, 3), (1, 2, 4)]
     assert g.sp_costs == (0, 3, 7)
     # Equal rationals give equal graphs, however they were written.
     assert g == Graph.from_edges(3, [(1, 2, Fraction(4, 6)), (0, 1, "2/4")], directed=True, source=0)
@@ -132,13 +136,14 @@ def test_a_graph_stores_its_weights_as_tuples():
     assert g.sp_costs == (0, 1, 2)
     rows[0][2] = 1
     assert g.weights == ((0, 1, 3), (0, 0, 1), (0, 0, 0))
-    assert g.sp_costs == (0, 1, 2) and g.arcs == ((0, 1, 1), (0, 2, 3), (1, 2, 1))
+    assert g.sp_costs == (0, 1, 2) and g.sp_arcs == ((0, 0, 1), (2, 1, 2))
+    assert g.adjacency == ((1, 2), (2,), ())
     assert check_bf_valid(g, (0, 0, 1)) and not check_bf_valid(g, (0, 0, 0))
 
 
 def test_undirected_edges_are_symmetric():
     g = Graph.from_edges(3, [(0, 1, Fraction(1, 3))], directed=False)
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+    assert g.weights[0][1] == g.weights[1][0] == 1
     assert edge_list(g) == [(0, 1, Fraction(1, 3)), (1, 0, Fraction(1, 3))]
     assert g.adjacency[1] == (0,)
 
@@ -146,6 +151,44 @@ def test_undirected_edges_are_symmetric():
 def test_adjacency_is_ascending():
     g = Graph.from_edges(4, [(0, 3, 1), (0, 1, 1), (0, 2, 1)], directed=True)
     assert g.adjacency[0] == (1, 2, 3)
+
+
+def test_a_graph_caches_only_the_tables_its_task_reads():
+    # adjacency is the one cached arc list: the BF checker fills the three
+    # shortest-path tables, the BF runner adds its arc count, and DFS fills
+    # adjacency alone.
+    fields = {f.name for f in dataclasses.fields(Graph)}
+    bf = generate_graph(GraphSpec(n=8, task=Task.BF), 1)
+    check_bf_valid(bf, tuple(range(8)))
+    assert vars(bf).keys() - fields == {"sp_costs", "sp_arcs", "sp_parents"}
+    bf = generate_graph(GraphSpec(n=8, task=Task.BF), 1)
+    randomized_bellman_ford(bf, np.random.default_rng(0))
+    assert vars(bf).keys() - fields == {"sp_costs", "sp_arcs", "arc_count"}
+    dfs = generate_graph(GraphSpec(n=8, task=Task.DFS), 1)
+    check_dfs_valid(dfs, randomized_dfs(dfs, np.random.default_rng(0)))
+    assert vars(dfs).keys() - fields == {"adjacency"}
+
+
+def test_sp_arcs_name_each_tight_arc_by_its_row_major_position():
+    # k is the arc's position in arc_list, the order the BF runner permutes;
+    # the triples are every tight arc, by ascending cost of v (stable).
+    kinds = set()
+    for task in Task:
+        for seed in range(20):
+            g = generate_graph(GraphSpec(n=12, task=task), seed)
+            g = Graph(g.n, g.directed, g.weights, 0, g.denominator)
+            arcs, costs = arc_list(g), g.sp_costs
+            assert g.arc_count == len(arcs)
+            if len(g.sp_arcs) > 1:
+                kinds.add(g.directed)
+            assert all(arcs[k][:2] == (u, v) for k, u, v in g.sp_arcs)
+            tight = [
+                (k, u, v)
+                for k, (u, v, w) in enumerate(arcs)
+                if costs[v] != INFINITE_COST and costs[u] + w == costs[v]
+            ]
+            assert g.sp_arcs == tuple(sorted(tight, key=lambda arc: costs[arc[2]]))
+    assert kinds == {False, True}
 
 
 def test_generate_graph_deterministic_in_seed():
@@ -195,7 +238,7 @@ def test_generate_graph_equals_the_fraction_build():
     ]
     graphs = [generate_graph(spec, seed) for spec, seed in cases]
     assert graphs == [fraction_graph(spec, seed) for spec, seed in cases]
-    assert any(not g.arcs for g in graphs if g.n > 1)
+    assert any(not arc_list(g) for g in graphs if g.n > 1)
     assert any(
         1 < g.denominator < max(s.weight_set) for g, (s, _) in zip(graphs, cases) if s.normalize
     )
@@ -219,7 +262,7 @@ def test_a_spec_stores_its_canonical_form():
 
 def test_full_density_gives_complete_graph():
     g = generate_graph(GraphSpec(n=6, edge_probability=1.0, task=Task.DFS), 0)
-    assert all(g.has_edge(u, v) for u in range(6) for v in range(6) if u != v)
+    assert all(g.weights[u][v] for u in range(6) for v in range(6) if u != v)
 
 
 def test_generate_graph_rejects_bad_parameters():
@@ -238,7 +281,7 @@ def test_generate_graph_rejects_bad_parameters():
 def test_edge_count_matches_density():
     # Undirected n=5 has 10 candidate pairs; at p=0.5 the mean count is 5.
     counts = [
-        len(generate_graph(GraphSpec(n=5, edge_probability=0.5, task=Task.BF), s).arcs) / 2
+        len(arc_list(generate_graph(GraphSpec(n=5, edge_probability=0.5, task=Task.BF), s))) / 2
         for s in range(1000)
     ]
     assert abs(float(np.mean(counts)) - 5.0) < 0.25
@@ -295,7 +338,7 @@ def test_path_cost_unreachable_and_undefined_cases(third_weight_line):
 def test_generated_graphs_are_well_formed(seed, n, task):
     g = generate_graph(GraphSpec(n=n, task=task), seed)
     assert g.n == n
-    assert not any(g.has_edge(v, v) for v in range(n))
+    assert not any(g.weights[v][v] for v in range(n))
     for u, v, w in edge_list(g):
         assert w > 0
         if not g.directed:

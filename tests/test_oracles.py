@@ -7,6 +7,7 @@ import pytest
 from treesample import Graph, GraphSpec, Task, TiebreakMode, generate_graph
 from treesample.seeding import derive_seed
 
+from conftest import arc_list
 from oracles import BF_ARC_LIMIT, bf_parent_law, bf_parent_law_by_replay, exact_parent_law
 
 
@@ -16,7 +17,7 @@ def tiny_bf_graphs():
     for n in (3, 4, 5, 6):
         for index in range(40):
             g = generate_graph(GraphSpec(n, task=Task.BF, weight_set=(1, 2)), derive_seed(5, "tiny", n, index))
-            if len(g.arcs) <= 6:
+            if len(arc_list(g)) <= 6:
                 yield g
 
 

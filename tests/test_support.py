@@ -145,8 +145,9 @@ def test_parallel_map_starts_no_more_workers_than_items_or_cpus(monkeypatch):
 
 
 def test_parallel_map_reads_a_bounded_window_of_items(monkeypatch):
-    # Items are read as results are taken: one per worker to start the pool,
-    # then at most two chunks per worker ahead of the result handed out.
+    # Items are read as results are taken: two chunks per worker before the
+    # pool starts, and no more until the first result is handed out.
+    monkeypatch.setattr("treesample.parallel.os.cpu_count", lambda: 2)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     pulled = []
 
@@ -158,7 +159,7 @@ def test_parallel_map_reads_a_bounded_window_of_items(monkeypatch):
     results = parallel_map(_square, items(), jobs=2)
     assert pulled == []
     assert next(results) == 0
-    assert 1 <= len(pulled) <= 2 + 2 * 2 * parallel.CHUNK
+    assert len(pulled) == 2 * 2 * parallel.CHUNK
     assert list(results) == [x * x for x in range(1, 1000)]
 
 
