@@ -10,22 +10,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
+from .config import TiebreakMode
 from .graphs import Graph, INFINITE_COST
 from .seeding import member
 
 ENUMERATION_LIMIT = 8
-
-
-class TiebreakMode(Enum):
-    # one shuffle of V \ {0} per run, reused at every expansion
-    PER_RUN_GLOBAL = "per-run-global"
-    # fresh uniform choice among eligible children at every expansion
-    PER_NODE = "per-node"
 
 
 def _dfs_forest(n: int, adjacency, pick) -> tuple[int, ...]:

@@ -1,16 +1,18 @@
 """Command-line pipeline: gen -> dist -> sample -> check, plus studies.
 
-Each command writes its data file and returns a summary line. `gen`, `dist`
-and `sample` hold one entry at a time: `gen` writes each graph as it is
-generated, and `dist` and `sample` pipe a lazy stream of input entries
-through `parallel_map` into `write_entries`. Each work item derives its own
-stream from the master seed and its entry index, so a `--jobs` parent only
-reads, schedules and writes. Every path flag is resolved by `_path` while the
-arguments are parsed. `main` alone writes the .manifest.json beside every
-output file (the command, the resolved configuration, the seed, the tool,
-numpy and Python versions and a timestamp) and prints the summary. Data files
-never embed timestamps, so reruns with the same seed and numpy are
-byte-identical (for any --jobs value).
+Each command writes its data file and returns a summary line. `gen`, `dist` and
+`sample` hold one entry at a time: `gen` writes each graph as it is generated,
+and `dist` and `sample` pipe a lazy stream of input entries through
+`parallel_map` into `write_entries`. Each work item derives its own stream from
+the master seed and its entry index, so a `--jobs` parent only reads, schedules
+and writes. Only numpy-free layers load with this module: a command imports the
+engine module it runs, and numpy with it, before `parallel_map` forks; `gen`
+loads numpy at its first draw, `check`, `--version` and `--help` never. Every
+path flag is resolved by `_path` while the arguments are parsed. `main` alone
+writes the .manifest.json beside every output file (the command, the resolved
+configuration, the seed, the tool, numpy (null if unloaded) and Python versions
+and a timestamp) and prints the summary. Data files never embed timestamps, so
+reruns with the same seed and numpy are byte-identical for any --jobs value.
 
 Exit codes: 0 success, 2 usage, 3 validation, 4 I/O.
 """
@@ -24,15 +26,12 @@ import platform
 import sys
 from datetime import datetime, timezone
 from enum import Enum
+from functools import partial
 from itertools import chain, zip_longest
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, evaluation
-from .algorithms import TiebreakMode
-from .distributions import ParentDistribution, build_empirical, distributions_to_json
-from .evaluation import EvalConfig, RerunStudyConfig, rerun_divergence_study
+from . import __version__
+from .config import METHODS, EvalConfig, RerunStudyConfig, SamplerConfig, TiebreakMode
 from .graphs import (
     Graph,
     GraphSpec,
@@ -44,7 +43,6 @@ from .graphs import (
     write_entries,
 )
 from .parallel import parallel_map
-from .samplers import METHODS, SamplerConfig, draw_samples
 from .seeding import derive_rng, derive_seed, positive_int
 from .validity import verdict
 
@@ -96,7 +94,7 @@ def _write_manifest(out_path: Path, args: argparse.Namespace) -> None:
         "config": config,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
-        "numpy_version": np.__version__,
+        "numpy_version": getattr(sys.modules.get("numpy"), "__version__", None),
         "python_version": platform.python_version(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -151,20 +149,22 @@ def cmd_gen(args: argparse.Namespace, out: Path) -> str:
     return f"wrote {graphs_to_json(graphs, out)} graphs to {out}"
 
 
-def _dist_item(item):
+def _dist_item(build_empirical, item):
     """One entry's distribution, from the stream of its index."""
     seed, index, g, task, runs, mode = item
     return build_empirical(g, task, runs, derive_seed(seed, "dist", index), mode)
 
 
 def cmd_dist(args: argparse.Namespace, out: Path) -> str:
+    from .distributions import build_empirical, distributions_to_json
     graphs = map(Graph.from_dict, read_entries(args.input, "graphs"))
     items = ((args.seed, i, g, args.task, args.runs, args.mode) for i, g in enumerate(graphs))
-    count = distributions_to_json(parallel_map(_dist_item, items, args.jobs), out)
+    work = partial(_dist_item, build_empirical)
+    count = distributions_to_json(parallel_map(work, items, args.jobs), out)
     return f"wrote {count} distributions to {out}"
 
 
-def _sample_item(item):
+def _sample_item(draw_samples, item):
     """One entry's solutions and verdicts, from the stream of its method and index."""
     seed, index, g, dist, task, method, cfg, k = item
     rng = derive_rng(derive_seed(seed, "sample", method, index))
@@ -182,6 +182,7 @@ def _pairs(args: argparse.Namespace):
     """(index, graph, distribution) for each entry of the two files, read in
     step. A count mismatch is found when the shorter file ends; the longer
     file's leftover entries are only counted, not built."""
+    from .distributions import ParentDistribution
     graphs = read_entries(args.input, "graphs")
     dists = read_entries(args.dists, "distributions")
     end = object()  # not None: a null entry is a malformed entry
@@ -199,6 +200,7 @@ def _pairs(args: argparse.Namespace):
 
 
 def cmd_sample(args: argparse.Namespace, out: Path) -> str:
+    from .samplers import draw_samples
     cfg = _sampler_config(args)
     items = (
         (args.seed, i, g, d, args.task, args.method, cfg, args.k) for i, g, d in _pairs(args)
@@ -212,7 +214,7 @@ def cmd_sample(args: argparse.Namespace, out: Path) -> str:
             yield entry
 
     header = json.dumps({"task": args.task.value, "method": args.method, "k": args.k})
-    entries = tallied(parallel_map(_sample_item, items, args.jobs))
+    entries = tallied(parallel_map(partial(_sample_item, draw_samples), items, args.jobs))
     # The header object, left open for its entries.
     count = write_entries(out, entries, header[:-1] + ', "entries": ', "}")
     return f"wrote {count} x {args.k} solutions to {out} ({valid} valid)"
@@ -256,6 +258,7 @@ def cmd_check(args: argparse.Namespace, out: Path | None) -> str:
 
 
 def cmd_study_reruns(args: argparse.Namespace, out: Path) -> str:
+    from .evaluation import rerun_divergence_study
     cfg = RerunStudyConfig(
         sizes=args.sizes,
         graphs_per_size=args.graphs,
@@ -270,6 +273,7 @@ def cmd_study_reruns(args: argparse.Namespace, out: Path) -> str:
 
 
 def cmd_study(args: argparse.Namespace, out: Path) -> str:
+    from . import evaluation
     name, default_methods, options = STUDIES[args.which]
     cfg = EvalConfig(
         graph_spec=GraphSpec(n=args.n, edge_probability=args.p, task=args.task),

@@ -18,11 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import randomized_bellman_ford, randomized_dfs
+from .config import EvalConfig, RerunStudyConfig, check_distinct
 from .distributions import ParentDistribution, build_empirical, kl_divergence, perturb
-from .graphs import Graph, GraphSpec, Task, generate_graph, tree_edges
+from .graphs import Graph, Task, generate_graph, tree_edges
 from .parallel import parallel_map
-from .samplers import SamplerConfig, draw_samples, extract
-from .seeding import check_seed, derive_rng, derive_seed, positive_int, probability
+from .samplers import draw_samples, extract
+from .seeding import derive_rng, derive_seed
 from .validity import verdict
 
 
@@ -48,44 +49,6 @@ class StudyTable:
 
     def write_csv(self, path: Path | str) -> None:
         Path(path).write_text(self.to_csv_text())
-
-
-def _check_distinct(name: str, values) -> None:
-    if not values or len(set(values)) != len(values):
-        raise ValueError(f"{name} must not repeat or be empty, got {list(values)}")
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Shared recipe for the sampler evaluation studies.
-
-    perturb_alpha 0 samples the empirical distribution; a value in (0, 1]
-    mixes rows toward random simplex points before sampling. Each graph's
-    seed is derived from seed. The config is checked when it is made: the
-    counts must be positive ints, even where a study does not read them, the
-    seed must pass the seed rule, and any other perturb_alpha (negative, above
-    1, NaN, a bool or a non-number) is rejected.
-    """
-
-    graph_spec: GraphSpec
-    sampler: SamplerConfig = SamplerConfig()
-    graph_count: int = 50
-    samples_per_graph: int = 5
-    runs: int = 5
-    dist_runs: int = 20
-    perturb_alpha: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("graph_count", "samples_per_graph", "runs", "dist_runs"):
-            positive_int(getattr(self, name), f"{name} must be a positive int")
-        probability(self.perturb_alpha, "perturb_alpha")
-        check_seed(self.seed)
-
-    def distribution_label(self) -> str:
-        if self.perturb_alpha == 0.0:
-            return "empirical"
-        return f"perturbed-{self.perturb_alpha:g}"
 
 
 def _graph_distribution(cfg: EvalConfig, run: int, index: int) -> tuple[Graph, ParentDistribution]:
@@ -129,7 +92,7 @@ def _run_means(cfg: EvalConfig, methods: list[str], measure, jobs: int) -> dict:
 
     Graph and distribution seeds do not depend on the method, so a method's
     values are the same whatever it is measured with."""
-    _check_distinct("methods", methods)
+    check_distinct("methods", methods)
     count, plan = cfg.graph_count, (tuple(methods), measure)
     items = [(cfg, plan, run, index) for run in range(cfg.runs) for index in range(count)]
     results = list(parallel_map(_suite_item, items, jobs))
@@ -246,39 +209,6 @@ def edge_reuse_evolution(
         raise ValueError("edge reuse evolution needs at least two samples per graph")
     measure = partial(_edge_reuse, denominator)
     return _curve_table(cfg, methods, measure, 2, "mean_edge_reuse", jobs)
-
-
-@dataclass(frozen=True)
-class RerunStudyConfig:
-    """How distribution stability is measured as the rerun budget grows.
-
-    Checked when it is made, through each size's GraphSpec for the sizes,
-    edge_probability and task.
-    """
-
-    sizes: tuple[int, ...] = tuple(range(5, 65))
-    graphs_per_size: int = 100
-    rerun_counts: tuple[int, ...] = (20, 50, 100)
-    task: Task = Task.DFS
-    edge_probability: float | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        object.__setattr__(self, "rerun_counts", tuple(self.rerun_counts))
-        positive_int(self.graphs_per_size, "graphs_per_size must be a positive int")
-        if len(self.rerun_counts) < 2:
-            raise ValueError("need at least two rerun counts to compare")
-        _check_distinct("sizes", self.sizes)
-        _check_distinct("rerun_counts", self.rerun_counts)
-        for i, count in enumerate(self.rerun_counts):
-            positive_int(count, f"rerun_counts[{i}] must be a positive int")
-        check_seed(self.seed)
-        self.graph_specs()
-
-    def graph_specs(self) -> list[GraphSpec]:
-        """One GraphSpec per size, in the order of sizes."""
-        return [GraphSpec(size, self.edge_probability, self.task) for size in self.sizes]
 
 
 def _rerun_study_item(args) -> list[float]:

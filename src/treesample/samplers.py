@@ -26,29 +26,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import METHODS, SamplerConfig
 from .distributions import ParentDistribution, choice_cdf
 from .graphs import Graph
 from .seeding import positive_int
-
-METHODS = ("argmax", "upwards", "alt-upwards", "beam", "greedy", "random")
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Tuning knobs for the beam and greedy samplers; each a positive int."""
-
-    beam_width: int = 3
-    beam_branch: int = 3
-    greedy_parent_samples: int = 3
-    greedy_max_resamples: int = 10
-
-    def __post_init__(self) -> None:
-        for name in ("beam_width", "beam_branch", "greedy_parent_samples", "greedy_max_resamples"):
-            positive_int(getattr(self, name), f"{name} must be a positive int")
 
 
 def argmax_extract(dist: ParentDistribution) -> tuple[int, ...]:

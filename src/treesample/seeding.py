@@ -3,7 +3,8 @@
 A seed is a str or a Python int >= 0, a count a Python int >= 1, a
 probability an int or float in [0, 1] or (0, 1] and a choice (a task or a
 tie-break mode) a member of its Enum; this module checks all four for the
-whole package. Every Generator comes from `derive_rng`, keyed by (master
+whole package without loading numpy, which loads with the first stream
+derived. Every Generator comes from `derive_rng`, keyed by (master
 seed, *keys) and never by scheduling order, so results are pure functions of
 their inputs (`--jobs N` is byte-identical for any N). A batch of draws, such
 as every run of one distribution, comes from one Generator.
@@ -20,9 +21,10 @@ from __future__ import annotations
 import hashlib
 from enum import Enum
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+if TYPE_CHECKING:
+    import numpy as np
 _MASK32 = 0xFFFFFFFF
 
 
@@ -74,6 +76,7 @@ def _key_words(key: int | str) -> list[int] | tuple[int, ...]:
 
 
 def _sequence(root: int, keys: tuple[int | str, ...]) -> np.random.SeedSequence:
+    import numpy as np
     words = [word for key in (root, *keys) for word in _key_words(key)]
     return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
@@ -87,4 +90,5 @@ def derive_seed(root: int, *keys: int | str) -> int:
 
 def derive_rng(root: int, *keys: int | str) -> np.random.Generator:
     """Return a Generator for the stream identified by keys; default_rng(root) for none."""
+    import numpy as np
     return np.random.Generator(np.random.PCG64(_sequence(root, keys)))

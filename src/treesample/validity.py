@@ -77,7 +77,7 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
     if any(root[v] > v for v in range(g.n)):
         failed.add(DfsCondition.ROOT_UNREACHABLE_FROM_LOWER)
 
-    order = TopologicalSorter()
+    order = None  # most checks add no sibling-order constraint, and build no sorter
     arcs = ((x, y) for x, heads in enumerate(g.adjacency) for y in heads)
     for x, y in arcs:
         if root[x] != root[y]:
@@ -92,9 +92,12 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
             continue
         while pi[x] != pi[y]:
             x, y = pi[x], pi[y]
+        if order is None:
+            order = TopologicalSorter()
         order.add(x, y)  # x's branch starts after y's
     try:
-        order.prepare()
+        if order is not None:
+            order.prepare()
     except CycleError:
         failed.add(DfsCondition.SIBLING_ORDER)
 

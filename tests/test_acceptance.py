@@ -38,6 +38,7 @@ from treesample.cli import main as cli_main
 from treesample.seeding import derive_rng, derive_seed
 
 from conftest import tight_parent_trees
+from oracles import exact_parent_law
 
 _suite_cache: dict = {}
 
@@ -208,6 +209,18 @@ def test_08_distributions_stabilize_with_rerun_budget():
         lo, hi = means[(size, 50, 100)], means[(size, 20, 100)]
         print(f"rerun stability: size={size} KL(50,100)={lo:.4f} <= KL(20,100)={hi:.4f}")
         assert lo <= hi
+    # At size 5 the runner's exact law is known: rebuild the study's graphs and
+    # distributions from its own seeds and report each budget's distance to it.
+    exact_kl = {count: [] for count in cfg.rerun_counts}
+    for index in range(cfg.graphs_per_size):
+        g = generate_graph(GraphSpec(5, None, cfg.task), derive_seed(cfg.seed, "graph", 5, index))
+        exact = exact_parent_law(g, cfg.task)
+        for count in cfg.rerun_counts:
+            seed = derive_seed(cfg.seed, "dist", 5, index, count)
+            exact_kl[count].append(kl_divergence(build_empirical(g, cfg.task, count, seed), exact))
+    print("rerun stability: size=5 " + " ".join(
+        f"KL({count},exact)={np.mean(values):.4f}" for count, values in exact_kl.items()
+    ))
     rng = np.random.default_rng(0)
     for _ in range(1000):
         n = int(rng.integers(2, 7))

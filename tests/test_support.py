@@ -4,6 +4,7 @@ import ast
 import hashlib
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -40,6 +41,7 @@ from treesample import (
     seeding,
     validity,
 )
+from treesample.cli import main as cli_main
 from treesample.parallel import parallel_map
 from treesample.seeding import derive_rng, derive_seed
 
@@ -364,9 +366,11 @@ def test_enum_arguments_are_members(call, message):
         call()
 
 
+# The CLI loads numpy only when a command draws, so the probe draws once,
+# through the package, before it counts threads.
 _THREADS_PROBE = (
-    "import os, treesample.cli; tasks = '/proc/self/task';"
-    " print(os.environ.get('OPENBLAS_NUM_THREADS'),"
+    "import os, treesample.cli; from treesample.seeding import derive_rng; derive_rng(0);"
+    " tasks = '/proc/self/task'; print(os.environ.get('OPENBLAS_NUM_THREADS'),"
     " len(os.listdir(tasks)) if os.path.isdir(tasks) else None)"
 )
 
@@ -407,6 +411,52 @@ def test_cli_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_ENGINE = ("numpy", "treesample.algorithms", "treesample.distributions", "treesample.samplers",
+           "treesample.evaluation")
+_LOADED_PROBE = (
+    "import json, sys; from treesample.cli import main; code = main(sys.argv[1:]);"
+    f" print(json.dumps([code, [m for m in {_ENGINE!r} if m in sys.modules]]))"
+)
+
+
+def _engine_loaded_by(*argv: str) -> tuple[int, set[str]]:
+    """Exit code of `main(argv)` in a fresh interpreter, and the engine modules it loaded."""
+    src = str(Path(treesample.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(loaded)
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, capsys):
+    # numpy and the engine modules load at a command's first use of them:
+    # commands that draw nothing never load them.
+    g, d, s, v = (str(tmp_path / name) for name in ("g.json", "d.json", "s.json", "v.csv"))
+    for argv in (
+        ["gen", "-n", "4", "--count", "2", "--task", "dfs", "--seed", "1", "-o", g],
+        ["dist", "-i", g, "--task", "dfs", "--runs", "3", "--seed", "2", "-o", d],
+        ["sample", "-i", g, "-d", d, "--task", "dfs", "--method", "upwards", "--seed", "3", "-o", s],
+    ):
+        assert cli_main(argv) == 0
+    capsys.readouterr()
+    for argv, code in [
+        (("--version",), 0), (("--help",), 0), (("gen", "-n", "4"), 2),
+        (("check", "-i", g, "-s", s, "-o", v), 0),
+    ]:
+        assert _engine_loaded_by(*argv) == (code, set()), argv
+    assert json.loads(Path(v + ".manifest.json").read_text())["numpy_version"] is None
+    code, loaded = _engine_loaded_by("gen", "-n", "4", "--seed", "1", "-o", str(tmp_path / "g2.json"))
+    assert code == 0 and "numpy" in loaded
+    assert not loaded & {"treesample.samplers", "treesample.evaluation"}
+    code, loaded = _engine_loaded_by(
+        "study", "table2", "-n", "4", "--graphs", "2", "--runs", "1", "--dist-runs", "2",
+        "--seed", "1", "-o", str(tmp_path / "t2.csv"),
+    )
+    assert code == 0 and "treesample.evaluation" in loaded
 
 
 # Every name the package exported before its `__all__` became the union of
