@@ -3,9 +3,10 @@
 Each command writes its data file and returns a summary line. `gen`, `dist` and
 `sample` hold one entry at a time: `gen` writes each graph as it is generated,
 and `dist` and `sample` pipe a lazy stream of input entries through
-`parallel_map` into `write_entries`. Each work item derives its own stream from
-the master seed and its entry index, so a `--jobs` parent only reads, schedules
-and writes. Only numpy-free layers load with this module: a command imports the
+`parallel_map` into `write_entries`. A work item is an entry index and its file
+entries; the item function, bound once to the checked settings, builds the
+objects and the entry's stream, so a `--jobs` parent only reads, schedules and
+writes. Only numpy-free layers load with this module: a command imports the
 engine module it runs, and numpy with it, before `parallel_map` forks; `gen`
 loads numpy at its first draw, `check`, `--version` and `--help` never. Every
 path flag is resolved by `_path` while the arguments are parsed. `main` alone
@@ -43,7 +44,7 @@ from .graphs import (
     write_entries,
 )
 from .parallel import parallel_map
-from .seeding import derive_rng, derive_seed, positive_int
+from .seeding import check_seed, derive_rng, derive_seed, positive_int
 from .validity import verdict
 
 OUTPUT_DIR_ENV = "TREESAMPLE_OUT"
@@ -149,24 +150,29 @@ def cmd_gen(args: argparse.Namespace, out: Path) -> str:
     return f"wrote {graphs_to_json(graphs, out)} graphs to {out}"
 
 
-def _dist_item(build_empirical, item):
-    """One entry's distribution, from the stream of its index."""
-    seed, index, g, task, runs, mode = item
-    return build_empirical(g, task, runs, derive_seed(seed, "dist", index), mode)
+def _dist_item(build_empirical, seed, task, runs, mode, item):
+    """One graph entry's distribution entry, drawn from the stream of its index."""
+    index, entry = item
+    g = Graph.from_dict(entry)
+    return build_empirical(g, task, runs, derive_seed(seed, "dist", index), mode).to_dict()
 
 
 def cmd_dist(args: argparse.Namespace, out: Path) -> str:
-    from .distributions import build_empirical, distributions_to_json
-    graphs = map(Graph.from_dict, read_entries(args.input, "graphs"))
-    items = ((args.seed, i, g, args.task, args.runs, args.mode) for i, g in enumerate(graphs))
-    work = partial(_dist_item, build_empirical)
-    count = distributions_to_json(parallel_map(work, items, args.jobs), out)
+    from .distributions import build_empirical
+    check_seed(args.seed)
+    positive_int(args.runs, "--runs must be at least 1")
+    work = partial(_dist_item, build_empirical, args.seed, args.task, args.runs, args.mode)
+    items = enumerate(read_entries(args.input, "graphs"))
+    count = write_entries(out, parallel_map(work, items, args.jobs))
     return f"wrote {count} distributions to {out}"
 
 
-def _sample_item(draw_samples, item):
-    """One entry's solutions and verdicts, from the stream of its method and index."""
-    seed, index, g, dist, task, method, cfg, k = item
+def _sample_item(draw_samples, read_distribution, seed, task, method, cfg, k, item):
+    """Build an entry pair's graph and distribution, then draw and judge its solutions."""
+    index, g, dist = item
+    g, dist = Graph.from_dict(g), read_distribution(dist)
+    if g.n != dist.n:
+        raise ValueError(f"entry {index}: graph has n={g.n} but distribution has n={dist.n}")
     rng = derive_rng(derive_seed(seed, "sample", method, index))
     solutions = draw_samples(method, dist, g, cfg, k, rng)
     verdicts = [verdict(g, task, s) for s in solutions]
@@ -179,10 +185,8 @@ def _sample_item(draw_samples, item):
 
 
 def _pairs(args: argparse.Namespace):
-    """(index, graph, distribution) for each entry of the two files, read in
-    step. A count mismatch is found when the shorter file ends; the longer
-    file's leftover entries are only counted, not built."""
-    from .distributions import ParentDistribution
+    """(index, graph entry, distribution entry) for each entry of the two files,
+    read in step and left unbuilt; a count mismatch is found when one file ends."""
     graphs = read_entries(args.input, "graphs")
     dists = read_entries(args.dists, "distributions")
     end = object()  # not None: a null entry is a malformed entry
@@ -193,18 +197,16 @@ def _pairs(args: argparse.Namespace):
             raise ValueError(
                 f"graph file has {graph_count} entries but distribution file has {dist_count}"
             )
-        g, d = Graph.from_dict(g), ParentDistribution.from_dict(d)
-        if g.n != d.n:
-            raise ValueError(f"entry {i}: graph has n={g.n} but distribution has n={d.n}")
         yield i, g, d
 
 
 def cmd_sample(args: argparse.Namespace, out: Path) -> str:
+    from .distributions import ParentDistribution
     from .samplers import draw_samples
-    cfg = _sampler_config(args)
-    items = (
-        (args.seed, i, g, d, args.task, args.method, cfg, args.k) for i, g, d in _pairs(args)
-    )
+    check_seed(args.seed)
+    positive_int(args.k, "-k must be at least 1")
+    work = partial(_sample_item, draw_samples, ParentDistribution.from_dict, args.seed,
+                   args.task, args.method, _sampler_config(args), args.k)
     valid = 0
 
     def tallied(entries):
@@ -214,7 +216,7 @@ def cmd_sample(args: argparse.Namespace, out: Path) -> str:
             yield entry
 
     header = json.dumps({"task": args.task.value, "method": args.method, "k": args.k})
-    entries = tallied(parallel_map(partial(_sample_item, draw_samples), items, args.jobs))
+    entries = tallied(parallel_map(work, _pairs(args), args.jobs))
     # The header object, left open for its entries.
     count = write_entries(out, entries, header[:-1] + ', "entries": ', "}")
     return f"wrote {count} x {args.k} solutions to {out} ({valid} valid)"

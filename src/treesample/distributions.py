@@ -94,7 +94,7 @@ class ParentDistribution:
             isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in probs
         ):
             raise ValueError("distribution needs an int n and probs as rows of numbers (not bools)")
-        return cls(n, np.array(probs, dtype=float))
+        return cls(n, probs)
 
 
 def build_empirical(

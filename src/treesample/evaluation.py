@@ -211,9 +211,9 @@ def edge_reuse_evolution(
     return _curve_table(cfg, methods, measure, 2, "mean_edge_reuse", jobs)
 
 
-def _rerun_study_item(args) -> list[float]:
+def _rerun_study_item(cfg: RerunStudyConfig, item) -> list[float]:
     """KL values of one graph, one per rerun-count pair in combinations order."""
-    cfg, spec, index = args
+    spec, index = item
     g = generate_graph(spec, derive_seed(cfg.seed, "graph", spec.n, index))
     dists = {
         count: build_empirical(
@@ -235,8 +235,8 @@ def rerun_divergence_study(cfg: RerunStudyConfig, jobs: int = 1) -> StudyTable:
     sub-seeds); KL is recorded for each ordered low/high pair and aggregated
     as mean and standard deviation across graphs per size.
     """
-    items = [(cfg, spec, index) for spec in cfg.graph_specs() for index in range(cfg.graphs_per_size)]
-    kl = list(parallel_map(_rerun_study_item, items, jobs))
+    items = [(spec, index) for spec in cfg.graph_specs() for index in range(cfg.graphs_per_size)]
+    kl = list(parallel_map(partial(_rerun_study_item, cfg), items, jobs))
     per_size = cfg.graphs_per_size
     table = StudyTable(("size", "pair_lo", "pair_hi", "mean_kl", "std_kl"))
     for s, size in enumerate(cfg.sizes):

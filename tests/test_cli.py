@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from treesample import (
     METHODS,
+    Graph,
+    ParentDistribution,
     __version__,
     enumerate_shortest_path_trees,
     graphs_from_json,
@@ -190,9 +192,11 @@ def test_jobs_do_not_change_output_bytes(tmp_path):
 
 @pytest.mark.parametrize("count", [0, 1, 2, 37])
 def test_a_jobs_2_parent_derives_no_seed_and_writes_the_jobs_1_bytes(tmp_path, monkeypatch, count):
-    # Each work item derives its own stream, so a pool's parent only reads,
-    # schedules and writes: no SeedSequence is built in this process. The
-    # forked workers inherit the spy and pass, since their pid differs.
+    # A work item carries its entry index and file entry, and its worker
+    # builds the objects and derives the streams, so a pool's parent only
+    # reads, schedules and writes: no SeedSequence, Graph or ParentDistribution
+    # is built in this process. The forked workers inherit the spies and pass,
+    # since their pid differs.
     graphs = tmp_path / "graphs.json"
     if count:
         assert run("gen", "-n", "6", "--count", str(count), "--task", "bf", "--seed", "3",
@@ -200,14 +204,17 @@ def test_a_jobs_2_parent_derives_no_seed_and_writes_the_jobs_1_bytes(tmp_path, m
     else:
         graphs.write_text("[]")
     test_pid, parent_calls = os.getpid(), []
-    sequence = seeding._sequence
 
-    def spy(*args):
-        if os.getpid() == test_pid:
-            parent_calls.append(args)
-        return sequence(*args)
+    def spying(fn):
+        def spy(*args):
+            if os.getpid() == test_pid:
+                parent_calls.append(fn.__qualname__)
+            return fn(*args)
+        return spy
 
-    monkeypatch.setattr(seeding, "_sequence", spy)
+    monkeypatch.setattr(seeding, "_sequence", spying(seeding._sequence))
+    for cls in (Graph, ParentDistribution):
+        monkeypatch.setattr(cls, "__post_init__", spying(cls.__post_init__))
     outputs = {}
     for jobs in (1, 2):
         parent_calls.clear()
@@ -225,6 +232,30 @@ def test_a_jobs_2_parent_derives_no_seed_and_writes_the_jobs_1_bytes(tmp_path, m
 
 def _only(directory: Path, *names: str) -> None:
     assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("dist", "--seed", "-5", "seed keys must be strings or non-negative ints, got -5"),
+    ("dist", "--runs", "0", "--runs must be at least 1, got 0"),
+    ("sample", "--seed", "-5", "seed keys must be strings or non-negative ints, got -5"),
+    ("sample", "-k", "0", "-k must be at least 1, got 0"),
+    ("sample", "-k", "-3", "-k must be at least 1, got -3"),
+], ids=["dist-seed", "dist-runs", "sample-seed", "sample-k0", "sample-k-3"])
+def test_a_bad_setting_is_refused_before_any_entry_is_read(
+    tmp_path, capsys, command, flag, value, message
+):
+    # Files without entries: no work item would read the setting, so the
+    # command itself must refuse it and leave neither the file nor its manifest.
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    inputs = ["-i", str(empty)]
+    if command == "sample":
+        inputs += ["-d", str(empty), "--method", "argmax"]
+    seed = [] if flag == "--seed" else ["--seed", "1"]
+    out = tmp_path / "out.json"
+    assert run(command, *inputs, "--task", "bf", *seed, flag, value, "-o", str(out)) == 3
+    assert message in capsys.readouterr().err
+    _only(tmp_path, "empty.json")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -321,6 +352,10 @@ def test_study_reruns_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "size,pair_lo,pair_hi,mean_kl,std_kl"
     assert len(lines) == 3  # one pair per size
+    pooled = tmp_path / "reruns2.csv"
+    assert run("study", "reruns", "--sizes", "4,5", "--graphs", "2", "--counts", "5,10",
+               "--seed", "8", "--jobs", "2", "-o", str(pooled)) == 0
+    assert pooled.read_bytes() == out.read_bytes()
 
 
 def test_study_table1_and_table2_csv(tmp_path):
