@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from graphlib import CycleError, TopologicalSorter
 
 from .graphs import Graph, Task, validate_predecessors
 from .seeding import member
@@ -49,7 +48,8 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
       no arc enters a tree with a higher root (the earlier search would have).
     - SiblingOrder: an arc x -> y between unrelated vertices of one tree
       needs y's branch below their lowest common ancestor explored before
-      x's; these constraints must not form a cycle.
+      x's. Each round peels every branch whose predecessors are all peeled
+      (Kahn 1962); a round that peels nothing leaves a cycle.
 
     This is the classic arc classification (Tarjan 1972): in a child order
     that meets the constraints, every non-tree arc is a back, forward or
@@ -77,7 +77,7 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
     if any(root[v] > v for v in range(g.n)):
         failed.add(DfsCondition.ROOT_UNREACHABLE_FROM_LOWER)
 
-    order = None  # most checks add no sibling-order constraint, and build no sorter
+    before: dict[int, set[int]] = {}  # x -> the siblings whose branches precede x's
     arcs = ((x, y) for x, heads in enumerate(g.adjacency) for y in heads)
     for x, y in arcs:
         if root[x] != root[y]:
@@ -92,14 +92,13 @@ def check_dfs_valid(g: Graph, pi: tuple[int, ...]) -> DfsVerdict:
             continue
         while pi[x] != pi[y]:
             x, y = pi[x], pi[y]
-        if order is None:
-            order = TopologicalSorter()
-        order.add(x, y)  # x's branch starts after y's
-    try:
-        if order is not None:
-            order.prepare()
-    except CycleError:
-        failed.add(DfsCondition.SIBLING_ORDER)
+        before.setdefault(x, set()).add(y)  # x's branch starts after y's
+    while before:  # each round peels every branch whose predecessors are all peeled
+        left = {x: ys for x, ys in before.items() if not before.keys().isdisjoint(ys)}
+        if len(left) == len(before):  # nothing peeled: what is left contains a cycle
+            failed.add(DfsCondition.SIBLING_ORDER)
+            break
+        before = left
 
     return DfsVerdict(frozenset(failed))
 

@@ -1,16 +1,21 @@
-"""Exact laws of the randomized runners, for tests only.
+"""Exact laws of the randomized runners, and a DFS witness, for tests only.
 
 `exact_parent_law(g, task, mode)` is the limit of `build_empirical` as its run
 count grows: row v gives, for each vertex, the probability that it is v's
 parent in one run. It is computed from the graph alone, by code that shares
 nothing with the runners' random streams.
+
+`dfs_witness(g, pi)` is a search order that rebuilds a DFS forest the checker
+accepts, read with `graphlib` rather than the checker's own peel.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from graphlib import TopologicalSorter
 
 import numpy as np
 
@@ -123,3 +128,36 @@ def bf_parent_law_by_replay(g: Graph) -> Law:
                     following[state] = following.get(state, 0) + share
         passes = following
     return law
+
+
+def dfs_witness(g: Graph, pi: tuple[int, ...]) -> list[int]:
+    """The preorder of pi, each vertex's children in a topological order of
+    the sibling-order constraints (Tarjan 1972).
+
+    An arc x -> y between unrelated vertices of one tree puts y's branch below
+    their lowest common ancestor before x's; arcs between trees are skipped.
+    When `check_dfs_valid` accepts pi, this order, fed to `_dfs_forest` as a
+    `_ranked_pick` order, rebuilds pi.
+    """
+    ancestry: list[list[int]] = []  # ancestry[v] runs from v's root down to v
+    for v in range(g.n):
+        path = [v]
+        while pi[path[-1]] != path[-1]:
+            path.append(pi[path[-1]])
+        ancestry.append(path[::-1])
+    order = TopologicalSorter({v: () for v in range(g.n)})
+    for x, y, _ in arc_list(g):
+        ax, ay = ancestry[x], ancestry[y]
+        m = min(len(ax), len(ay))
+        k = bisect_left(range(m), True, key=lambda i: ax[i] != ay[i])  # shared head
+        if 0 < k < m:  # one tree, neither end above the other
+            order.add(ax[k], ay[k])  # x's branch starts after y's
+    children: list[list[int]] = [[] for _ in pi]
+    for v in order.static_order():
+        if pi[v] != v:
+            children[pi[v]].append(v)
+    preorder, stack = [], [v for v in reversed(range(g.n)) if pi[v] == v]
+    while stack:
+        preorder.append(stack.pop())
+        stack.extend(reversed(children[preorder[-1]]))
+    return preorder

@@ -5,7 +5,8 @@ SHA-256 of each data file it writes (manifests excluded, they carry
 timestamps) is compared with `golden_digests.json`. A change that alters any
 output byte fails here. If the change is deliberate, regenerate the digests
 with `PYTHONPATH=src python tests/test_golden.py`, which names each file
-whose digest changed, and say why in the commit.
+whose digest changed, set DIGESTS_NUMPY to the numpy that made them, and say
+why in the commit.
 """
 
 import hashlib
@@ -14,9 +15,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy
+
 from treesample.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+DIGESTS_NUMPY = "2.4.6"  # the numpy release whose Generator streams made DIGESTS
 
 GRAPH_SETS = {
     # name: (task, gen flags)
@@ -102,7 +106,10 @@ def test_canonical_outputs_match_golden_digests(tmp_path, capsys):
     actual = canonical_outputs(tmp_path)
     capsys.readouterr()
     changed = changed_names(json.loads(DIGESTS.read_text()), actual)
-    assert not changed, f"output bytes changed for: {', '.join(changed)}"
+    assert not changed, (
+        f"output bytes changed for: {', '.join(changed)} (numpy {numpy.__version__} running,"
+        f" digests made with numpy {DIGESTS_NUMPY})"
+    )
 
 
 if __name__ == "__main__":
@@ -112,3 +119,4 @@ if __name__ == "__main__":
         print(f"changed: {name}", file=sys.stderr)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
+    print(f"made with numpy {numpy.__version__}: set DIGESTS_NUMPY to match", file=sys.stderr)

@@ -7,7 +7,8 @@ compared with `golden_library_digests.json`. Cases are named
 a Generator stream fails the layer that moved (and the layers built on it:
 the lowest failing layer is the one to read). If a change is deliberate,
 regenerate the digests with `PYTHONPATH=src python tests/test_golden_library.py`,
-which names each case whose digest changed, and say why in the commit.
+which names each case whose digest changed, set DIGESTS_NUMPY to the numpy
+that made them, and say why in the commit.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ from collections import Counter
 from functools import cache
 from pathlib import Path
 
+import numpy
 import pytest
 
 from treesample import (
@@ -41,6 +43,7 @@ from treesample import (
 from treesample.seeding import derive_rng, derive_seed
 
 DIGESTS = Path(__file__).with_name("golden_library_digests.json")
+DIGESTS_NUMPY = "2.4.6"  # the numpy release whose Generator streams made DIGESTS
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1, 2**64, 2**100 + 5)
 SIZES = (1, 2, 8, 20, 64)
@@ -215,7 +218,10 @@ def test_layer_matches_golden_digests(layer):
         if name.startswith(f"{layer}/")
     }
     changed = changed_names(expected, layer_digests(layer))
-    assert not changed, f"{layer} outputs changed for: {', '.join(changed)}"
+    assert not changed, (
+        f"{layer} outputs changed for: {', '.join(changed)} (numpy {numpy.__version__} running,"
+        f" digests made with numpy {DIGESTS_NUMPY})"
+    )
 
 
 def test_validity_cases_at_scale_take_every_tag_and_a_valid_array():
@@ -239,3 +245,4 @@ if __name__ == "__main__":
         print(f"changed: {name}", file=sys.stderr)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
+    print(f"made with numpy {numpy.__version__}: set DIGESTS_NUMPY to match", file=sys.stderr)

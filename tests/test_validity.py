@@ -13,17 +13,24 @@ from treesample import (
     DfsCondition,
     Graph,
     GraphSpec,
+    SamplerConfig,
     Task,
     TiebreakMode,
     bellman_ford_costs,
+    build_empirical,
     check_bf_valid,
     check_dfs_valid,
+    draw_samples,
     enumerate_dfs_trees,
     enumerate_shortest_path_trees,
     generate_graph,
+    randomized_dfs,
 )
+from treesample.algorithms import _dfs_forest, _ranked_pick
+from treesample.seeding import derive_rng, derive_seed
 
 from conftest import brute_force_shortest_path_trees, path_cost_from_source, tight_parent_trees
+from oracles import dfs_witness
 
 
 def test_two_tree_graph_verdicts(two_tree_digraph):
@@ -103,6 +110,47 @@ def test_sibling_order_cycle_rejected():
     verdict = check_dfs_valid(g, (0, 0, 0, 0))
     assert not verdict.valid
     assert verdict.tags() == ["SiblingOrder"]
+    # 0 -> {1, 2, 3}, 3 -> 2 and 2 -> 1: the constraint chain takes two rounds
+    # to peel, and exploring 1, then 2, then 3 builds the star.
+    chain = Graph.from_edges(4, [*edges[:3], (3, 2, 1), (2, 1, 1)], directed=True)
+    assert check_dfs_valid(chain, (0, 0, 0, 0)).valid
+    assert (0, 0, 0, 0) in enumerate_dfs_trees(chain)
+    # The cycle again, plus 4 -> 1: branch 4 must follow one that never peels.
+    edges = [(0, v, 1) for v in (1, 2, 3, 4)] + [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 1, 1)]
+    tail = Graph.from_edges(5, edges, directed=True)
+    assert check_dfs_valid(tail, (0, 0, 0, 0, 0)).tags() == ["SiblingOrder"]
+
+
+def test_every_accepted_dfs_candidate_at_scale_replays_its_witness():
+    # Only exhaustion at n <= 6 (test_07) shows that an accepted array is a
+    # real DFS forest; at scale the proof is a search order that rebuilds it.
+    replayed = 0
+    for n in (8, 20, 64):
+        for gi in range(4):
+            g = generate_graph(GraphSpec(n=n, task=Task.DFS), derive_seed(0, "witness", n, gi))
+            runs = [
+                randomized_dfs(g, derive_rng(n, gi, mode.value, run), mode)
+                for mode in TiebreakMode
+                for run in range(10)
+            ]
+            dist = build_empirical(g, Task.DFS, runs=20, seed=gi)
+            draws = [
+                pi
+                for method in ("upwards", "alt-upwards", "argmax", "random")
+                for pi in draw_samples(method, dist, g, SamplerConfig(), 5, derive_rng(n, gi, method))
+            ]
+            rng = derive_rng(n, gi, "mutants")
+            mutants = []
+            for pi in map(list, runs):
+                v, p = rng.integers(n), int(rng.integers(n - 1))
+                pi[v] = p + (p >= pi[v])  # any parent but the old one
+                mutants.append(tuple(pi))
+            for pi in runs + draws + mutants:
+                if check_dfs_valid(g, pi).valid:
+                    order = dfs_witness(g, pi)
+                    assert _dfs_forest(g.n, g.adjacency, _ranked_pick(g.n, order)) == pi, (n, gi, pi)
+                    replayed += 1
+    assert replayed >= 240
 
 
 def test_dfs_check_accepts_exactly_the_enumerated_forests(
