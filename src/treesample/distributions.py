@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -37,13 +38,17 @@ class DrawTable(NamedTuple):
     """What the samplers read on every draw, derived once per distribution.
 
     With p[v] the row v divided by its sum (the weights `Generator.choice` is
-    given), cdf[v] is `choice_cdf(p[v])` and support[v] counts the positive
-    entries of p[v]; order lists the vertices by column sum, least-parenting
-    (leafiest) first, stable.
+    given), cdf[v] is `choice_cdf(p[v])`; cols[v] lists the columns where p[v]
+    is positive (v's support), ascending, and weights[v] and mass[v] hold p[v]
+    and the row's own entries probs[v] at those columns, which the samplers'
+    retry rounds and masked draws read without calling numpy. order lists the
+    vertices by column sum, least-parenting (leafiest) first, stable.
     """
 
     cdf: list[list[float]]
-    support: list[int]
+    cols: list[list[int]]
+    weights: list[list[float]]
+    mass: list[list[float]]
     order: list[int]
 
 
@@ -76,9 +81,18 @@ class ParentDistribution:
     def draw_table(self) -> DrawTable:
         """The sampling table, built on first use in the process that draws."""
         p = self.probs / self.probs.sum(axis=1, keepdims=True)
+        positive = p > 0.0
+        ends = list(accumulate(np.count_nonzero(positive, axis=1).tolist()))
+
+        def by_row(flat: np.ndarray) -> list[list]:  # row-major entries, cut per row
+            values = flat.tolist()
+            return [values[a:b] for a, b in zip([0, *ends], ends)]
+
         return DrawTable(
             cdf=choice_cdf(p).tolist(),
-            support=np.count_nonzero(p, axis=1).tolist(),
+            cols=by_row(np.nonzero(positive)[1]),
+            weights=by_row(p[positive]),
+            mass=by_row(self.probs[positive]),
             order=np.argsort(self.probs.sum(axis=0), kind="stable").tolist(),
         )
 

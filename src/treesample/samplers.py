@@ -18,14 +18,20 @@ and share one per-vertex loop that alone applies their fallback (lightest
 in-edge, else the vertex itself); random reads only the graph (n, source);
 argmax and the two upward walks read only the distribution. All samplers
 return a full predecessor array for any input.
-Every weighted draw, masked or not, is a `bisect_right` of a `choice_cdf` CDF
-at one `rng.random()`, as in `Generator.choice`, so the streams match choice's.
+Every weighted draw, masked or not, is a `bisect_right` of choice's CDF at one
+`rng.random()`, as in `Generator.choice`, so the streams match choice's. The
+draws of beam, greedy and both upward walks read the distribution's draw table
+in plain Python; numpy builds a CDF only for an `upwards` draw whose mask
+keeps three or more of the row's support entries, since numpy's pairwise row
+sum fixes that CDF.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -40,23 +46,43 @@ def argmax_extract(dist: ParentDistribution) -> tuple[int, ...]:
     return tuple(int(j) for j in np.argmax(dist.probs, axis=1))
 
 
-def _masked_draw(dist: ParentDistribution, v: int, keep: np.ndarray, rng: np.random.Generator) -> int:
-    """upwards' draw of v's parent: choice's rule on v's row times keep (0.0 at
-    masked columns, else 1.0), or a uniform kept vertex when no mass is left
-    (v itself is never masked). The product holds the row's own values, so its
-    CDF is choice's to the bit, and with keep all ones it is draw_table.cdf[v]."""
+def _masked_draw(
+    dist: ParentDistribution, v: int, keep: Sequence[float], rng: np.random.Generator
+) -> int:
+    """upwards' draw of v's parent: choice's rule on v's row times keep (a
+    sequence of 0.0 at masked columns, else 1.0), or a uniform kept vertex when
+    no mass is left (v itself is never masked). With keep all ones it is a
+    bisection of draw_table.cdf[v].
+
+    Only the kept support columns are read. None kept: the total is exactly
+    0.0, so the uniform fallback. One kept: any uniform picks it. Two kept, a
+    and b: a sum with two nonzero terms is the same float in any order, so
+    a / (a + b) and the division by the last cumulative sum give choice's CDF
+    at the first column. Three or more: the total is numpy's pairwise
+    `row.sum()`, so that CDF alone is still built by numpy.
+    """
+    table = dist.draw_table
+    cols, mass = table.cols[v], table.mass[v]
+    kept = [i for i, c in enumerate(cols) if keep[c]]
+    if not kept:
+        open_vertices = list(compress(range(dist.n), keep))
+        return open_vertices[rng.integers(len(open_vertices))]
+    x = rng.random()
+    if len(kept) == 1:
+        return cols[kept[0]]
+    if len(kept) == 2:
+        i, j = kept
+        total = mass[i] + mass[j]
+        first = mass[i] / total
+        return cols[i] if first / (first + mass[j] / total) > x else cols[j]
     row = dist.probs[v] * keep
-    total = row.sum()
-    if total > 0.0:
-        return bisect_right(choice_cdf(row / total), rng.random())
-    open_vertices = np.flatnonzero(keep)
-    return int(open_vertices[rng.integers(len(open_vertices))])
+    return bisect_right(choice_cdf(row / row.sum()), x)
 
 
 def _upwards(dist: ParentDistribution, rng: np.random.Generator, mask_parents: bool) -> tuple[int, ...]:
     cdf = dist.draw_table.cdf
     pi: list[int | None] = [None] * dist.n
-    keep = np.ones(dist.n)
+    keep = [1.0] * dist.n
     for v in dist.draw_table.order:
         while pi[v] is None:  # walk v's chain up to an assigned vertex
             if mask_parents:
@@ -90,23 +116,27 @@ def _distinct_parents(
 
     This is `Generator.choice` without replacement written out: each round
     draws one uniform per missing parent, bisects the CDF and keeps each
-    parent's first hit; a further round zeroes the parents found so far and
-    rebuilds the CDF from what is left, as numpy does.
+    parent's first hit. The first round bisects draw_table.cdf[v]. A further
+    round zeroes the parents found so far and rebuilds the CDF from what is
+    left, as numpy does, but over v's support in plain Python: np.cumsum adds
+    left to right and adding 0.0 changes no float, so accumulating the weights
+    left and dividing by their total gives choice's CDF at the columns left.
     """
     table = dist.draw_table
-    size = min(k, table.support[v])
-    cdf = table.cdf[v]
+    cols, weights = table.cols[v], table.weights[v]
+    size = min(k, len(cols))
+    cdf, at = table.cdf[v], range(dist.n)  # at maps a CDF index to its column
     found: list[int] = []
     while True:
-        for x in rng.random(size - len(found)).tolist():
-            q = bisect_right(cdf, x)
+        for _ in range(size - len(found)):
+            q = at[bisect_right(cdf, rng.random())]
             if q not in found:
                 found.append(q)
         if len(found) == size:
             return found
-        p = dist.probs[v] / dist.probs[v].sum()  # the weights choice was given
-        p[found] = 0.0
-        cdf = choice_cdf(p).tolist()
+        at = [c for c in cols if c not in found]
+        sums = list(accumulate(w for c, w in zip(cols, weights) if c not in found))
+        cdf = [s / sums[-1] for s in sums]
 
 
 def _per_vertex(g: Graph, method: str, search) -> tuple[int, ...]:

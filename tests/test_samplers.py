@@ -2,6 +2,8 @@
 tie-break, fallback, and determinism contracts."""
 
 from bisect import bisect_right
+from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from treesample import (
     random_extract,
     upwards_sample,
 )
+from treesample import samplers
+from treesample.distributions import choice_cdf
 from treesample.samplers import _distinct_parents, _masked_draw
 
 
@@ -270,19 +274,40 @@ class FixedUniform:
         return self.x
 
 
+def uniforms_at(cdf) -> list[float]:
+    """0.0, every CDF entry below 1.0 and the float just below each entry."""
+    uniforms = {x for c in cdf for x in (c, float(np.nextafter(c, 0.0))) if x < 1.0}
+    return sorted(uniforms | {0.0})
+
+
 def test_unmasked_draw_bisects_the_draw_table():
     # upwards draws every parent through _masked_draw, alt-upwards bisects
     # draw_table.cdf: with nothing masked, both give the same parent for the
     # same uniform, checked at every CDF entry and the float just below it.
+    # Masks that spare v and keep 1, 2 or 3 or more of its support entries
+    # take each of _masked_draw's paths; each must bisect choice's CDF of the
+    # masked row at the same uniforms.
+    picks = rng(11)
+    kept = Counter()
     for task, n in ((Task.BF, 5), (Task.DFS, 8), (Task.BF, 64), (Task.DFS, 64)):
         g = generate_graph(GraphSpec(n=n, task=task), n)
         empirical = build_empirical(g, task, runs=20, seed=n)
         for dist in (empirical, perturb(empirical, 0.3, seed=n), perturb(empirical, 1.0, seed=n)):
             keep = np.ones(n)
             for v, cdf in enumerate(dist.draw_table.cdf):
-                uniforms = {x for c in cdf for x in (c, float(np.nextafter(c, 0.0))) if x < 1.0}
-                for x in sorted(uniforms | {0.0}):
+                for x in uniforms_at(cdf):
                     assert _masked_draw(dist, v, keep, FixedUniform(x)) == bisect_right(cdf, x)
+                support = np.flatnonzero(dist.probs[v])
+                for size in (1, 2, 3):
+                    spared = {v, *picks.choice(support, min(size, len(support)), replace=False).tolist()}
+                    masked = keep_vector(n, set(range(n)) - spared)
+                    masked_row = dist.probs[v] * masked
+                    kept[min(int(np.count_nonzero(masked_row)), 3)] += 1
+                    masked_cdf = choice_cdf(masked_row / masked_row.sum())
+                    for x in uniforms_at(masked_cdf):
+                        got = _masked_draw(dist, v, masked.tolist(), FixedUniform(x))
+                        assert got == bisect_right(masked_cdf, x)
+    assert sorted(kept) == [1, 2, 3], kept
 
 
 def choice_cases():
@@ -328,7 +353,8 @@ def test_draws_reproduce_numpy_choice():
     # leaves it, including when a duplicate forces a second round and when a
     # mask zeroes part of the row (or all of its mass: the uniform fallback).
     seen = {"one-support": 0, "k above support": 0, "retry round": 0,
-            "masked draw": 0, "masked fallback": 0}
+            "masked draw": 0, "masked fallback": 0, "retry leaves 2+": 0,
+            "masked keeps 1": 0, "masked keeps 2": 0, "masked keeps 3+": 0}
     masks = rng(7)
     for case, (dist, v, k, seed) in enumerate(choice_cases()):
         row = dist.probs[v]
@@ -344,6 +370,8 @@ def test_draws_reproduce_numpy_choice():
         seen["retry round"] += plain.random() != after
         seen["one-support"] += support == 1
         seen["k above support"] += k > support
+        first_round = set(np.searchsorted(choice_cdf(p), rng(seed).random(size), side="right"))
+        seen["retry leaves 2+"] += len(first_round) < size and support - len(first_round) >= 2
 
         ours, oracle = rng(seed), rng(seed)
         assert bisect_right(dist.draw_table.cdf[v], ours.random()) == oracle.choice(dist.n, p=p)
@@ -360,6 +388,8 @@ def test_draws_reproduce_numpy_choice():
             if total > 0.0:
                 assert got == oracle.choice(dist.n, p=masked_row / total)
                 seen["masked draw"] += 1
+                kept = int(np.count_nonzero(masked_row))
+                seen["masked keeps 3+" if kept >= 3 else f"masked keeps {kept}"] += 1
             else:
                 open_vertices = [u for u in range(dist.n) if u not in mask]
                 assert got == open_vertices[oracle.integers(len(open_vertices))]
@@ -372,6 +402,33 @@ def test_draws_reproduce_numpy_choice():
                 assert sample(dist, ours) == choice_upwards(dist, oracle, mask_parents)
                 assert ours.random() == oracle.random()
     assert min(seen.values()) > 0, seen
+
+
+def test_beam_and_greedy_draw_without_numpy(monkeypatch):
+    # Once the draw table is built, every beam and greedy draw reads it in
+    # plain Python, retry rounds included: the perturbed twin's dense rows
+    # make _distinct_parents rebuild a CDF from the parents left.
+    g = generate_graph(GraphSpec(n=64, task=Task.BF), 64)
+    empirical = build_empirical(g, Task.BF, runs=20, seed=64)
+    dists = (empirical, perturb(empirical, 0.3, seed=64))
+    cases = [(extractor, dist, s) for extractor in (beam_extract, greedy_extract)
+             for dist in dists for s in range(3)]
+    expected = [extractor(dist, g, SamplerConfig(), rng(s)) for extractor, dist, s in cases]
+
+    def numpy_called(*args, **kwargs):
+        raise AssertionError("a draw called numpy")
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            numpy_called()
+
+    retry_rounds = []
+    monkeypatch.setattr(samplers, "np", NoNumpy())
+    monkeypatch.setattr(samplers, "choice_cdf", numpy_called)
+    monkeypatch.setattr(samplers, "accumulate", lambda xs: retry_rounds.append(1) or accumulate(xs))
+    got = [extractor(dist, g, SamplerConfig(), rng(s)) for extractor, dist, s in cases]
+    assert got == expected
+    assert retry_rounds
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 64])

@@ -2,6 +2,7 @@
 `json.dumps` entry per line, one entry at a time, so writing never holds the
 document."""
 
+import gc
 import json
 import tracemalloc
 
@@ -131,8 +132,16 @@ def test_commands_peak_does_not_grow_with_the_entry_count(tmp_path, capsys):
     # entry (with its caches) until the file is written scales with the count.
     # A first run loads modules and fills the interpreter's free lists (up
     # to 2,000 tuples of each small size), which a traced run would count.
-    command_peaks(tmp_path, 200)
-    few, many = command_peaks(tmp_path, 50), command_peaks(tmp_path, 200)
+    # A full collection empties those lists, and the objects they would have
+    # recycled are then counted: a traced run read up to 60 kB more when one
+    # fell inside it, which the collector's counters, left by earlier tests,
+    # decide. So the collector stays off from the first run to the last.
+    gc.disable()
+    try:
+        command_peaks(tmp_path, 200)
+        few, many = command_peaks(tmp_path, 50), command_peaks(tmp_path, 200)
+    finally:
+        gc.enable()
     capsys.readouterr()
     for name in few:
         assert many[name] <= 1.5 * few[name], (name, few[name], many[name])
